@@ -1,10 +1,9 @@
-//! Criterion end-to-end query benchmarks: suffix-range search, occurrence
-//! listing (streaming vs legacy eager), and extraction on paper-like
-//! corpora, CiNCT vs each baseline — all driven through the unified
-//! `PathQuery` trait. This is the Criterion counterpart of the
-//! fig10/fig15 harness binaries.
+//! Criterion end-to-end query benchmarks: suffix-range search and
+//! extraction on paper-like corpora, CiNCT vs each baseline — all driven
+//! through the unified `PathQuery` trait. This is the Criterion
+//! counterpart of the fig10/fig15 harness binaries.
 
-use cinct::{CinctBuilder, Path, PathQuery};
+use cinct::Path;
 use cinct_bench::{build_variant, sample_patterns, Variant};
 use cinct_bwt::TrajectoryString;
 use cinct_fmindex::ExtractIter;
@@ -37,47 +36,6 @@ fn bench_suffix_range(c: &mut Criterion) {
     group.finish();
 }
 
-/// Streaming `occurrences()` vs the deprecated eager `locate_path`: same
-/// matches, but the iterator needs no intermediate `Vec` — counting
-/// matched trajectories allocates nothing at all.
-fn bench_occurrences(c: &mut Criterion) {
-    let ds = cinct_datasets::singapore2(0.05);
-    let idx = CinctBuilder::new()
-        .locate_sampling(32)
-        .build(&ds.trajectories, ds.n_edges());
-    let patterns = sample_patterns(&ds.trajectories, 8, 50, 7);
-    let mut group = c.benchmark_group("occurrences_singapore2");
-    group.bench_function("streaming_iter", |bch| {
-        bch.iter(|| {
-            let mut acc = 0usize;
-            for p in &patterns {
-                acc += idx
-                    .occurrences(black_box(Path::new(p)))
-                    .expect("locate enabled")
-                    .map(|(t, _)| t)
-                    .sum::<usize>();
-            }
-            acc
-        })
-    });
-    #[allow(deprecated)]
-    group.bench_function("legacy_eager_vec", |bch| {
-        bch.iter(|| {
-            let mut acc = 0usize;
-            for p in &patterns {
-                acc += idx
-                    .locate_path(black_box(p))
-                    .expect("locate enabled")
-                    .iter()
-                    .map(|&(t, _)| t)
-                    .sum::<usize>();
-            }
-            acc
-        })
-    });
-    group.finish();
-}
-
 fn bench_extract(c: &mut Criterion) {
     let ds = cinct_datasets::roma(0.1);
     let ts = TrajectoryString::build(&ds.trajectories, ds.n_edges());
@@ -101,6 +59,6 @@ fn bench_extract(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = bench_suffix_range, bench_occurrences, bench_extract
+    targets = bench_suffix_range, bench_extract
 }
 criterion_main!(benches);

@@ -1,6 +1,5 @@
 //! Replication cost model: what does WAL shipping cost a follower, and
-//! how fast does a lagging (or fresh) replica converge? Feeds
-//! `BENCH_PR9.json`.
+//! how fast does a lagging (or fresh) replica converge?
 //!
 //! Sections, all at the transport-free service seam (`wal_read_from` →
 //! `apply_replicated`, exactly what `Replicator::step` drives over
@@ -17,10 +16,10 @@
 //!    time and stream size.
 //!
 //! Every section ends in a mirror-identity assert against the primary.
-//! Absolute numbers are host-dependent (page cache, allocator); nothing
-//! here is gated — no `speedup` fields by design. Knobs: `CINCT_SCALE`
-//! (default 0.25), `CINCT_BENCH_REPS` (default 3), `CINCT_SERVE_BATCH`
-//! (default 64), `CINCT_BENCH_OUT` (default `BENCH_PR9.json`).
+//! Absolute numbers are host-dependent (page cache, allocator). The JSON
+//! report (the shape of the frozen `BENCH_PR9.json`) is the last thing
+//! printed on stdout. Knobs: `CINCT_SCALE` (default 0.25),
+//! `CINCT_SERVE_BATCH` (default 64).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -31,6 +30,8 @@ use cinct_serve::CorpusService;
 const SHARDS: usize = 4;
 const LOCATE_RATE: usize = 32;
 const BASE_FRACTION: f64 = 0.9;
+/// Passes over the tail batches in the steady-state section.
+const REPS: usize = 3;
 
 fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name)
@@ -106,10 +107,7 @@ fn assert_mirror(primary: &CorpusService, follower: &CorpusService, what: &str) 
 
 fn main() {
     let scale = env_f64("CINCT_SCALE", 0.25);
-    let reps = env_usize("CINCT_BENCH_REPS", 3);
     let batch_len = env_usize("CINCT_SERVE_BATCH", 64);
-    let out_path =
-        std::env::var("CINCT_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR9.json".to_string());
 
     println!("== Replication path: WAL shipping + snapshot bootstrap (scale={scale}) ==\n");
     let ds = cinct_datasets::singapore(scale);
@@ -166,8 +164,8 @@ fn main() {
 
     // --- 2: steady-state — ship each record as it lands, the tailing
     // replica's per-round latency (journal + pull + apply). ---
-    let mut lat = Vec::with_capacity(batches.len() * reps);
-    for rep in 0..reps {
+    let mut lat = Vec::with_capacity(batches.len() * REPS);
+    for rep in 0..REPS {
         for (i, b) in batches.iter().enumerate() {
             let t0 = Instant::now();
             primary
@@ -218,17 +216,16 @@ fn main() {
         snapshot_bytes as f64 / (1024.0 * 1024.0)
     );
 
-    // --- JSON report (recorded, never gated: all host-dependent). ---
+    // --- JSON report (all host-dependent). ---
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"meta\": {{\"dataset\": \"{}\", \"scale\": {scale}, \"reps\": {reps}, \
+        "  \"meta\": {{\"dataset\": \"{}\", \"scale\": {scale}, \"reps\": {REPS}, \
          \"batch\": {batch_len}, \"shipped_records\": {}, \"shipped_trajectories\": \
          {shipped_trajs}, \"shards\": {SHARDS}, \"locate_sampling\": {LOCATE_RATE}, \
          \"n_edges\": {n_edges}, \"note\": \"WAL-shipping replication at the service \
          seam: bulk catch-up, per-record tailing, snapshot bootstrap. Every section \
-         asserts mirror identity. Host-dependent; nothing gated (no speedup fields by \
-         design)\"}},",
+         asserts mirror identity. Host-dependent\"}},",
         ds.name,
         batches.len()
     );
@@ -249,9 +246,8 @@ fn main() {
          \"serialize_ms\": {serialize_ms:.1}, \"install_ms\": {install_ms:.1}, \
          \"mirror_identity\": true}}"
     );
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("report written to {out_path}");
+    json.push('}');
+    println!("{json}");
 
     for d in [pdir, fdir, bdir] {
         let _ = std::fs::remove_dir_all(&d);

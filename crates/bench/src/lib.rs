@@ -8,53 +8,20 @@
 //! testbed; the comparisons (who wins, by roughly what factor) are the
 //! reproduction target — see `EXPERIMENTS.md`.
 //!
-//! Three binaries are different in kind: they measure the *repo's own*
-//! code against itself and emit recorded baselines —
-//!
-//! * `hotpath`: optimized vs seed-equivalent query paths (`BENCH_PR3.json`);
-//! * `buildpath`: allocation-lean vs seed construction (`BENCH_PR4.json`);
-//! * `shardpath`: sharded vs monolithic corpus serving (`BENCH_PR5.json`).
-//!
-//! Each self-gates against a committed baseline when
-//! `CINCT_BENCH_BASELINE` is set (see [`gate`]); CI also runs the
-//! standalone `bench_gate` comparator over the smoke-run outputs so
-//! ratio regressions fail the build. Protocols and cost models are in
-//! the repository's `PERFORMANCE.md`.
+//! Two binaries are different in kind: `serveclient` is CI's functional
+//! probe of a live `cinct serve` process, and `replpath` prints the
+//! replication cost model (catch-up and ship rates) that `BENCHMARK.json`
+//! has no workload for yet. How fast the repo itself is — end to end and
+//! layer by layer — is measured by `benchmark/` (see `BENCHMARK.json` and
+//! the repository's `PERFORMANCE.md`), not here.
 
-pub mod gate;
 pub mod report;
 pub mod variants;
 pub mod workload;
 
-pub use gate::{
-    collect_ratio_metrics, compare, enforce_baseline_from_env, host_parallelism, GateReport, Json,
-};
 pub use report::Table;
 pub use variants::{build_variant, BuiltIndex, Variant, ALL_VARIANTS};
-pub use workload::{sample_patterns, selective_patterns, time_queries, QueryTiming};
-
-/// Best-of-`reps` timing: one warm-up pass, then the minimum wall-clock
-/// of `reps` repetitions (the repo's standard protocol — the paper's
-/// single-timer batch measurement hardened against scheduler noise; see
-/// `PERFORMANCE.md`). Shared by the `hotpath` and `buildpath` binaries so
-/// both measure under one definition.
-pub fn time_best_of(reps: usize, mut work: impl FnMut()) -> std::time::Duration {
-    work();
-    let mut best = std::time::Duration::MAX;
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        work();
-        best = best.min(t0.elapsed());
-    }
-    best
-}
-
-/// Deterministic row sample across a BWT of `n` rows (no RNG: rows must
-/// match between compared paths and across reruns).
-pub fn sample_rows(n: usize, count: usize) -> Vec<usize> {
-    let stride = (n / count.max(1)).max(1);
-    (0..count).map(|i| (1 + i * stride) % n).collect()
-}
+pub use workload::{sample_patterns, time_queries, QueryTiming};
 
 /// Scale factor from the environment (`CINCT_SCALE`, default 0.25).
 pub fn scale_from_env() -> f64 {

@@ -37,60 +37,6 @@ pub fn sample_patterns(
         .collect()
 }
 
-/// Sample `count` *selective* sub-paths of `len` edges: windows whose
-/// rarest edge sits in the bottom percentile of per-edge trajectory
-/// frequency. Rare edges land in few shards, so these are the patterns
-/// shard pruning can skip work for — the fan-out tax workload, where a
-/// uniform [`sample_patterns`] draw would be dominated by popular edges
-/// every shard contains.
-pub fn selective_patterns(
-    trajectories: &[Vec<u32>],
-    len: usize,
-    count: usize,
-    seed: u64,
-) -> Vec<Vec<u32>> {
-    use std::collections::HashMap;
-    let mut freq: HashMap<u32, usize> = HashMap::new();
-    for t in trajectories {
-        let mut edges = t.clone();
-        edges.sort_unstable();
-        edges.dedup();
-        for e in edges {
-            *freq.entry(e).or_default() += 1;
-        }
-    }
-    // Every window, keyed by how many trajectories its rarest edge
-    // appears in. Stable sort keeps corpus order among ties, so the
-    // pool — and therefore the draw — is deterministic.
-    let mut windows: Vec<(usize, &[u32])> = Vec::new();
-    for t in trajectories.iter().filter(|t| t.len() >= len) {
-        for w in t.windows(len) {
-            let rarest = w.iter().map(|e| freq[e]).min().expect("len >= 1");
-            windows.push((rarest, w));
-        }
-    }
-    assert!(
-        !windows.is_empty(),
-        "no trajectory long enough for patterns of length {len}"
-    );
-    windows.sort_by_key(|&(rarest, _)| rarest);
-    // Cut at the bottom percentile of the per-edge frequency
-    // distribution; the floor at the rarest achievable window keeps the
-    // pool non-empty even when every edge is popular.
-    let mut freqs: Vec<usize> = freq.values().copied().collect();
-    freqs.sort_unstable();
-    let cutoff = freqs[freqs.len() / 100].max(windows[0].0);
-    let pool: Vec<&[u32]> = windows
-        .iter()
-        .take_while(|&&(rarest, _)| rarest <= cutoff)
-        .map(|&(_, w)| w)
-        .collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|_| pool[rng.gen_range(0..pool.len())].to_vec())
-        .collect()
-}
-
 /// Timing results over a pattern batch.
 #[derive(Clone, Copy, Debug)]
 pub struct QueryTiming {
@@ -166,24 +112,6 @@ mod tests {
     #[should_panic(expected = "no trajectory long enough")]
     fn rejects_too_long_patterns() {
         sample_patterns(&[vec![1u32, 2]], 5, 1, 0);
-    }
-
-    #[test]
-    fn selective_patterns_prefer_rare_edges() {
-        // Edge 9 appears in one trajectory; edges 0..3 are everywhere.
-        let mut trajs: Vec<Vec<u32>> = (0..20).map(|_| vec![0u32, 1, 2, 3]).collect();
-        trajs.push(vec![0, 9, 1]);
-        let pats = selective_patterns(&trajs, 2, 30, 11);
-        assert_eq!(pats.len(), 30);
-        for p in &pats {
-            assert!(p.contains(&9), "selective pattern {p:?} has no rare edge");
-            let found = trajs.iter().any(|t| t.windows(2).any(|w| w == &p[..]));
-            assert!(found, "pattern {p:?} not a sub-path of any trajectory");
-        }
-        assert_eq!(
-            selective_patterns(&trajs, 2, 30, 11),
-            selective_patterns(&trajs, 2, 30, 11)
-        );
     }
 
     #[test]

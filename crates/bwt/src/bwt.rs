@@ -106,9 +106,9 @@ impl CArray {
         accel.live.get(accel.bounds.rank1(j + 1) - 1) as u32
     }
 
-    /// The seed's `symbol_at`: binary search over the cumulative counts,
-    /// `O(log σ)`. Kept as the reference implementation for property tests
-    /// and the seed-equivalent bench path.
+    /// `symbol_at` by binary search over the cumulative counts,
+    /// `O(log σ)`. Kept as the reference implementation for property
+    /// tests.
     #[inline]
     pub fn symbol_at_binsearch(&self, j: usize) -> u32 {
         debug_assert!(j < *self.counts.last().unwrap() as usize);

@@ -18,5 +18,5 @@ pub mod text;
 
 pub use bwt::{bwt, bwt_from_sa, bwt_replace_sa, inverse_bwt, CArray};
 pub use entropy::{entropy_h0, entropy_hk, h0_of_counts};
-pub use sais::{suffix_array, suffix_array_reference, suffix_array_with, SaisWorkspace};
+pub use sais::{suffix_array, suffix_array_with, SaisWorkspace};
 pub use text::{TrajectoryString, END_SYMBOL, SEPARATOR, SYMBOL_OFFSET};

@@ -23,9 +23,8 @@
 //!   type map is recomputed after each recursive call instead of being kept
 //!   per level.
 //!
-//! The seed implementation survives as [`suffix_array_reference`] so the
-//! `buildpath` bench can measure both in one binary, and property tests pin
-//! the two (and a naive sort) to each other.
+//! Tests pin the result to a naive suffix sort ([`naive_suffix_array`]);
+//! `benchmark/` reports `bwt.sais_msym_per_s`.
 
 const EMPTY: u32 = u32::MAX;
 
@@ -396,201 +395,6 @@ fn sais_lean(
     );
 }
 
-/// The seed's SA-IS, kept verbatim so `cinct_bench`'s `buildpath` binary
-/// can measure the allocation-lean path against it in one binary (the
-/// PR 3 `*_reference` convention) and property tests can pin the two.
-/// Allocates per recursion level: a `Vec<bool>` type map, three bucket
-/// arrays plus per-pass clones, the name table, and the reduced problem.
-pub fn suffix_array_reference(text: &[u32], sigma: usize) -> Vec<u32> {
-    assert_input(text);
-    debug_assert!(text.iter().all(|&c| (c as usize) < sigma));
-    let mut sa = vec![0u32; text.len()];
-    reference::sais_main(text, &mut sa, sigma);
-    sa
-}
-
-/// The seed implementation, unchanged (see [`suffix_array_reference`]).
-mod reference {
-    use super::EMPTY;
-
-    /// `true` bits mark S-type suffixes.
-    fn classify(text: &[u32]) -> Vec<bool> {
-        let n = text.len();
-        let mut stype = vec![false; n];
-        stype[n - 1] = true; // the sentinel suffix is S-type by convention
-        for i in (0..n - 1).rev() {
-            stype[i] = text[i] < text[i + 1] || (text[i] == text[i + 1] && stype[i + 1]);
-        }
-        stype
-    }
-
-    /// Position `i` is LMS iff `i > 0`, `stype[i]` and `!stype[i-1]`.
-    #[inline]
-    fn is_lms(stype: &[bool], i: usize) -> bool {
-        i > 0 && stype[i] && !stype[i - 1]
-    }
-
-    /// Bucket boundaries: `heads[c]` = first index of bucket `c`,
-    /// `tails[c]` = one past the last.
-    fn bucket_bounds(text: &[u32], sigma: usize) -> (Vec<u32>, Vec<u32>) {
-        let mut counts = vec![0u32; sigma];
-        for &c in text {
-            counts[c as usize] += 1;
-        }
-        let mut heads = vec![0u32; sigma];
-        let mut tails = vec![0u32; sigma];
-        let mut sum = 0u32;
-        for c in 0..sigma {
-            heads[c] = sum;
-            sum += counts[c];
-            tails[c] = sum;
-        }
-        (heads, tails)
-    }
-
-    /// Induced sort: given LMS positions placed at bucket tails, fill in
-    /// L-type then S-type suffixes.
-    fn induce(text: &[u32], sa: &mut [u32], stype: &[bool], heads: &[u32], tails: &[u32]) {
-        let n = text.len();
-        // L-type: left-to-right from bucket heads.
-        let mut h = heads.to_vec();
-        for i in 0..n {
-            let j = sa[i];
-            if j != EMPTY && j > 0 {
-                let p = (j - 1) as usize;
-                if !stype[p] {
-                    let c = text[p] as usize;
-                    sa[h[c] as usize] = p as u32;
-                    h[c] += 1;
-                }
-            }
-        }
-        // S-type: right-to-left from bucket tails.
-        let mut t = tails.to_vec();
-        for i in (0..n).rev() {
-            let j = sa[i];
-            if j != EMPTY && j > 0 {
-                let p = (j - 1) as usize;
-                if stype[p] {
-                    let c = text[p] as usize;
-                    t[c] -= 1;
-                    sa[t[c] as usize] = p as u32;
-                }
-            }
-        }
-    }
-
-    pub(super) fn sais_main(text: &[u32], sa: &mut [u32], sigma: usize) {
-        let n = text.len();
-        if n == 1 {
-            sa[0] = 0;
-            return;
-        }
-        let stype = classify(text);
-        let (heads, tails) = bucket_bounds(text, sigma);
-
-        // Step 1: place LMS suffixes at bucket tails (arbitrary in-bucket
-        // order).
-        sa.fill(EMPTY);
-        {
-            let mut t = tails.clone();
-            for i in (1..n).rev() {
-                if is_lms(&stype, i) {
-                    let c = text[i] as usize;
-                    t[c] -= 1;
-                    sa[t[c] as usize] = i as u32;
-                }
-            }
-        }
-        induce(text, sa, &stype, &heads, &tails);
-
-        // Step 2: compact sorted LMS positions and name LMS substrings.
-        let mut lms_sorted: Vec<u32> = sa
-            .iter()
-            .copied()
-            .filter(|&j| j != EMPTY && is_lms(&stype, j as usize))
-            .collect();
-        let n_lms = lms_sorted.len();
-        if n_lms == 0 {
-            // No LMS positions (monotone non-increasing text): the induce
-            // pass above already sorted everything.
-            return;
-        }
-        // Name: equal adjacent LMS substrings share a name.
-        let mut names = vec![EMPTY; n];
-        let mut name_count: u32 = 0;
-        {
-            let mut prev: Option<usize> = None;
-            for &jw in lms_sorted.iter() {
-                let j = jw as usize;
-                let same = match prev {
-                    Some(p) => lms_substring_eq(text, &stype, p, j),
-                    None => false,
-                };
-                if !same {
-                    name_count += 1;
-                }
-                names[j] = name_count - 1;
-                prev = Some(j);
-            }
-        }
-
-        if (name_count as usize) < n_lms {
-            // Recurse on the reduced string of LMS names, in text order.
-            let mut reduced = Vec::with_capacity(n_lms);
-            let mut lms_positions = Vec::with_capacity(n_lms);
-            for (i, &nm) in names.iter().enumerate() {
-                if nm != EMPTY {
-                    reduced.push(nm);
-                    lms_positions.push(i as u32);
-                }
-            }
-            let mut sub_sa = vec![0u32; n_lms];
-            sais_main(&reduced, &mut sub_sa, name_count as usize);
-            for (k, &r) in sub_sa.iter().enumerate() {
-                lms_sorted[k] = lms_positions[r as usize];
-            }
-        }
-        // else: names are already unique, lms_sorted is correctly ordered.
-
-        // Step 3: place sorted LMS suffixes at bucket tails and induce again.
-        sa.fill(EMPTY);
-        {
-            let mut t = tails.clone();
-            for &jw in lms_sorted.iter().rev() {
-                let c = text[jw as usize] as usize;
-                t[c] -= 1;
-                sa[t[c] as usize] = jw;
-            }
-        }
-        induce(text, sa, &stype, &heads, &tails);
-    }
-
-    /// Compare the LMS substrings starting at `a` and `b` for equality.
-    fn lms_substring_eq(text: &[u32], stype: &[bool], a: usize, b: usize) -> bool {
-        let n = text.len();
-        if a == b {
-            return true;
-        }
-        let mut i = 0usize;
-        loop {
-            let (pa, pb) = (a + i, b + i);
-            let a_end = pa >= n || (i > 0 && is_lms(stype, pa));
-            let b_end = pb >= n || (i > 0 && is_lms(stype, pb));
-            if a_end && b_end {
-                return true;
-            }
-            if a_end != b_end {
-                return false;
-            }
-            if text[pa] != text[pb] || stype[pa] != stype[pb] {
-                return false;
-            }
-            i += 1;
-        }
-    }
-}
-
 /// O(n² log n) reference implementation for testing.
 pub fn naive_suffix_array(text: &[u32]) -> Vec<u32> {
     let mut sa: Vec<u32> = (0..text.len() as u32).collect();
@@ -615,11 +419,6 @@ mod tests {
         let sa = suffix_array(&text, sigma);
         let expected = naive_suffix_array(&text);
         assert_eq!(sa, expected, "text={text:?}");
-        assert_eq!(
-            suffix_array_reference(&text, sigma),
-            expected,
-            "reference text={text:?}"
-        );
     }
 
     #[test]
@@ -692,12 +491,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unique minimum sentinel")]
-    fn reference_rejects_missing_sentinel() {
-        suffix_array_reference(&[2, 1, 2], 3);
-    }
-
-    #[test]
     fn workspace_reuse_across_texts() {
         // One workspace serves texts of different lengths and alphabets in
         // any order (buffers must re-clear, not just grow).
@@ -731,10 +524,7 @@ mod tests {
         }
         let text = with_sentinel(&b);
         let sigma = 4;
-        assert_eq!(
-            suffix_array(&text, sigma),
-            suffix_array_reference(&text, sigma)
-        );
+        assert_eq!(suffix_array(&text, sigma), naive_suffix_array(&text));
     }
 
     #[test]
@@ -764,7 +554,5 @@ mod tests {
             assert!(!seen[i as usize]);
             seen[i as usize] = true;
         }
-        // The seed path agrees wholesale.
-        assert_eq!(sa, suffix_array_reference(&text, sigma));
     }
 }

@@ -2,10 +2,7 @@
 //! sorting, BWT invertibility, trajectory-string bookkeeping, and entropy
 //! identities.
 
-use cinct_bwt::{
-    bwt, entropy_h0, entropy_hk, inverse_bwt, suffix_array, suffix_array_reference, CArray,
-    TrajectoryString,
-};
+use cinct_bwt::{bwt, entropy_h0, entropy_hk, inverse_bwt, suffix_array, CArray, TrajectoryString};
 use proptest::prelude::*;
 
 fn body_strategy() -> impl Strategy<Value = Vec<u32>> {
@@ -24,17 +21,11 @@ fn with_sentinel(body: &[u32]) -> Vec<u32> {
     v
 }
 
-/// Both SA-IS paths (allocation-lean and seed reference) against the naive
-/// comparison sort.
+/// SA-IS against the naive comparison sort.
 fn assert_sa_matches_naive(text: &[u32]) {
     let sigma = text.iter().copied().max().unwrap() as usize + 1;
     let expected = cinct_bwt::sais::naive_suffix_array(text);
-    assert_eq!(suffix_array(text, sigma), expected, "lean text={text:?}");
-    assert_eq!(
-        suffix_array_reference(text, sigma),
-        expected,
-        "reference text={text:?}"
-    );
+    assert_eq!(suffix_array(text, sigma), expected, "text={text:?}");
 }
 
 proptest! {

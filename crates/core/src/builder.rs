@@ -22,17 +22,14 @@
 //!    multi-threaded via [`CinctBuilder::threads`] — parallel builds are
 //!    byte-identical to sequential ones (see `cinct_succinct::parbuild`).
 //!
-//! The seed pipeline survives as [`CinctBuilder::build_timed_reference`]
-//! so `cinct_bench`'s `buildpath` binary can measure both in one binary;
-//! tests pin the two (and every thread count) to byte-identical
-//! serialized indexes.
+//! The serialized index is pinned byte for byte: a table-driven test holds
+//! the length and FNV-1a digest of `write_to`'s output for fixed corpora at
+//! every paper block size (recorded from the seed pipeline, which this one
+//! replaced), and every thread count must reproduce them.
 
 use crate::index::{CinctIndex, SaSamples};
 use crate::rml::{LabelingStrategy, Rml};
-use cinct_bwt::{
-    bwt_from_sa, bwt_replace_sa, suffix_array_reference, suffix_array_with, CArray, SaisWorkspace,
-    TrajectoryString,
-};
+use cinct_bwt::{bwt_replace_sa, suffix_array_with, CArray, SaisWorkspace, TrajectoryString};
 use cinct_fmindex::QueryError;
 use cinct_succinct::{BitBuf, HuffmanWaveletTree, IntVec, RankBitVec, RrrBitVec};
 use std::time::{Duration, Instant};
@@ -74,7 +71,7 @@ impl ConstructionTimings {
     }
 
     /// Render the per-stage breakdown as one human-readable line (the CLI
-    /// `build` path and the `buildpath` bench both print this).
+    /// `build` path prints this).
     pub fn breakdown(&self) -> String {
         format!(
             "ingest {:.3}s, SA {:.3}s, BWT {:.3}s, ET-graph/labeling {:.3}s, \
@@ -250,8 +247,7 @@ impl CinctBuilder {
         timings.sa = t0.elapsed();
 
         // Symbol counts; needed by the directory (separator rows) and by
-        // every later stage. Accounted with the BWT stage, matching the
-        // reference pipeline's breakdown.
+        // every later stage. Accounted with the BWT stage.
         let t0 = Instant::now();
         let c = CArray::new(text, sigma);
         timings.bwt = t0.elapsed();
@@ -333,117 +329,9 @@ impl CinctBuilder {
             samples,
             n_network_edges: n_edges,
         };
-        // Every optimized build funnels through here (owned, streamed,
-        // per-shard); the reference pipeline is deliberately unmetered.
+        // Every build funnels through here (owned, streamed, per-shard).
         // `ingest` is recorded by build_timed/build_streamed, which know it.
         crate::metrics::record_build(&timings);
-        (index, timings)
-    }
-
-    /// The **seed-equivalent** pipeline, kept verbatim for the `buildpath`
-    /// bench (optimized-vs-seed in one binary, the PR 3 `*_reference`
-    /// convention): allocation-heavy recursive SA-IS, a separate BWT copy,
-    /// a separate labeled copy plus a second Z-term scan, a full n-word
-    /// ISA for the trajectory directory, and a single-threaded wavelet
-    /// tree. Produces a byte-identical index (pinned by tests); nothing
-    /// but benches and tests should call it.
-    pub fn build_timed_reference(
-        self,
-        trajectories: &[Vec<u32>],
-        n_edges: usize,
-    ) -> (CinctIndex, ConstructionTimings) {
-        let t0 = Instant::now();
-        let ts = TrajectoryString::build(trajectories, n_edges);
-        let ingest = t0.elapsed();
-        let (index, mut timings) = self.build_from_trajectory_string_reference(&ts, n_edges);
-        timings.ingest = ingest;
-        (index, timings)
-    }
-
-    /// See [`CinctBuilder::build_timed_reference`].
-    pub fn build_from_trajectory_string_reference(
-        self,
-        ts: &TrajectoryString,
-        n_edges: usize,
-    ) -> (CinctIndex, ConstructionTimings) {
-        let mut timings = ConstructionTimings::default();
-
-        // Steps 1–2: trajectory string → BWT (fresh allocations each).
-        let t0 = Instant::now();
-        let text = ts.text();
-        let sigma = ts.sigma();
-        let sa = suffix_array_reference(text, sigma);
-        timings.sa = t0.elapsed();
-        let t0 = Instant::now();
-        let tbwt = bwt_from_sa(text, &sa);
-        let c = CArray::new(text, sigma);
-        timings.bwt = t0.elapsed();
-
-        // Steps 3–4: ET-graph, RML, labeled BWT copy, Z terms (re-scan).
-        let t0 = Instant::now();
-        let mut rml = Rml::from_text(text, sigma, self.labeling);
-        let labeled = rml.label_bwt(&tbwt, &c);
-        compute_z_terms(&mut rml, &tbwt, &labeled, &c);
-        timings.et_graph_build = t0.elapsed();
-
-        // Step 5: compressed wavelet tree (sequential).
-        let t0 = Instant::now();
-        let wt = HuffmanWaveletTree::<RrrBitVec>::with_params(&labeled, self.block_size);
-        timings.wt_build = t0.elapsed();
-
-        // Trajectory directory via a full inverse suffix array.
-        let t0 = Instant::now();
-        let n = text.len();
-        let mut isa = vec![0u32; n];
-        for (row, &pos) in sa.iter().enumerate() {
-            isa[pos as usize] = row as u32;
-        }
-        let traj_rows: Vec<u32> = ts
-            .starts()
-            .iter()
-            .enumerate()
-            .map(|(k, &s)| {
-                let end = ts
-                    .starts()
-                    .get(k + 1)
-                    .map_or(n - 2, |&next| next as usize - 1);
-                debug_assert_eq!(text[end], cinct_bwt::SEPARATOR);
-                debug_assert!(end > s as usize);
-                isa[end]
-            })
-            .collect();
-
-        // Optional SA samples for locate.
-        let samples = self.locate_sampling.map(|rate| {
-            let mut marked = BitBuf::zeros(n);
-            let mut rows: Vec<(u32, u64)> = Vec::with_capacity(n / rate + 1);
-            for (row, &pos) in sa.iter().enumerate() {
-                if (pos as usize) % rate == 0 {
-                    marked.set(row, true);
-                    rows.push((row as u32, pos as u64));
-                }
-            }
-            let mut values = IntVec::with_capacity(IntVec::width_for(n as u64), rows.len());
-            for &(_, pos) in &rows {
-                values.push(pos);
-            }
-            SaSamples {
-                marked: RankBitVec::new(marked),
-                values,
-                rate,
-            }
-        });
-        timings.directory = t0.elapsed();
-
-        let index = CinctIndex {
-            c,
-            labeled: wt,
-            rml,
-            traj_starts: ts.starts().to_vec(),
-            traj_rows,
-            samples,
-            n_network_edges: n_edges,
-        };
         (index, timings)
     }
 }
@@ -471,7 +359,7 @@ pub(crate) fn validate_corpus(trajectories: &[Vec<u32>], n_edges: usize) -> Resu
     Ok(())
 }
 
-/// One fused context-block scan (the optimized pipeline's steps 3–4):
+/// One fused context-block scan (the pipeline's steps 3–4):
 /// rewrite `T_bwt` into `φ(T_bwt)` **in place** while accumulating every
 /// correction term `Z_{w′w}` (paper Eq. (7)). At each block boundary
 /// `j = C[w′]` the running counters hold `rank_η(φ(T_bwt), j)` and
@@ -507,36 +395,6 @@ fn label_and_z_in_place(rml: &mut Rml, tbwt: &mut [u32], c: &CArray) {
         let graph = rml.graph();
         for k in 0..degree {
             map[graph.decode(k as u32 + 1, w_prime) as usize] = 0;
-        }
-    }
-    rml.graph_mut().attach_z_terms(&zs);
-}
-
-/// Compute every correction term `Z_{w′w}` (paper Eq. (7)) in one linear
-/// scan over the BWT: at each context-block boundary `j = C[w′]`, for each
-/// out-edge `(w′, w)` with label `η`,
-/// `Z = rank_η(φ(T_bwt), C[w′]) − rank_w(T_bwt, C[w′])`. The seed's
-/// separate pass, kept for the reference pipeline.
-fn compute_z_terms(rml: &mut Rml, tbwt: &[u32], labeled: &[u32], c: &CArray) {
-    let sigma = c.sigma();
-    let max_label = labeled.iter().copied().max().unwrap_or(1) as usize;
-    let mut label_counts = vec![0u64; max_label + 1];
-    let mut sym_counts = vec![0u64; sigma];
-    let mut zs: Vec<i64> = Vec::with_capacity(rml.graph().num_edges());
-    let mut j = 0usize;
-    for w_prime in 0..sigma as u32 {
-        let boundary = c.get(w_prime);
-        while j < boundary {
-            label_counts[labeled[j] as usize] += 1;
-            sym_counts[tbwt[j] as usize] += 1;
-            j += 1;
-        }
-        let graph = rml.graph();
-        let degree = graph.out_degree(w_prime);
-        for k in 0..degree {
-            let label = k as u32 + 1;
-            let w = graph.decode(label, w_prime);
-            zs.push(label_counts[label as usize] as i64 - sym_counts[w as usize] as i64);
         }
     }
     rml.graph_mut().attach_z_terms(&zs);
@@ -644,34 +502,71 @@ mod tests {
         assert_eq!(i1.path_range(&[0, 1]), i2.path_range(&[0, 1]));
     }
 
-    #[test]
-    fn optimized_pipeline_matches_reference_bytes() {
-        // The allocation-lean pipeline (in-place BWT, fused labeling+Z,
-        // separator-row directory) must produce the same index as the
-        // seed pipeline, byte for byte — with and without locate support.
-        let trajs = synthetic_trajs(120, 50, 7);
-        for builder in [
-            CinctBuilder::new(),
-            CinctBuilder::new().block_size(15).locate_sampling(4),
-        ] {
-            let (opt, _) = builder.build_timed(&trajs, 50);
-            let (reference, _) = builder.build_timed_reference(&trajs, 50);
-            assert_eq!(serialize(&opt), serialize(&reference));
+    #[derive(Clone, Copy, Debug)]
+    enum Corpus {
+        /// The paper's Fig. 1 trajectories over 6 edges.
+        Paper,
+        /// `synthetic_trajs(400, 80, 21)` over 80 edges.
+        Synthetic,
+    }
+
+    impl Corpus {
+        fn trajs(self) -> (Vec<Vec<u32>>, usize) {
+            match self {
+                Corpus::Paper => (paper_trajs(), 6),
+                Corpus::Synthetic => (synthetic_trajs(400, 80, 21), 80),
+            }
+        }
+    }
+
+    /// `(corpus, block size, locate sampling, bytes, FNV-1a of the bytes)`
+    /// of the serialized index. Recorded from the seed's pipeline (recursive
+    /// SA-IS, copied BWT, separate Z-term scan, full ISA), which produced
+    /// these same bytes for every row, so a row that moves means the
+    /// on-disk format or a numeric kernel changed.
+    const GOLDEN: [(Corpus, usize, Option<usize>, usize, u64); 12] = [
+        (Corpus::Paper, 15, None, 607, 0x9b5fd3a57d41244a),
+        (Corpus::Paper, 15, Some(8), 679, 0x588e045e84d8eab2),
+        (Corpus::Paper, 31, None, 607, 0xeadb1819b3270c28),
+        (Corpus::Paper, 31, Some(8), 679, 0xc03a0083f3c9dc50),
+        (Corpus::Paper, 63, None, 607, 0xaeefefb418091754),
+        (Corpus::Paper, 63, Some(8), 679, 0x3935a92bd233c8ec),
+        (Corpus::Synthetic, 15, None, 13277, 0x3314f806e54e2c6e),
+        (Corpus::Synthetic, 15, Some(8), 16493, 0xc7645310943c3d48),
+        (Corpus::Synthetic, 31, None, 13165, 0x9fe7a16b44f5648d),
+        (Corpus::Synthetic, 31, Some(8), 16381, 0x063028b427210bc7),
+        (Corpus::Synthetic, 63, None, 13085, 0x5fec540ccc197813),
+        (Corpus::Synthetic, 63, Some(8), 16301, 0xd79f1155aa607839),
+    ];
+
+    /// Build every golden row with `threads` and compare length + digest.
+    fn assert_golden(threads: usize) {
+        for (corpus, b, locate, len, digest) in GOLDEN {
+            let (trajs, n_edges) = corpus.trajs();
+            let mut builder = CinctBuilder::new().block_size(b).threads(threads);
+            if let Some(rate) = locate {
+                builder = builder.locate_sampling(rate);
+            }
+            let bytes = serialize(&builder.build(&trajs, n_edges));
+            assert_eq!(
+                (bytes.len(), crate::store::fnv64(&bytes)),
+                (len, digest),
+                "{corpus:?} b={b} locate={locate:?} threads={threads}"
+            );
         }
     }
 
     #[test]
+    fn serialized_index_matches_golden_digests() {
+        assert_golden(1);
+    }
+
+    #[test]
     fn parallel_build_is_byte_identical_across_block_sizes() {
-        // Determinism gate: a parallel-built CinctIndex serializes
-        // byte-identical to the sequential build for b ∈ {15, 31, 63}.
-        let trajs = synthetic_trajs(400, 80, 21);
-        for b in [15usize, 31, 63] {
-            let base = CinctBuilder::new().block_size(b).locate_sampling(8);
-            let seq_bytes = serialize(&base.build(&trajs, 80));
-            for threads in [2usize, 4, 8, 0] {
-                let par_bytes = serialize(&base.threads(threads).build(&trajs, 80));
-                assert_eq!(par_bytes, seq_bytes, "b={b} threads={threads}");
-            }
+        // Determinism gate: a parallel-built CinctIndex serializes to the
+        // golden bytes of the sequential build for b ∈ {15, 31, 63}.
+        for threads in [2usize, 4, 8, 0] {
+            assert_golden(threads);
         }
     }
 

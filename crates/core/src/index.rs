@@ -99,17 +99,10 @@ impl CinctIndex {
     }
 
     /// `LabeledSearchFM` (paper Algorithm 3): backward search where each
-    /// rank is a PseudoRank, consuming pattern symbols last-to-first.
-    /// Parameterized over the per-step primitives — label/Z lookup and the
-    /// paired rank (each step ranks `sp` and `ep` together) — so the
-    /// optimized and seed-equivalent paths share one search loop while
-    /// each keeps its own lookup pattern.
-    fn labeled_search_with(
-        &self,
-        mut symbols: impl Iterator<Item = Symbol>,
-        label_and_z: impl Fn(Symbol, Symbol) -> Option<(u32, i64)>,
-        rank_pair: impl Fn(Symbol, usize, usize) -> (usize, usize),
-    ) -> Option<Range<usize>> {
+    /// rank is a PseudoRank, consuming pattern symbols last-to-first. Each
+    /// step fetches the label and its `Z` term in one lookup and ranks
+    /// `sp` and `ep` together.
+    fn labeled_search(&self, mut symbols: impl Iterator<Item = Symbol>) -> Option<Range<usize>> {
         let Some(mut w_prev) = symbols.next() else {
             return Some(0..self.labeled.len());
         };
@@ -125,8 +118,8 @@ impl CinctIndex {
             if w as usize >= self.sigma() {
                 return None;
             }
-            let (label, z) = label_and_z(w, w_prev)?; // Line 5-6: NotFound
-            let (rsp, rep) = rank_pair(label, sp, ep);
+            let (label, z) = self.rml.label_and_z(w, w_prev)?; // Line 5-6: NotFound
+            let (rsp, rep) = self.labeled.rank_pair(label, sp, ep);
             sp = (self.c.get(w) as i64 + rsp as i64 - z) as usize;
             ep = (self.c.get(w) as i64 + rep as i64 - z) as usize;
             w_prev = w;
@@ -136,14 +129,6 @@ impl CinctIndex {
         } else {
             None
         }
-    }
-
-    fn labeled_search(&self, symbols: impl Iterator<Item = Symbol>) -> Option<Range<usize>> {
-        self.labeled_search_with(
-            symbols,
-            |w, w_prev| self.rml.label_and_z(w, w_prev),
-            |label, i, j| self.labeled.rank_pair(label, i, j),
-        )
     }
 
     /// Suffix range query over an **encoded** pattern. Most callers want
@@ -230,28 +215,6 @@ impl CinctIndex {
         }
     }
 
-    /// All `(trajectory id, offset)` occurrences of a forward path,
-    /// eagerly collected and sorted.
-    ///
-    /// Legacy quirk this shim preserves: an *absent* path yields
-    /// `Some(vec![])` even when the index has no locate support, while a
-    /// *present* path without locate support yields `None`. The
-    /// replacement, [`PathQuery::occurrences`], reports
-    /// [`QueryError::LocateUnsupported`] up front in both cases and
-    /// streams matches without building a `Vec`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use PathQuery::occurrences (streaming, typed errors) instead"
-    )]
-    pub fn locate_path(&self, path: &[u32]) -> Option<Vec<(usize, usize)>> {
-        let range = match self.range(Path::new(path)) {
-            Some(r) => r,
-            None => return Some(Vec::new()),
-        };
-        self.samples.as_ref()?;
-        Some(OccurIter::new(self, Some(range), path.len()).collect_sorted())
-    }
-
     /// Size of the queryable index as the paper accounts it: labeled
     /// wavelet tree + ET-graph (labels and `Z` terms) + `C` array.
     pub fn core_size_in_bytes(&self) -> usize {
@@ -286,85 +249,6 @@ impl CinctIndex {
     /// SA sampling rate, if the index was built with locate support.
     pub fn locate_sampling_rate(&self) -> Option<usize> {
         self.samples.as_ref().map(|s| s.rate)
-    }
-}
-
-/// Seed-equivalent query paths.
-///
-/// These run the exact same algorithms over the exact same structures as
-/// the optimized API, except every constant-factor hot-path optimization
-/// is bypassed: bit-level ranks use [`cinct_succinct::BitRank::rank1_reference`]
-/// (per-block directory walk + per-bit in-block decode) and the LF context
-/// comes from [`CArray::symbol_at_binsearch`] (`O(log σ)`). They exist so
-/// `cinct_bench`'s `hotpath` binary can measure "seed vs optimized" in one
-/// build and so tests can pin both paths to each other; nothing else
-/// should call them. See `PERFORMANCE.md` for the recorded baseline.
-impl CinctIndex {
-    /// [`CinctIndex::path_range`] over the seed-equivalent primitives
-    /// (separate label and Z lookups, two single rank descents per step —
-    /// the seed's exact step shape).
-    pub fn path_range_reference(&self, path: &[u32]) -> Option<Range<usize>> {
-        self.labeled_search_with(
-            Path::new(path).search_symbols(),
-            |w, w_prev| {
-                let label = self.rml.label(w, w_prev)?;
-                Some((label, self.rml.graph().z_term(label, w_prev)))
-            },
-            |label, i, j| {
-                (
-                    self.labeled.rank_reference(label, i),
-                    self.labeled.rank_reference(label, j),
-                )
-            },
-        )
-    }
-
-    /// [`PathQuery::count`] over the seed-equivalent rank primitive.
-    pub fn count_path_reference(&self, path: &[u32]) -> usize {
-        self.path_range_reference(path).map_or(0, |r| r.len())
-    }
-
-    /// [`CinctIndex::lf_step`] with binary-search context lookup and
-    /// seed-equivalent wavelet-tree access/rank.
-    pub fn lf_step_reference(&self, j: usize) -> (Symbol, usize) {
-        let w_prime = self.c.symbol_at_binsearch(j);
-        let label = self.labeled.access_reference(j);
-        let w = self.rml.decode(label, w_prime);
-        let z = self.rml.graph().z_term(label, w_prime);
-        let next =
-            (self.c.get(w) as i64 + self.labeled.rank_reference(label, j) as i64 - z) as usize;
-        (w, next)
-    }
-
-    /// [`CinctIndex::locate`] walking with [`CinctIndex::lf_step_reference`].
-    pub fn locate_reference(&self, j: usize) -> Option<usize> {
-        let samples = self.samples.as_ref()?;
-        let mut j = j;
-        let mut steps = 0usize;
-        loop {
-            if samples.marked.get(j) {
-                let k = samples.marked.rank1(j);
-                return Some(samples.values.get(k) as usize + steps);
-            }
-            let (_, next) = self.lf_step_reference(j);
-            j = next;
-            steps += 1;
-            debug_assert!(steps <= self.labeled.len(), "locate walk diverged");
-        }
-    }
-
-    /// [`CinctIndex::extract_encoded`] walking with
-    /// [`CinctIndex::lf_step_reference`]; returns forward text order.
-    pub fn extract_encoded_reference(&self, j: usize, l: usize) -> Vec<Symbol> {
-        let mut out = Vec::with_capacity(l);
-        let mut row = j;
-        for _ in 0..l {
-            let (symbol, next) = self.lf_step_reference(row);
-            out.push(symbol);
-            row = next;
-        }
-        out.reverse();
-        out
     }
 }
 
@@ -597,16 +481,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn locate_path_shim_keeps_legacy_contract() {
-        let trajs = paper_trajs();
-        let idx = CinctBuilder::new().locate_sampling(4).build(&trajs, 6);
-        assert_eq!(idx.locate_path(&[0, 1]).unwrap(), vec![(0, 0), (1, 0)]);
-        assert_eq!(idx.locate_path(&[5, 5]).unwrap(), vec![]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
     fn locate_without_support_is_an_error() {
         let idx = CinctIndex::build(&paper_trajs(), 6);
         assert_eq!(idx.locate(0), None);
@@ -614,14 +488,11 @@ mod tests {
             idx.occurrences(Path::new(&[0, 1])).err(),
             Some(QueryError::LocateUnsupported)
         );
-        // Even an absent path reports the capability gap up front...
+        // Even an absent path reports the capability gap up front.
         assert_eq!(
             idx.occurrences(Path::new(&[5, 5])).err(),
             Some(QueryError::LocateUnsupported)
         );
-        // ...whereas the legacy shim conflated the two.
-        assert!(idx.locate_path(&[0, 1]).is_none());
-        assert_eq!(idx.locate_path(&[5, 5]), Some(vec![]));
     }
 
     #[test]
@@ -644,34 +515,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn reference_paths_agree_with_optimized() {
-        // The seed-equivalent bench paths must stay answer-identical to the
-        // optimized hot path over every primitive they reimplement.
-        let trajs = paper_trajs();
-        let idx = CinctBuilder::new().locate_sampling(2).build(&trajs, 6);
-        for a in 0..6u32 {
-            for b in 0..6u32 {
-                assert_eq!(
-                    idx.path_range(&[a, b]),
-                    idx.path_range_reference(&[a, b]),
-                    "range [{a},{b}]"
-                );
-                assert_eq!(idx.count_path(&[a, b]), idx.count_path_reference(&[a, b]));
-            }
-        }
-        let n = idx.text_len();
-        for j in 0..n {
-            assert_eq!(idx.lf_step(j), idx.lf_step_reference(j), "lf({j})");
-            assert_eq!(idx.locate(j), idx.locate_reference(j), "locate({j})");
-            assert_eq!(
-                idx.extract_encoded(j, 4.min(n)),
-                idx.extract_encoded_reference(j, 4.min(n)),
-                "extract({j})"
-            );
         }
     }
 

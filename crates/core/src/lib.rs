@@ -109,9 +109,9 @@
 //! directory anywhere they accept a single-file index.
 //!
 //! The query hot path (RRR rank directory, fused wavelet descents, O(1)
-//! LF context) and its recorded baseline (`BENCH_PR3.json`) are described
-//! in the repository's `PERFORMANCE.md`, alongside the sharded serving
-//! cost model and the `BENCH_PR5.json` sharding baseline.
+//! LF context) and the sharded serving cost model are described in the
+//! repository's `PERFORMANCE.md`; how fast they are is measured by
+//! `benchmark/` (see `BENCHMARK.json`).
 
 pub mod builder;
 pub mod engine;

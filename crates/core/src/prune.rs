@@ -26,7 +26,7 @@
 //! Metadata is derived **exactly** from a shard's own `C` array
 //! (`count(edge + SYMBOL_OFFSET) > 0` — O(σ), no text scan), so it can
 //! be (re)built wherever a shard materializes: fresh builds, appends,
-//! compaction, and legacy v2 manifests that predate the pruning block.
+//! compaction, and an open whose manifest block fails its sanity check.
 
 use crate::index::CinctIndex;
 use cinct_bwt::SYMBOL_OFFSET;

@@ -21,9 +21,9 @@
 //! fan-out skips shards with (see [`crate::prune`]). The manifest itself
 //! ends with an FNV-1a checksum over everything before it, so truncation
 //! or bit rot anywhere in the file — pruning blocks included — is caught
-//! before any field is trusted. Version 2 manifests (pre-pruning) still
-//! open: the metadata is re-derived, exactly, from each shard's `C`
-//! array.
+//! before any field is trusted. A block that disagrees with its shard's
+//! ID column is re-derived, exactly, from the shard's `C` array; a
+//! manifest of any other version (v2, pre-pruning, included) is rejected.
 //!
 //! # Failure taxonomy (no panics)
 //!
@@ -45,14 +45,11 @@ use std::path::Path as FsPath;
 
 /// Manifest magic prefix ("CINCTS" as bytes, low 16 bits = format version).
 const MANIFEST_PREFIX: u64 = 0x4349_4e43_5453_0000;
-/// Current manifest format version (3 = per-shard pruning blocks: edge
-/// membership + owned global-ID span, appended to each shard's directory
-/// entry; 2 added the absorbed-WAL-position stamp).
+/// Manifest format version, the only one this build reads or writes
+/// (3 = per-shard pruning blocks: edge membership + owned global-ID span,
+/// appended to each shard's directory entry; 2 added the
+/// absorbed-WAL-position stamp).
 const MANIFEST_VERSION: u64 = 3;
-/// Oldest manifest version this build still opens. A v2 manifest (no
-/// pruning blocks) loads cleanly — pruning metadata is re-derived from
-/// each shard's own `C` array, which is exact and O(σ).
-const MANIFEST_MIN_VERSION: u64 = 2;
 /// The manifest file inside a sharded-index directory.
 pub const MANIFEST_FILE: &str = "manifest.cinct";
 /// Snapshot-stream magic prefix ("CINCSN" as bytes, low 16 bits = version).
@@ -296,26 +293,9 @@ impl ShardedCinct {
         shards: &[(String, Vec<u8>, u64)],
         wal_position: u64,
     ) -> Result<Vec<u8>, QueryError> {
-        self.manifest_bytes_at(shards, wal_position, MANIFEST_VERSION)
-    }
-
-    /// [`ShardedCinct::manifest_bytes`] at an explicit format version —
-    /// the downgrade path (and the compat tests' v2 writer): version 2
-    /// omits the per-shard pruning blocks, which a v3-aware open
-    /// re-derives from the shard indexes.
-    fn manifest_bytes_at(
-        &self,
-        shards: &[(String, Vec<u8>, u64)],
-        wal_position: u64,
-        version: u64,
-    ) -> Result<Vec<u8>, QueryError> {
-        assert!(
-            (MANIFEST_MIN_VERSION..=MANIFEST_VERSION).contains(&version),
-            "unwritable manifest version {version}"
-        );
         let mut m: Vec<u8> = Vec::new();
         let w = &mut m as &mut dyn std::io::Write;
-        write_u64(w, MANIFEST_PREFIX | version)?;
+        write_u64(w, MANIFEST_PREFIX | MANIFEST_VERSION)?;
         write_u64(w, wal_position)?;
         write_usize(w, self.network_edges())?;
         let b = self.config().index_builder_config();
@@ -333,9 +313,7 @@ impl ShardedCinct {
             write_usize(w, self.shard_index(s).num_trajectories())?;
             write_u64(w, *checksum)?;
             self.shard_globals(s).to_vec().persist(w)?;
-            if version >= 3 {
-                self.shard_pruning(s).persist(w)?;
-            }
+            self.shard_pruning(s).persist(w)?;
         }
         let digest = fnv64(&m);
         write_u64(&mut m, digest)?;
@@ -469,17 +447,17 @@ impl ShardedCinct {
         if bytes.len() < 16 {
             return Err(corrupt("shard manifest too short to hold a header"));
         }
-        // Header sanity precedes everything: a wrong-magic or future-
+        // Header sanity precedes everything: a wrong-magic or other-
         // version file should say so, not "checksum mismatch".
         let magic = u64::from_le_bytes(bytes[..8].try_into().expect("length checked"));
         if magic & !0xffff != MANIFEST_PREFIX {
             return Err(corrupt("not a CiNCT shard manifest (bad magic)"));
         }
         let version = magic & 0xffff;
-        if !(MANIFEST_MIN_VERSION..=MANIFEST_VERSION).contains(&version) {
+        if version != MANIFEST_VERSION {
             return Err(corrupt(format!(
                 "unsupported shard manifest version {version} \
-                 (this build reads {MANIFEST_MIN_VERSION}..={MANIFEST_VERSION})"
+                 (this build reads {MANIFEST_VERSION})"
             )));
         }
         // Integrity: trailing FNV over the whole body. Catches truncation
@@ -534,13 +512,7 @@ impl ShardedCinct {
             let n_local = read_usize(r)?;
             let checksum = read_u64(r)?;
             let globals: Vec<u32> = Persist::restore(r)?;
-            // v3 manifests carry the shard's pruning block; v2 predates
-            // it (load_shard re-derives from the index, exactly).
-            let pruning = if version >= 3 {
-                Some(crate::prune::ShardPruning::restore(r)?)
-            } else {
-                None
-            };
+            let pruning = crate::prune::ShardPruning::restore(r)?;
             match load_shard(
                 dir, s, &name, n_local, checksum, &globals, pruning, n_edges, &mut seen,
             ) {
@@ -585,10 +557,10 @@ impl ShardedCinct {
 /// file itself (checksum before parse). Marks `seen` only on success so
 /// a rejected shard leaves no namespace footprint.
 ///
-/// `pruning` is the manifest's v3 block when present; it is trusted only
-/// after a shape + ID-span sanity check, and re-derived from the loaded
-/// index otherwise (derivation is exact, so a v2 manifest — or a
-/// mismatched block — costs O(σ) per shard, never correctness).
+/// `pruning` is the manifest's block; it is trusted only after a shape +
+/// ID-span sanity check, and re-derived from the loaded index otherwise
+/// (derivation is exact, so a mismatched block costs O(σ) per shard,
+/// never correctness).
 #[allow(clippy::too_many_arguments)]
 fn load_shard(
     dir: &FsPath,
@@ -597,7 +569,7 @@ fn load_shard(
     n_local: usize,
     checksum: u64,
     globals: &[u32],
-    pruning: Option<crate::prune::ShardPruning>,
+    pruning: crate::prune::ShardPruning,
     n_edges: usize,
     seen: &mut [bool],
 ) -> Result<Shard, QueryError> {
@@ -652,9 +624,11 @@ fn load_shard(
     })();
     match loaded {
         Ok(index) => {
-            let pruning = pruning
-                .filter(|p| p.matches(n_edges, globals))
-                .unwrap_or_else(|| crate::prune::ShardPruning::derive(&index, n_edges, globals));
+            let pruning = if pruning.matches(n_edges, globals) {
+                pruning
+            } else {
+                crate::prune::ShardPruning::derive(&index, n_edges, globals)
+            };
             Ok(Shard {
                 index,
                 globals: globals.to_vec(),
@@ -682,9 +656,7 @@ pub(crate) fn manifest_wal_position(dir: &FsPath) -> Option<u64> {
         return None;
     }
     let magic = u64::from_le_bytes(bytes[..8].try_into().ok()?);
-    if magic & !0xffff != MANIFEST_PREFIX
-        || !(MANIFEST_MIN_VERSION..=MANIFEST_VERSION).contains(&(magic & 0xffff))
-    {
+    if magic != MANIFEST_PREFIX | MANIFEST_VERSION {
         return None;
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
@@ -947,52 +919,37 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn v2_manifest_without_pruning_blocks_opens_cleanly() {
-        // Backward compat: a pre-pruning (v2) manifest must open, with
-        // pruning metadata re-derived from the shard indexes — and the
-        // reopened corpus must prune exactly like the original.
-        let dir = scratch("v2-compat");
-        let sharded = build_sharded();
-        sharded.save_dir(&dir).unwrap();
-        let shards = sharded.serialize_shards().unwrap();
-        let v2 = sharded.manifest_bytes_at(&shards, 7, 2).unwrap();
-        std::fs::write(dir.join(MANIFEST_FILE), &v2).unwrap();
-        assert_eq!(manifest_wal_position(&dir), Some(7));
-        let back = ShardedCinct::open_dir(&dir).unwrap();
-        assert_eq!(back.num_trajectories(), sharded.num_trajectories());
-        for s in 0..back.num_shards() {
-            assert_eq!(
-                back.shard_pruning(s),
-                sharded.shard_pruning(s),
-                "derived pruning for shard {s} diverged from the original"
-            );
-        }
-        assert_eq!(back.count(Path::new(&[0, 1])), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn future_manifest_version_is_rejected_typed() {
-        // Forward compat: the version gate that would make an older (v2-
-        // only) build reject today's v3 manifests must reject tomorrow's
-        // v4 the same way — a typed CorruptIndex naming both versions.
-        let dir = scratch("v4-future");
+    /// Stamp a saved manifest with `version` and assert the open fails
+    /// with a typed CorruptIndex naming that version and the one read.
+    fn assert_manifest_version_rejected(tag: &str, version: u64) {
+        let dir = scratch(tag);
         build_sharded().save_dir(&dir).unwrap();
         let mpath = dir.join(MANIFEST_FILE);
-        let mut future = std::fs::read(&mpath).unwrap();
-        future[..8].copy_from_slice(&(MANIFEST_PREFIX | (MANIFEST_VERSION + 1)).to_le_bytes());
-        std::fs::write(&mpath, &future).unwrap();
+        let mut bytes = std::fs::read(&mpath).unwrap();
+        bytes[..8].copy_from_slice(&(MANIFEST_PREFIX | version).to_le_bytes());
+        std::fs::write(&mpath, &bytes).unwrap();
         match ShardedCinct::open_dir(&dir) {
             Err(QueryError::CorruptIndex(msg)) => {
-                assert!(msg.contains("version 4"), "{msg}");
-                assert!(msg.contains("2..=3"), "{msg}");
+                assert!(msg.contains(&format!("version {version}")), "{msg}");
+                assert!(msg.contains("reads 3"), "{msg}");
             }
             other => panic!("expected CorruptIndex, got {other:?}"),
         }
         // The WAL replay filter is equally strict about versions.
         assert_eq!(manifest_wal_position(&dir), None);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn v2_manifest_is_rejected_like_any_unsupported_version() {
+        // One format: nothing outside this repo ever wrote a pre-pruning
+        // v2 directory, so it gets no read path of its own.
+        assert_manifest_version_rejected("v2-rejected", MANIFEST_VERSION - 1);
+    }
+
+    #[test]
+    fn future_manifest_version_is_rejected_typed() {
+        assert_manifest_version_rejected("v4-future", MANIFEST_VERSION + 1);
     }
 
     #[test]
@@ -1013,6 +970,31 @@ mod tests {
             Err(QueryError::CorruptIndex(msg)) => assert!(msg.contains("checksum"), "{msg}"),
             other => panic!("expected CorruptIndex, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn mismatched_pruning_block_is_rederived_on_open() {
+        // A block that passes the checksum but disagrees with the shard's
+        // ID column is not trusted: the open re-derives it from the index,
+        // exactly, and the corpus prunes like the original.
+        let dir = scratch("prune-mismatch");
+        let sharded = build_sharded();
+        sharded.save_dir(&dir).unwrap();
+        let mpath = dir.join(MANIFEST_FILE);
+        let mut bytes = std::fs::read(&mpath).unwrap();
+        // The last shard's block ends with its ID span; damage the low
+        // byte of `max_global` and recompute the trailing checksum.
+        let body = bytes.len() - 8;
+        bytes[body - 8] ^= 0x20;
+        let digest = fnv64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&digest.to_le_bytes());
+        std::fs::write(&mpath, &bytes).unwrap();
+        let back = ShardedCinct::open_dir(&dir).unwrap();
+        for s in 0..back.num_shards() {
+            assert_eq!(back.shard_pruning(s), sharded.shard_pruning(s), "shard {s}");
+        }
+        assert_eq!(back.count(Path::new(&[0, 1])), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -56,13 +56,6 @@ pub use fm::{FmIndex, SymbolSeqFromBwt};
 pub use gmr::PositionListSeq;
 pub use query::{ExtractIter, OccurIter, OccurSegment, OccurrenceSource, Path, PathQuery};
 
-/// Legacy name of [`PathQuery`], kept for downstream code one release.
-#[deprecated(
-    since = "0.2.0",
-    note = "renamed to PathQuery; query with forward `Path`s instead of encoded patterns"
-)]
-pub use query::PathQuery as PatternIndex;
-
 use cinct_succinct::{HuffmanWaveletTree, RankBitVec, RrrBitVec, WaveletMatrix};
 
 /// `UFMI`: FM-index over a wavelet matrix with plain bitmaps.

@@ -350,8 +350,7 @@ impl<'a> OccurIter<'a> {
         self.segments[self.cur..].iter().map(|s| s.rows.len()).sum()
     }
 
-    /// Drain into a `Vec` sorted by `(trajectory, offset)` — the order the
-    /// legacy eager `locate_path` returned.
+    /// Drain into a `Vec` sorted by `(trajectory, offset)`.
     pub fn collect_sorted(self) -> Vec<(usize, usize)> {
         let mut out: Vec<(usize, usize)> = self.collect();
         out.sort_unstable();

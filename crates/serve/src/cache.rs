@@ -58,8 +58,9 @@ struct Key {
 /// into hit/miss/stale metrics.
 #[derive(Debug)]
 pub enum Lookup {
-    /// Fresh entry for the current epoch.
-    Hit(CachedValue),
+    /// Fresh entry, and the epoch it was validated at: the value is the
+    /// corpus's answer as of exactly that many installed appends.
+    Hit(CachedValue, u64),
     /// No entry.
     Miss,
     /// An entry existed but predated the last append; it has been
@@ -240,7 +241,7 @@ impl QueryCache {
         // Touch: move to MRU position.
         shard.unlink(i);
         shard.push_front(i);
-        Lookup::Hit(shard.nodes[i].value.clone())
+        Lookup::Hit(shard.nodes[i].value.clone(), epoch)
     }
 
     /// Insert a result computed against epoch `epoch` (read under the
@@ -332,7 +333,7 @@ mod tests {
         assert!(matches!(get_count(&c, &[1, 2]), Lookup::Miss));
         c.insert(CacheOp::Count, &[1, 2], count(7), c.current_epoch());
         match get_count(&c, &[1, 2]) {
-            Lookup::Hit(CachedValue::Count(7)) => {}
+            Lookup::Hit(CachedValue::Count(7), 0) => {}
             other => panic!("{other:?}"),
         }
         // Different op, same path: distinct entry.
@@ -351,7 +352,7 @@ mod tests {
         assert!(matches!(get_count(&c, &[2]), Lookup::Stale));
         // Re-inserting under the new epoch works.
         c.insert(CacheOp::Count, &[1], count(3), c.current_epoch());
-        assert!(matches!(get_count(&c, &[1]), Lookup::Hit(_)));
+        assert!(matches!(get_count(&c, &[1]), Lookup::Hit(..)));
     }
 
     #[test]
@@ -370,12 +371,12 @@ mod tests {
         c.insert(CacheOp::Count, &[1], count(1), e);
         c.insert(CacheOp::Count, &[2], count(2), e);
         // Touch [1] so [2] becomes LRU.
-        assert!(matches!(get_count(&c, &[1]), Lookup::Hit(_)));
+        assert!(matches!(get_count(&c, &[1]), Lookup::Hit(..)));
         let evicted = c.insert(CacheOp::Count, &[3], count(3), e);
         assert!(evicted);
         assert!(matches!(get_count(&c, &[2]), Lookup::Miss));
-        assert!(matches!(get_count(&c, &[1]), Lookup::Hit(_)));
-        assert!(matches!(get_count(&c, &[3]), Lookup::Hit(_)));
+        assert!(matches!(get_count(&c, &[1]), Lookup::Hit(..)));
+        assert!(matches!(get_count(&c, &[3]), Lookup::Hit(..)));
         assert_eq!(c.len(), 2);
     }
 
@@ -416,12 +417,12 @@ mod tests {
                     while !stop.load(O::Relaxed) {
                         let e = c.current_epoch();
                         c.insert(CacheOp::Count, &[1], count(e as usize), e);
-                        if let Lookup::Hit(CachedValue::Count(n)) = c.get(CacheOp::Count, &[1]) {
-                            // The value was stamped with the epoch it was
-                            // computed at; a hit must never deliver a value
-                            // from an epoch older than the one the entry
-                            // validated against.
-                            assert!(n <= c.current_epoch() as usize);
+                        if let Lookup::Hit(CachedValue::Count(n), at) = c.get(CacheOp::Count, &[1])
+                        {
+                            // The value is the epoch it was computed at; a
+                            // hit must name exactly that epoch, never the
+                            // one a racing bump moved to.
+                            assert_eq!(n as u64, at);
                         }
                     }
                 });

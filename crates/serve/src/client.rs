@@ -1,7 +1,7 @@
 //! A minimal blocking HTTP/1.1 client for the serve protocol: one
 //! persistent keep-alive connection, `Content-Length` bodies only —
 //! the exact subset the server speaks. Shared by the integration
-//! tests, the `servepath` bench, the CI smoke client, and examples.
+//! tests, the CI smoke client (`serveclient`), and examples.
 //!
 //! [`Client::connect`] keeps the historical single-attempt semantics.
 //! [`Client::connect_with`] installs a [`RetryPolicy`]: a per-request

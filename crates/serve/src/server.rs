@@ -946,11 +946,11 @@ fn handle_count(
     let svc = &state.service;
     match spec {
         PathSpec::One(path) => {
-            let (n, cached) = svc.count(&path, cache)?;
+            let (n, cached, epoch) = svc.count(&path, cache)?;
             let mut fields = vec![
                 ("count", n.into()),
                 ("cached", cached.into()),
-                ("epoch", svc.epoch().into()),
+                ("epoch", epoch.into()),
                 ("elapsed_ns", elapsed_ns(started)),
             ];
             push_degraded_fields(svc, &mut fields);
@@ -959,20 +959,25 @@ fn handle_count(
         PathSpec::Many(paths) => {
             let mut counts = Vec::with_capacity(paths.len());
             let mut hits = 0usize;
+            let mut epoch = svc.epoch();
             // Chunked so the lock is amortized but deadlines still get
-            // their cooperative re-check between chunks.
+            // their cooperative re-check between chunks. Each chunk is
+            // answered at one epoch; the response names the last chunk's
+            // (an append landing between chunks leaves earlier ones at the
+            // epoch before).
             for chunk in paths.chunks(BATCH_DEADLINE_STRIDE) {
                 if let Some(resp) = deadline_check(state, started) {
                     return Ok(resp);
                 }
-                let (mut ns, h) = svc.count_batch(chunk, cache)?;
+                let (mut ns, h, e) = svc.count_batch(chunk, cache)?;
                 counts.append(&mut ns);
                 hits += h;
+                epoch = e;
             }
             let mut fields = vec![
                 ("counts", counts.into()),
                 ("cache_hits", hits.into()),
-                ("epoch", svc.epoch().into()),
+                ("epoch", epoch.into()),
                 ("elapsed_ns", elapsed_ns(started)),
             ];
             push_degraded_fields(svc, &mut fields);
@@ -1001,12 +1006,12 @@ fn handle_occurrences(
     let svc = &state.service;
     match spec {
         PathSpec::One(path) => {
-            let (occ, cached) = svc.occurrences(&path, cache)?;
+            let (occ, cached, epoch) = svc.occurrences(&path, cache)?;
             let mut fields = vec![
                 ("total", occ.len().into()),
                 ("occurrences", occ_json(&occ, limit)),
                 ("cached", cached.into()),
-                ("epoch", svc.epoch().into()),
+                ("epoch", epoch.into()),
                 ("elapsed_ns", elapsed_ns(started)),
             ];
             push_degraded_fields(svc, &mut fields);
@@ -1015,12 +1020,15 @@ fn handle_occurrences(
         PathSpec::Many(paths) => {
             let mut results = Vec::with_capacity(paths.len());
             let mut hits = 0usize;
+            let mut epoch = svc.epoch();
+            // Per-chunk epochs as in `handle_count`.
             for chunk in paths.chunks(BATCH_DEADLINE_STRIDE) {
                 if let Some(resp) = deadline_check(state, started) {
                     return Ok(resp);
                 }
-                let (occs, h) = svc.occurrences_batch(chunk, cache)?;
+                let (occs, h, e) = svc.occurrences_batch(chunk, cache)?;
                 hits += h;
+                epoch = e;
                 for occ in occs {
                     results.push(obj_move(vec![
                         ("total", occ.len().into()),
@@ -1031,7 +1039,7 @@ fn handle_occurrences(
             let mut fields = vec![
                 ("results", Json::Arr(results)),
                 ("cache_hits", hits.into()),
-                ("epoch", svc.epoch().into()),
+                ("epoch", epoch.into()),
                 ("elapsed_ns", elapsed_ns(started)),
             ];
             push_degraded_fields(svc, &mut fields);
@@ -1042,7 +1050,7 @@ fn handle_occurrences(
 
 fn handle_extract(state: &ServerState, body: &Json) -> Result<Response, QueryError> {
     let svc = &state.service;
-    let symbols = if let Some(id) = body.get("trajectory") {
+    let (symbols, epoch) = if let Some(id) = body.get("trajectory") {
         let Some(id) = id.as_usize() else {
             return Ok(Response::error(
                 400,
@@ -1050,7 +1058,7 @@ fn handle_extract(state: &ServerState, body: &Json) -> Result<Response, QueryErr
                 "trajectory must be a non-negative integer",
             ));
         };
-        svc.trajectory(id)?
+        svc.trajectory_at(id)?
     } else {
         let (Some(row), Some(len)) = (
             body.get("row").and_then(Json::as_usize),
@@ -1066,7 +1074,7 @@ fn handle_extract(state: &ServerState, body: &Json) -> Result<Response, QueryErr
     };
     Ok(Response::json(
         200,
-        &obj(&[("symbols", symbols.into()), ("epoch", svc.epoch().into())]),
+        &obj(&[("symbols", symbols.into()), ("epoch", epoch.into())]),
     ))
 }
 

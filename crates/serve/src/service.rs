@@ -10,7 +10,10 @@
 //!   concurrently. Each query reads the cache epoch *while holding the
 //!   read lock*; a result computed at epoch `e` is only inserted into
 //!   the cache if `e` is still current, so a racing append can never be
-//!   shadowed by a stale insert.
+//!   shadowed by a stale insert. That epoch is returned with the answer
+//!   (a single-path cache hit, which takes no lock, returns the epoch
+//!   the hit was validated at), so a response names the epoch it is the
+//!   answer of, not whatever is current when it is rendered.
 //! * **Appends** run in two phases mirroring
 //!   [`ShardedCinct::prepare_batch`] / [`ShardedCinct::install_prepared`]:
 //!   the expensive index construction happens under the **read** lock
@@ -252,18 +255,21 @@ impl CorpusService {
         self.cache.current_epoch()
     }
 
-    /// Count trajectories matching `path`. Returns `(count, from_cache)`.
+    /// Count trajectories matching `path`. Returns `(count, from_cache,
+    /// epoch)`: the count is the corpus's answer after exactly `epoch`
+    /// installed appends (read under the same read lock as the answer, or
+    /// the epoch a cache hit was validated at).
     /// `use_cache = false` bypasses both lookup and insert (honest
     /// cache-miss benchmarking; also the right call for one-off probes).
-    pub fn count(&self, path: &[u32], use_cache: bool) -> Result<(usize, bool), QueryError> {
+    pub fn count(&self, path: &[u32], use_cache: bool) -> Result<(usize, bool, u64), QueryError> {
         let m = metrics::serve();
         if use_cache {
             match self.cache.get(CacheOp::Count, path) {
-                Lookup::Hit(CachedValue::Count(n)) => {
+                Lookup::Hit(CachedValue::Count(n), epoch) => {
                     m.cache_hits.inc();
-                    return Ok((n, true));
+                    return Ok((n, true, epoch));
                 }
-                Lookup::Hit(_) => m.cache_misses.inc(), // op/value mismatch: treat as miss
+                Lookup::Hit(..) => m.cache_misses.inc(), // op/value mismatch: treat as miss
                 Lookup::Stale => {
                     m.cache_stale.inc();
                     m.cache_misses.inc();
@@ -286,7 +292,7 @@ impl CorpusService {
         {
             m.cache_evictions.inc();
         }
-        Ok((n, false))
+        Ok((n, false, epoch))
     }
 
     /// Count a whole batch under **one** read-lock acquisition. The
@@ -301,24 +307,28 @@ impl CorpusService {
     /// latency is recorded as one per-item mean sample per batch
     /// (end-to-end latency lives in `cinct_serve_request_ns`).
     ///
-    /// Returns `(counts, cache_hits)`.
+    /// Returns `(counts, cache_hits, epoch)`. The lock is held across the
+    /// cache probes too, so no append can land mid-batch: every count,
+    /// cached or computed, is the answer at `epoch`.
     pub fn count_batch(
         &self,
         paths: &[Vec<u32>],
         use_cache: bool,
-    ) -> Result<(Vec<usize>, usize), QueryError> {
+    ) -> Result<(Vec<usize>, usize, u64), QueryError> {
         let m = metrics::serve();
+        let corpus = self.read();
+        let epoch = self.cache.current_epoch();
         let mut counts = vec![0usize; paths.len()];
         let mut pending = Vec::with_capacity(paths.len());
         for (i, path) in paths.iter().enumerate() {
             if use_cache {
                 match self.cache.get(CacheOp::Count, path) {
-                    Lookup::Hit(CachedValue::Count(n)) => {
+                    Lookup::Hit(CachedValue::Count(n), _) => {
                         m.cache_hits.inc();
                         counts[i] = n;
                         continue;
                     }
-                    Lookup::Hit(_) => m.cache_misses.inc(),
+                    Lookup::Hit(..) => m.cache_misses.inc(),
                     Lookup::Stale => {
                         m.cache_stale.inc();
                         m.cache_misses.inc();
@@ -330,25 +340,21 @@ impl CorpusService {
         }
         let hits = paths.len() - pending.len();
         if pending.is_empty() {
-            return Ok((counts, hits));
+            return Ok((counts, hits, epoch));
         }
         let t0 = Instant::now();
-        {
-            let corpus = self.read();
-            let epoch = self.cache.current_epoch();
-            for &i in &pending {
-                let path = &paths[i];
-                let n = corpus
-                    .try_range(cinct::Path::new(path))?
-                    .map_or(0, |r| r.len());
-                counts[i] = n;
-                if use_cache
-                    && self
-                        .cache
-                        .insert(CacheOp::Count, path, CachedValue::Count(n), epoch)
-                {
-                    m.cache_evictions.inc();
-                }
+        for &i in &pending {
+            let path = &paths[i];
+            let n = corpus
+                .try_range(cinct::Path::new(path))?
+                .map_or(0, |r| r.len());
+            counts[i] = n;
+            if use_cache
+                && self
+                    .cache
+                    .insert(CacheOp::Count, path, CachedValue::Count(n), epoch)
+            {
+                m.cache_evictions.inc();
             }
         }
         let em = cinct::metrics::engine();
@@ -356,25 +362,26 @@ impl CorpusService {
         em.count_ns.record(
             u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX) / pending.len() as u64,
         );
-        Ok((counts, hits))
+        Ok((counts, hits, epoch))
     }
 
     /// List every `(trajectory, offset)` occurrence of `path`, sorted.
-    /// Returns `(occurrences, from_cache)`; the list is shared with the
-    /// cache via `Arc`, so hits are allocation-free.
+    /// Returns `(occurrences, from_cache, epoch)` with the epoch contract
+    /// of [`CorpusService::count`]; the list is shared with the cache via
+    /// `Arc`, so hits are allocation-free.
     pub fn occurrences(
         &self,
         path: &[u32],
         use_cache: bool,
-    ) -> Result<(OccurrenceList, bool), QueryError> {
+    ) -> Result<(OccurrenceList, bool, u64), QueryError> {
         let m = metrics::serve();
         if use_cache {
             match self.cache.get(CacheOp::Occurrences, path) {
-                Lookup::Hit(CachedValue::Occurrences(occ)) => {
+                Lookup::Hit(CachedValue::Occurrences(occ), epoch) => {
                     m.cache_hits.inc();
-                    return Ok((occ, true));
+                    return Ok((occ, true, epoch));
                 }
-                Lookup::Hit(_) => m.cache_misses.inc(),
+                Lookup::Hit(..) => m.cache_misses.inc(),
                 Lookup::Stale => {
                     m.cache_stale.inc();
                     m.cache_misses.inc();
@@ -401,30 +408,32 @@ impl CorpusService {
         {
             m.cache_evictions.inc();
         }
-        Ok((occ, false))
+        Ok((occ, false, epoch))
     }
 
     /// Batched [`CorpusService::occurrences`]: one read-lock acquisition
-    /// for every non-cached item, same amortization and identity
+    /// for the whole batch, same amortization, identity and epoch
     /// contract as [`CorpusService::count_batch`]. Returns
-    /// `(per-path listings, cache_hits)`.
+    /// `(per-path listings, cache_hits, epoch)`.
     pub fn occurrences_batch(
         &self,
         paths: &[Vec<u32>],
         use_cache: bool,
-    ) -> Result<(Vec<OccurrenceList>, usize), QueryError> {
+    ) -> Result<(Vec<OccurrenceList>, usize, u64), QueryError> {
         let m = metrics::serve();
+        let corpus = self.read();
+        let epoch = self.cache.current_epoch();
         let mut results: Vec<Option<OccurrenceList>> = vec![None; paths.len()];
         let mut pending = Vec::with_capacity(paths.len());
         for (i, path) in paths.iter().enumerate() {
             if use_cache {
                 match self.cache.get(CacheOp::Occurrences, path) {
-                    Lookup::Hit(CachedValue::Occurrences(occ)) => {
+                    Lookup::Hit(CachedValue::Occurrences(occ), _) => {
                         m.cache_hits.inc();
                         results[i] = Some(occ);
                         continue;
                     }
-                    Lookup::Hit(_) => m.cache_misses.inc(),
+                    Lookup::Hit(..) => m.cache_misses.inc(),
                     Lookup::Stale => {
                         m.cache_stale.inc();
                         m.cache_misses.inc();
@@ -437,25 +446,20 @@ impl CorpusService {
         let hits = paths.len() - pending.len();
         if !pending.is_empty() {
             let t0 = Instant::now();
-            {
-                let corpus = self.read();
-                let epoch = self.cache.current_epoch();
-                for &i in &pending {
-                    let path = &paths[i];
-                    let occ =
-                        Arc::new(corpus.occurrences(cinct::Path::new(path))?.collect_sorted());
-                    if use_cache
-                        && self.cache.insert(
-                            CacheOp::Occurrences,
-                            path,
-                            CachedValue::Occurrences(Arc::clone(&occ)),
-                            epoch,
-                        )
-                    {
-                        m.cache_evictions.inc();
-                    }
-                    results[i] = Some(occ);
+            for &i in &pending {
+                let path = &paths[i];
+                let occ = Arc::new(corpus.occurrences(cinct::Path::new(path))?.collect_sorted());
+                if use_cache
+                    && self.cache.insert(
+                        CacheOp::Occurrences,
+                        path,
+                        CachedValue::Occurrences(Arc::clone(&occ)),
+                        epoch,
+                    )
+                {
+                    m.cache_evictions.inc();
                 }
+                results[i] = Some(occ);
             }
             let em = cinct::metrics::engine();
             em.queries.add(pending.len() as u64);
@@ -467,26 +471,35 @@ impl CorpusService {
             .into_iter()
             .map(|r| r.expect("every slot filled by cache or compute"))
             .collect();
-        Ok((results, hits))
+        Ok((results, hits, epoch))
     }
 
     /// Extract `len` symbols preceding `SA[row]` (never cached: row
-    /// space shifts as shards are appended).
-    pub fn extract(&self, row: usize, len: usize) -> Result<Vec<u32>, QueryError> {
+    /// space shifts as shards are appended). Returns `(symbols, epoch)`,
+    /// the epoch read under the same read lock — the row space the
+    /// caller's `row` was interpreted in.
+    pub fn extract(&self, row: usize, len: usize) -> Result<(Vec<u32>, u64), QueryError> {
         let corpus = self.read();
+        let epoch = self.cache.current_epoch();
         let value = QueryEngine::new(&*corpus)
             .run_one(&Query::extract(row, len))
             .value?;
         let QueryValue::Extract(symbols) = value else {
             unreachable!("extract query returned non-extract value")
         };
-        Ok(symbols)
+        Ok((symbols, epoch))
     }
 
     /// Recover a full stored trajectory by global ID. On a degraded
     /// corpus, IDs whose shard was quarantined fail with
     /// [`QueryError::CorruptIndex`] rather than panicking.
     pub fn trajectory(&self, id: usize) -> Result<Vec<u32>, QueryError> {
+        self.trajectory_at(id).map(|(symbols, _)| symbols)
+    }
+
+    /// [`CorpusService::trajectory`] plus the epoch read under the same
+    /// read lock.
+    pub fn trajectory_at(&self, id: usize) -> Result<(Vec<u32>, u64), QueryError> {
         let corpus = self.read();
         let n = corpus.num_trajectories();
         if id >= n {
@@ -494,7 +507,7 @@ impl CorpusService {
                 "trajectory {id} out of range ({n} trajectories)"
             )));
         }
-        corpus.try_trajectory(id)
+        Ok((corpus.try_trajectory(id)?, self.cache.current_epoch()))
     }
 
     /// Install an append batch: build under the read lock (queries keep
@@ -856,19 +869,19 @@ mod tests {
         let svc = CorpusService::new(corpus(), 64, 4);
         for pat in [&[0u32, 1][..], &[1, 2], &[4, 5], &[3, 0]] {
             let direct_count = svc.with_corpus(|c| c.count(Path::new(pat)));
-            let (served, cached) = svc.count(pat, true).unwrap();
+            let (served, cached, _) = svc.count(pat, true).unwrap();
             assert_eq!(served, direct_count, "{pat:?}");
             assert!(!cached);
             // Second ask: same answer, from cache.
-            let (served2, cached2) = svc.count(pat, true).unwrap();
+            let (served2, cached2, _) = svc.count(pat, true).unwrap();
             assert_eq!(served2, direct_count);
             assert!(cached2);
 
             let direct_occ =
                 svc.with_corpus(|c| c.occurrences(Path::new(pat)).unwrap().collect_sorted());
-            let (occ, _) = svc.occurrences(pat, true).unwrap();
+            let (occ, ..) = svc.occurrences(pat, true).unwrap();
             assert_eq!(*occ, direct_occ, "{pat:?}");
-            let (occ2, cached_occ) = svc.occurrences(pat, true).unwrap();
+            let (occ2, cached_occ, _) = svc.occurrences(pat, true).unwrap();
             assert_eq!(*occ2, direct_occ);
             assert!(cached_occ);
         }
@@ -888,18 +901,18 @@ mod tests {
     #[test]
     fn cache_bypass_never_caches() {
         let svc = CorpusService::new(corpus(), 64, 4);
-        let (_, cached) = svc.count(&[0, 1], false).unwrap();
+        let (_, cached, _) = svc.count(&[0, 1], false).unwrap();
         assert!(!cached);
         // Still a miss afterwards: bypass inserted nothing.
-        let (_, cached) = svc.count(&[0, 1], true).unwrap();
+        let (_, cached, _) = svc.count(&[0, 1], true).unwrap();
         assert!(!cached);
     }
 
     #[test]
     fn append_invalidates_cached_counts() {
         let svc = CorpusService::new(corpus(), 64, 4);
-        let (before, _) = svc.count(&[1, 2], true).unwrap();
-        let (_, cached) = svc.count(&[1, 2], true).unwrap();
+        let (before, ..) = svc.count(&[1, 2], true).unwrap();
+        let (_, cached, _) = svc.count(&[1, 2], true).unwrap();
         assert!(cached, "primed");
 
         let out = svc.append(&[vec![1, 2, 5], vec![1, 2]]).unwrap();
@@ -908,11 +921,11 @@ mod tests {
         assert_eq!(svc.epoch(), 1);
 
         // The cached pre-append answer must not surface.
-        let (after, cached) = svc.count(&[1, 2], true).unwrap();
+        let (after, cached, epoch) = svc.count(&[1, 2], true).unwrap();
         assert!(!cached, "stale entry must have been evicted");
-        assert_eq!(after, before + 2);
+        assert_eq!((after, epoch), (before + 2, 1));
         // Occurrence lists see the appended rows under their global IDs.
-        let (occ, _) = svc.occurrences(&[1, 2], true).unwrap();
+        let (occ, ..) = svc.occurrences(&[1, 2], true).unwrap();
         assert!(occ.iter().any(|&(t, _)| t == 6));
         assert!(occ.iter().any(|&(t, _)| t == 7));
     }
@@ -944,7 +957,7 @@ mod tests {
         let QueryValue::Extract(expect) = direct else {
             unreachable!()
         };
-        assert_eq!(svc.extract(0, 3).unwrap(), expect);
+        assert_eq!(svc.extract(0, 3).unwrap(), (expect, 0));
     }
 
     #[test]
@@ -989,11 +1002,13 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| loop {
                     let done = appends_done.load(Ordering::Acquire);
-                    let (n, _) = svc.count(&pat, true).unwrap();
+                    let (n, _, epoch) = svc.count(&pat, true).unwrap();
                     assert!(
                         n >= base + done,
                         "count {n} started after {done} appends completed (base {base})"
                     );
+                    // ...and names the epoch it is the answer of.
+                    assert_eq!(n, base + epoch as usize, "count {n} names epoch {epoch}");
                     if done == APPENDS {
                         break;
                     }

@@ -5,7 +5,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use cinct::{Path, PathQuery, ShardedBuilder, ShardedCinct};
@@ -42,6 +42,13 @@ fn path_json(path: &[u32]) -> Json {
 
 fn count_req(path: &[u32]) -> Json {
     obj(&[("path", path_json(path))])
+}
+
+fn append_req(batch: &[Vec<u32>]) -> Json {
+    obj(&[(
+        "batch",
+        Json::Arr(batch.iter().map(|t| path_json(t)).collect()),
+    )])
 }
 
 fn occ_pairs(v: &Json) -> Vec<(usize, usize)> {
@@ -89,11 +96,7 @@ fn lifecycle_identity_fresh_append_query() {
 
     // Append (twice), re-checking identity after each.
     for batch in [vec![vec![1u32, 2, 5], vec![0, 1]], vec![vec![4, 5, 0, 1]]] {
-        let body = obj(&[(
-            "batch",
-            Json::Arr(batch.iter().map(|t| path_json(t)).collect()),
-        )]);
-        let (status, resp) = client.post_json("/v1/append", &body).unwrap();
+        let (status, resp) = client.post_json("/v1/append", &append_req(&batch)).unwrap();
         assert_eq!(status, 200, "{resp:?}");
         let expect = mirror.append_batch(&batch).unwrap();
         let assigned = resp.get("assigned").unwrap();
@@ -138,7 +141,16 @@ fn lifecycle_identity_fresh_append_query() {
 
 #[test]
 fn concurrent_appends_and_reads_stay_outcome_identical() {
-    let (handle, join) = start(corpus(), ServeConfig::default());
+    // One worker per connection: a worker owns its connection for its
+    // keep-alive lifetime, so with fewer the readers can hold every worker
+    // while the appender they wait for sits in the accept queue.
+    let (handle, join) = start(
+        corpus(),
+        ServeConfig {
+            workers: 4,
+            ..ServeConfig::default()
+        },
+    );
     let pat = [1u32, 2];
     let base = {
         let mut c = Client::connect(handle.addr()).unwrap();
@@ -152,7 +164,7 @@ fn concurrent_appends_and_reads_stay_outcome_identical() {
         // Appender client: each batch adds exactly one [1,2] match.
         s.spawn(|| {
             let mut c = Client::connect(handle.addr()).unwrap();
-            let body = obj(&[("batch", Json::Arr(vec![path_json(&[1, 2, 4])]))]);
+            let body = append_req(&[vec![1, 2, 4]]);
             for _ in 0..APPENDS {
                 let (status, _) = c.post_json("/v1/append", &body).unwrap();
                 assert_eq!(status, 200);
@@ -193,6 +205,75 @@ fn concurrent_appends_and_reads_stay_outcome_identical() {
         resp.get("count").unwrap().as_usize().unwrap(),
         mirror.count(Path::new(&pat))
     );
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn racing_counts_name_the_epoch_they_were_answered_at() {
+    // Appends that add two, none or one match of the probe in turn, so
+    // the expected count is not a function a stale epoch could satisfy.
+    const APPENDS: usize = 30;
+    let pat = [1u32, 2];
+    let batches: Vec<Vec<Vec<u32>>> = (0..APPENDS)
+        .map(|i| match i % 3 {
+            0 => vec![vec![1, 2, 4], vec![0, 1, 2]],
+            1 => vec![vec![0, 3]],
+            _ => vec![vec![1, 2]],
+        })
+        .collect();
+    // expected[e] = the mirror corpus's count after exactly e appends.
+    let mut mirror = corpus();
+    let mut expected = vec![mirror.count(Path::new(&pat))];
+    for batch in &batches {
+        mirror.append_batch(batch).unwrap();
+        expected.push(mirror.count(Path::new(&pat)));
+    }
+
+    // One worker per connection, so the readers really race the appender.
+    let (handle, join) = start(
+        corpus(),
+        ServeConfig {
+            workers: 4,
+            ..ServeConfig::default()
+        },
+    );
+    let appends_done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut c = Client::connect(handle.addr()).unwrap();
+            for batch in &batches {
+                let (status, _) = c.post_json("/v1/append", &append_req(batch)).unwrap();
+                assert_eq!(status, 200);
+            }
+            appends_done.store(true, Ordering::Release);
+        });
+        // Cached and uncached readers: both paths must pair the count
+        // with the epoch it was computed (or validated) at.
+        for use_cache in [true, false, true] {
+            let (appends_done, expected) = (&appends_done, &expected);
+            let addr = handle.addr();
+            s.spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                let body = obj(&[("path", path_json(&pat)), ("cache", use_cache.into())]);
+                loop {
+                    let last = appends_done.load(Ordering::Acquire);
+                    let (status, resp) = c.post_json("/v1/count", &body).unwrap();
+                    assert_eq!(status, 200);
+                    let n = resp.get("count").unwrap().as_usize().unwrap();
+                    let epoch = resp.get("epoch").unwrap().as_usize().unwrap();
+                    assert_eq!(
+                        n, expected[epoch],
+                        "count {n} names epoch {epoch} (cache {use_cache})"
+                    );
+                    if last {
+                        assert_eq!(epoch, APPENDS);
+                        break;
+                    }
+                }
+            });
+        }
+    });
     handle.shutdown();
     join.join().unwrap();
 }

@@ -45,10 +45,9 @@
 //! The binomial table itself is a process-wide [`OnceLock`] static shared
 //! by builds and queries on every thread.
 //!
-//! The straightforward seed algorithms survive as
-//! [`RrrBitVec::rank1_reference`] / [`RrrBitVec::get_reference`]; property
-//! tests pin the fast path to them and `cinct_bench`'s `hotpath` binary
-//! measures both in one build (see `PERFORMANCE.md`).
+//! Unit and property tests pin every fast path to a naive bit-by-bit count
+//! over the uncompressed input; `benchmark/` reports `succinct.rrr_rank1_ns`
+//! and `succinct.rrr_rank1_pair_ns` (see `PERFORMANCE.md`).
 
 use crate::bits::BitBuf;
 use crate::int_vec::IntVec;
@@ -106,20 +105,12 @@ impl BinomialTable {
 }
 
 /// Process-wide binomial table: built once, shared by every build and query
-/// on every thread (the seed kept a copy per thread via `thread_local!`,
-/// re-materializing the 65×65 table for each new thread).
+/// on every thread.
 static BINOM: OnceLock<BinomialTable> = OnceLock::new();
 
 #[inline]
 fn binom() -> &'static BinomialTable {
     BINOM.get_or_init(BinomialTable::new)
-}
-
-thread_local! {
-    /// The seed's per-thread binomial table, kept so the `*_reference`
-    /// paths reproduce the seed's cost profile exactly (one TLS access per
-    /// bit-level query, a fresh 65×65 materialization per thread).
-    static BINOM_TLS: BinomialTable = BinomialTable::new();
 }
 
 /// Process-wide offset-width lookup: `offset_width_table()[b][c]` =
@@ -187,33 +178,6 @@ fn encode_block(mut block: u64, b: usize, mut c: usize) -> u64 {
         block &= block - 1;
     }
     offset
-}
-
-/// Count ones among the first `p` bits of the block encoded by
-/// `(c, offset)`. `p <= b`. Runs in `O(p)` — the `O(b)` in-block rank of the
-/// paper's practical RRR, one table probe and one branch per bit. Kept as
-/// the reference the fast path is property-tested against.
-#[inline]
-fn decode_prefix_rank(
-    mut offset: u64,
-    b: usize,
-    mut c: usize,
-    p: usize,
-    binom: &BinomialTable,
-) -> usize {
-    let mut ones = 0usize;
-    for pos in 0..p {
-        if c == 0 {
-            break;
-        }
-        let skip = binom.get(b - 1 - pos, c);
-        if offset >= skip {
-            offset -= skip;
-            c -= 1;
-            ones += 1;
-        }
-    }
-    ones
 }
 
 /// Per-iteration strategy switch for the fast decodes: jump zero runs when
@@ -434,13 +398,6 @@ fn decode_prefix_ones_pair(
 #[inline]
 fn low_mask(p: usize) -> u64 {
     (1u64 << p) - 1
-}
-
-/// Decode the single bit at position `p` within the block (reference
-/// implementation, two prefix-rank walks like the seed's).
-#[inline]
-fn decode_bit_reference(offset: u64, b: usize, c: usize, p: usize, binom: &BinomialTable) -> bool {
-    decode_prefix_rank(offset, b, c, p + 1, binom) > decode_prefix_rank(offset, b, c, p, binom)
 }
 
 /// The derived rank directory over the packed classes; rebuilt on load,
@@ -724,12 +681,6 @@ impl RrrBitVec {
         })
     }
 
-    #[inline]
-    fn class_of(&self, blk: usize) -> usize {
-        self.classes
-            .get_bits(blk * self.class_width, self.class_width) as usize
-    }
-
     /// Directory seek to block `target_blk`: super + major + minor lookups,
     /// then one register-chunked scan of at most `MINOR_RATE − 1` classes
     /// against the caller-provided width row (`offset_width_table()[b]`).
@@ -764,21 +715,6 @@ impl RrrBitVec {
             chunk >>= cw;
         }
         (ones, ptr, (chunk & cmask) as usize)
-    }
-
-    /// The seed's seek: scan every block since the enclosing 32-block
-    /// sample, probing the binomial table for each width.
-    #[inline]
-    fn seek_reference(&self, target_blk: usize, binom: &BinomialTable) -> (u64, u64, usize) {
-        let major = self.dir.majors[target_blk / SAMPLE_RATE];
-        let mut ones = self.dir.super_ranks[target_blk / SUPER_RATE] + (major & 0xFFFF) as u64;
-        let mut ptr = self.dir.super_ptrs[target_blk / SUPER_RATE] + (major >> 16) as u64;
-        for blk in (target_blk / SAMPLE_RATE * SAMPLE_RATE)..target_blk {
-            let c = self.class_of(blk);
-            ones += c as u64;
-            ptr += offset_width(self.b, c, binom) as u64;
-        }
-        (ones, ptr, self.class_of(target_blk))
     }
 
     /// `(get(i), rank1(i))` from one directory seek and one block decode:
@@ -836,43 +772,6 @@ impl RrrBitVec {
         let (r1, r2) = decode_prefix_ones_pair(off1, c1, i % self.b, off2, c2, j % self.b, self.b);
         (ones1 as usize + r1, ones2 as usize + r2)
     }
-
-    /// Seed-equivalent `rank1`: per-block directory walk from the 32-block
-    /// sample and a per-bit enumerative prefix rank. Kept (and exercised by
-    /// property tests + the `hotpath` bench) as the baseline the optimized
-    /// [`BitRank::rank1`] is measured against.
-    pub fn rank1_reference(&self, i: usize) -> usize {
-        debug_assert!(i <= self.len);
-        if i == 0 {
-            return 0;
-        }
-        if i == self.len {
-            return self.ones;
-        }
-        BINOM_TLS.with(|binom| {
-            let blk = i / self.b;
-            let (ones, ptr, c) = self.seek_reference(blk, binom);
-            let p = i % self.b;
-            if p == 0 {
-                return ones as usize;
-            }
-            let ow = offset_width(self.b, c, binom);
-            let off = self.offsets.get_bits(ptr as usize, ow);
-            ones as usize + decode_prefix_rank(off, self.b, c, p, binom)
-        })
-    }
-
-    /// Seed-equivalent `get`: reference seek + two prefix-rank decodes.
-    pub fn get_reference(&self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        BINOM_TLS.with(|binom| {
-            let blk = i / self.b;
-            let (_, ptr, c) = self.seek_reference(blk, binom);
-            let ow = offset_width(self.b, c, binom);
-            let off = self.offsets.get_bits(ptr as usize, ow);
-            decode_bit_reference(off, self.b, c, i % self.b, binom)
-        })
-    }
 }
 
 impl BitRank for RrrBitVec {
@@ -926,16 +825,6 @@ impl BitRank for RrrBitVec {
     fn get_and_rank1(&self, i: usize) -> (bool, usize) {
         RrrBitVec::get_and_rank1(self, i)
     }
-
-    #[inline]
-    fn rank1_reference(&self, i: usize) -> usize {
-        RrrBitVec::rank1_reference(self, i)
-    }
-
-    #[inline]
-    fn get_reference(&self, i: usize) -> bool {
-        RrrBitVec::get_reference(self, i)
-    }
 }
 
 impl SpaceUsage for RrrBitVec {
@@ -986,10 +875,8 @@ mod tests {
         let mut ones = 0usize;
         for i in 0..=bits.len() {
             assert_eq!(rrr.rank1(i), ones, "rank1({i}) b={b}");
-            assert_eq!(rrr.rank1_reference(i), ones, "rank1_reference({i}) b={b}");
             if i < bits.len() {
                 assert_eq!(rrr.get(i), bits.get(i), "get({i}) b={b}");
-                assert_eq!(rrr.get_reference(i), bits.get(i), "get_reference({i})");
                 let (bit, rank) = rrr.get_and_rank1(i);
                 assert_eq!((bit, rank), (bits.get(i), ones), "get_and_rank1({i})");
                 ones += bits.get(i) as usize;
@@ -1047,7 +934,6 @@ mod tests {
         for i in 0..bits.len() {
             if i % 251 == 0 {
                 assert_eq!(rrr.rank1(i), ones, "rank1({i})");
-                assert_eq!(rrr.rank1_reference(i), ones, "rank1_reference({i})");
             }
             ones += bits.get(i) as usize;
         }
@@ -1154,7 +1040,6 @@ mod tests {
             assert!(off < binom.get(b, c));
             for p in 0..=b {
                 let expect = (word & ((1u64 << p) - 1)).count_ones() as usize;
-                assert_eq!(decode_prefix_rank(off, b, c, p, &binom), expect);
                 assert_eq!(decode_prefix_ones(off, b, c, p), expect, "ones p={p}");
                 assert_eq!(
                     decode_prefix_word(off, b, c, p),
@@ -1168,10 +1053,6 @@ mod tests {
                     (expect, expect2),
                     "ones2 p={p} p2={p2}"
                 );
-            }
-            for p in 0..b {
-                let bit = (word >> p) & 1 == 1;
-                assert_eq!(decode_bit_reference(off, b, c, p, &binom), bit);
             }
         }
     }

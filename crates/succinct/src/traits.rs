@@ -76,21 +76,6 @@ pub trait BitRank: SpaceUsage + Send + Sync {
     fn rank1_pair(&self, i: usize, j: usize) -> (usize, usize) {
         (self.rank1(i), self.rank1(j))
     }
-
-    /// Seed-equivalent `rank1`: the straightforward algorithm an
-    /// implementation shipped with before hot-path engineering, kept so the
-    /// bench harness can measure optimized-vs-baseline *in one binary* and
-    /// property tests can pin the fast path to it. Structures with no
-    /// slower baseline (e.g. [`crate::RankBitVec`]) leave the default,
-    /// which forwards to [`BitRank::rank1`].
-    fn rank1_reference(&self, i: usize) -> usize {
-        self.rank1(i)
-    }
-
-    /// Seed-equivalent `get`; see [`BitRank::rank1_reference`].
-    fn get_reference(&self, i: usize) -> bool {
-        self.get(i)
-    }
 }
 
 /// Construction interface: build a rank structure from a raw bit buffer.

@@ -67,11 +67,6 @@ impl NodeTable {
             )
         }
     }
-
-    #[inline]
-    fn start(&self, node: usize) -> usize {
-        self.meta.get(2 * node) as usize
-    }
 }
 
 /// A Huffman-shaped wavelet tree over a `u32` alphabet.
@@ -242,54 +237,6 @@ impl<B: BitVecBuild> HuffmanWaveletTree<B> {
         let (start, before) = self.nodes.start_and_ones(node);
         let (a, b) = self.bits.rank1_pair(start + p, start + q);
         (a - before, b - before)
-    }
-
-    /// Node-local rank1 via the backend's seed-equivalent bit rank.
-    #[inline]
-    fn node_rank1_reference(&self, node: usize, p: usize) -> usize {
-        let (start, before) = self.nodes.start_and_ones(node);
-        self.bits.rank1_reference(start + p) - before
-    }
-
-    /// [`SymbolSeq::rank`] over the backend's seed-equivalent bit ranks
-    /// ([`crate::BitRank::rank1_reference`]) — the baseline path the `hotpath`
-    /// bench times against the optimized one in the same binary.
-    pub fn rank_reference(&self, w: Symbol, i: usize) -> usize {
-        debug_assert!(i <= self.len);
-        let Some(code) = self.codes.get(w) else {
-            return 0;
-        };
-        let mut node = 0usize;
-        let mut pos = i;
-        for k in 0..code.len as usize {
-            let bit = code.path_bit(k);
-            let r1 = self.node_rank1_reference(node, pos);
-            let child = self.nodes.child(node, bit);
-            pos = if bit { r1 } else { pos - r1 };
-            match child {
-                Child::Leaf(_) => return pos,
-                Child::Node(i) => node = i as usize,
-            }
-        }
-        pos
-    }
-
-    /// [`SymbolSeq::access`] over the backend's seed-equivalent bit
-    /// operations; see [`Self::rank_reference`].
-    pub fn access_reference(&self, i: usize) -> Symbol {
-        debug_assert!(i < self.len);
-        let mut node = 0usize;
-        let mut pos = i;
-        loop {
-            let bit = self.bits.get_reference(self.nodes.start(node) + pos);
-            let r1 = self.node_rank1_reference(node, pos);
-            let child = self.nodes.child(node, bit);
-            pos = if bit { r1 } else { pos - r1 };
-            match child {
-                Child::Leaf(s) => return s,
-                Child::Node(i) => node = i as usize,
-            }
-        }
     }
 }
 

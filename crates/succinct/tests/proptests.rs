@@ -58,26 +58,25 @@ proptest! {
     }
 
     #[test]
-    fn rrr_fast_rank_matches_naive_and_reference(
+    fn rrr_fast_rank_matches_naive(
         bits in biased_bits_strategy(),
         b in prop::sample::select(vec![15usize, 31, 63]),
     ) {
         // The optimized hot path (three-level directory, table-driven
-        // scan, pipelined/fused decodes) against both the naive bit count
-        // and the seed-equivalent reference algorithms, at every paper
-        // block size.
+        // scan, pipelined/fused decodes) against the naive bit count, at
+        // every paper block size.
         let buf = BitBuf::from_bools(bits.iter().copied());
         let rrr = RrrBitVec::new(&buf, b);
         let n = bits.len();
-        let mut ones = 0usize;
+        // naive[i] = ones among the first i bits.
+        let mut naive = vec![0usize; n + 1];
         for (i, &bit) in bits.iter().enumerate() {
-            prop_assert_eq!(rrr.rank1(i), ones, "rank1({}) b={}", i, b);
-            prop_assert_eq!(rrr.rank1_reference(i), ones, "reference({}) b={}", i, b);
+            prop_assert_eq!(rrr.rank1(i), naive[i], "rank1({}) b={}", i, b);
             let (g, r) = rrr.get_and_rank1(i);
-            prop_assert_eq!((g, r), (bit, ones), "get_and_rank1({}) b={}", i, b);
-            ones += bit as usize;
+            prop_assert_eq!((g, r), (bit, naive[i]), "get_and_rank1({}) b={}", i, b);
+            naive[i + 1] = naive[i] + bit as usize;
         }
-        prop_assert_eq!(rrr.rank1(n), ones);
+        prop_assert_eq!(rrr.rank1(n), naive[n]);
         // Paired ranks at pseudo-random position pairs (same-block,
         // cross-block and boundary shapes all occur across cases).
         let mut x = 0x2545_f491_4f6c_dd1du64 ^ (n as u64);
@@ -87,8 +86,7 @@ proptest! {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let j = (x >> 33) as usize % (n + 1);
             let (a, bb) = rrr.rank1_pair(i, j);
-            prop_assert_eq!((a, bb), (rrr.rank1_reference(i), rrr.rank1_reference(j)),
-                "pair({}, {}) b={}", i, j, b);
+            prop_assert_eq!((a, bb), (naive[i], naive[j]), "pair({}, {}) b={}", i, j, b);
         }
     }
 

@@ -142,12 +142,11 @@ proptest! {
         prop_assert!(idx.directory_size_in_bytes() > 0);
     }
 
-    /// The streaming `occurrences()` iterator yields exactly what the
-    /// legacy eager `locate_path` returned — and both match brute force —
-    /// on arbitrary corpora, paths, and sampling rates.
+    /// The streaming `occurrences()` iterator yields exactly the brute-force
+    /// `(trajectory, offset)` matches on arbitrary corpora, paths, and
+    /// sampling rates.
     #[test]
-    #[allow(deprecated)]
-    fn occurrences_equal_legacy_locate(
+    fn occurrences_equal_brute_force(
         (trajs, n_edges) in corpus_strategy(),
         plen in 1usize..5,
         rate in prop::sample::select(vec![1usize, 2, 4, 8]),
@@ -166,9 +165,6 @@ proptest! {
                 .occurrences(Path::new(&path))
                 .expect("locate enabled")
                 .collect_sorted();
-            let legacy = idx.locate_path(&path).expect("locate enabled");
-            prop_assert_eq!(&streamed, &legacy, "path {:?}", path);
-            // Both equal brute force.
             let mut expected = Vec::new();
             for (tid, t) in trajs.iter().enumerate() {
                 for off in 0..t.len().saturating_sub(plen - 1) {

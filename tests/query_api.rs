@@ -181,17 +181,19 @@ fn occurrence_streaming_is_lazy() {
     let first_three: Vec<(usize, usize)> = it.by_ref().take(3).collect();
     assert_eq!(first_three.len(), 3);
     assert_eq!(it.remaining(), total - 3);
-    // Draining the rest plus the prefix equals the eager legacy answer.
-    #[allow(deprecated)]
-    let legacy = idx.locate_path(&path).unwrap();
+    // Draining the rest plus the prefix equals the brute-force answer.
     let mut all = first_three;
     all.extend(it);
     all.sort_unstable();
-    assert_eq!(all, legacy);
-    // Every occurrence is a real match.
-    for &(t, off) in &all {
-        assert_eq!(trajs[t][off..off + path.len()], path[..]);
+    let mut expected = Vec::new();
+    for (t, traj) in trajs.iter().enumerate() {
+        for (off, window) in traj.windows(path.len()).enumerate() {
+            if window == path {
+                expected.push((t, off));
+            }
+        }
     }
+    assert_eq!(all, expected);
 }
 
 #[test]
