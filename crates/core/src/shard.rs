@@ -10,8 +10,9 @@
 //!   builds each shard's `CinctIndex` independently (in parallel on the
 //!   rayon shim), and records a *manifest*: the bijection between
 //!   corpus-global trajectory IDs and `(shard, local)` IDs.
-//! * **Fan-out querying** — `count`/`occurrences` fan the path across
-//!   every shard and merge; occurrence listings stream through
+//! * **Fan-out querying** — `count`/`occurrences` sweep the path across
+//!   every shard on the calling thread (no thread is created on a query
+//!   path) and merge; occurrence listings stream through
 //!   [`cinct_fmindex::OccurIter::fan_out`] with each shard's local IDs
 //!   remapped to the global namespace, so results are comparable
 //!   element-for-element with a monolithic index over the same corpus.
@@ -192,7 +193,7 @@ impl ShardedBuilder {
         self
     }
 
-    /// Build (and later fan queries) with up to `n` concurrent shards.
+    /// Build with up to `n` concurrent shards.
     /// `0` = "auto" (the machine's available parallelism) — the
     /// workspace-wide thread-knob convention (`rayon::resolve_threads`).
     pub fn threads(mut self, n: usize) -> Self {
@@ -370,10 +371,6 @@ pub struct ShardedCinct {
     /// The construction configuration, kept so `append_batch`/`compact`
     /// (and a reopened directory) build new shards identically.
     config: ShardedBuilder,
-    /// The fan-out thread budget, resolved **once** at assembly
-    /// (`available_parallelism` is a syscall — far too expensive per
-    /// query on the hot path).
-    fan_threads: usize,
     /// Union of every shard's edge membership — the corpus-level
     /// instant-miss check: a pattern edge absent here is absent from
     /// every shard, so the whole fan-out short-circuits to `None`
@@ -458,7 +455,6 @@ impl ShardedCinct {
         for shard in &shards {
             bases.push(bases.last().unwrap() + shard.index.text_len());
         }
-        let fan_threads = rayon::resolve_threads(config.threads);
         let mut prune_union = EdgeMembership::for_alphabet(n_edges);
         for shard in &shards {
             prune_union.union_with(shard.pruning.membership());
@@ -469,7 +465,6 @@ impl ShardedCinct {
             bases,
             n_edges,
             config,
-            fan_threads,
             prune_union,
             prune_enabled: true,
             quarantined,
@@ -574,21 +569,15 @@ impl ShardedCinct {
             .sum()
     }
 
-    /// Re-resolve the query fan-out thread budget (`0` = auto, `1` =
-    /// sequential — the shared knob convention). A serving-time knob:
-    /// per-query fan-out spawns scope threads on the rayon shim, which
-    /// pays off for occurrence-heavy queries over many shards but costs
-    /// more than a microsecond-scale count — tune to the workload.
-    /// Construction parallelism for future `append_batch`/`compact`
-    /// builds follows the same setting.
+    /// Set the thread budget of later shard builds
+    /// ([`ShardedCinct::compact`]): [`ShardedBuilder::threads`] applied
+    /// to the kept configuration (`0` = auto, `1` = sequential) and
+    /// persisted with it in the manifest. The name is historical and kept
+    /// for its callers; queries are not affected, because a query's
+    /// per-shard searches always run on the calling thread (see
+    /// [`ShardedCinct::shard_ranges`]).
     pub fn set_fan_out_threads(&mut self, n: usize) {
         self.config = self.config.threads(n);
-        self.fan_threads = rayon::resolve_threads(n);
-    }
-
-    /// The resolved query fan-out thread budget.
-    pub fn fan_out_threads(&self) -> usize {
-        self.fan_threads
     }
 
     /// Enable or disable shard pruning for fan-out queries (default:
@@ -643,9 +632,11 @@ impl ShardedCinct {
     }
 
     /// Per-shard suffix ranges of a forward path — the real (shard-local)
-    /// row intervals behind the virtual [`PathQuery::range`]. Fans out
-    /// across shards on the rayon shim when the configured thread knob
-    /// (resolved once, at assembly) allows more than one worker.
+    /// row intervals behind the virtual [`PathQuery::range`]. The sweep
+    /// runs on the calling thread: a visited shard costs a few
+    /// microseconds of backward search, less than creating a thread to
+    /// run it on, so parallelism lives across queries
+    /// ([`crate::engine::QueryEngine::parallel`]), not inside one.
     ///
     /// **Shared-work pruning** (unless [`ShardedCinct::set_pruning`]
     /// disabled it): the pattern's edge labels are resolved **once per
@@ -678,36 +669,12 @@ impl ShardedCinct {
             vec![true; k]
         };
         let n_visit = visit.iter().filter(|&&v| v).count();
-        let threads = self.fan_threads.min(n_visit.max(1));
-        let slots = if threads <= 1 || n_visit <= 1 {
-            self.shards
-                .iter()
-                .zip(&visit)
-                .map(|(s, &v)| if v { s.index.range(path) } else { None })
-                .collect()
-        } else {
-            let mut slots: Vec<Option<Range<usize>>> = vec![None; k];
-            let per = k.div_ceil(threads);
-            rayon::scope(|scope| {
-                for ((sh_chunk, visit_chunk), slot_chunk) in self
-                    .shards
-                    .chunks(per)
-                    .zip(visit.chunks(per))
-                    .zip(slots.chunks_mut(per))
-                {
-                    scope.spawn(move |_| {
-                        for ((sh, &v), slot) in
-                            sh_chunk.iter().zip(visit_chunk).zip(slot_chunk.iter_mut())
-                        {
-                            if v {
-                                *slot = sh.index.range(path);
-                            }
-                        }
-                    });
-                }
-            });
-            slots
-        };
+        let slots: Vec<Option<Range<usize>>> = self
+            .shards
+            .iter()
+            .zip(&visit)
+            .map(|(s, &v)| if v { s.index.range(path) } else { None })
+            .collect();
         // Per-fan-out accounting: a few relaxed adds amortized over the
         // whole shard sweep, off the per-shard search loop.
         let matched = slots.iter().filter(|r| r.is_some()).count() as u64;

@@ -70,12 +70,12 @@ fn usage() -> ExitCode {
   cinct locate <index> <path> [--trace]
   cinct get <index> <trajectory-id>
   cinct serve <index-dir> [--addr HOST:PORT] [--workers N] [--queue N]
-              [--deadline-ms MS] [--cache N] [--fan-out N] [--max-body BYTES]
+              [--deadline-ms MS] [--cache N] [--max-body BYTES]
               [--no-save] [--resilient]
               [--replica-of HOST:PORT] [--follower-id NAME]
                                             serve the sharded directory over
-                                            HTTP/1.1 + JSON; 0 = auto on the
-                                            thread knobs; POST /admin/shutdown
+                                            HTTP/1.1 + JSON; --workers 0 = one
+                                            per core; POST /admin/shutdown
                                             drains gracefully and (unless
                                             --no-save) persists served appends.
                                             Appends journal to a write-ahead
@@ -542,10 +542,6 @@ fn cmd_serve(index_dir: &str, flags: &[String]) -> Result<(), String> {
                 cfg.cache_capacity = parse_usize(flags, i, "--cache")?;
                 i += 2;
             }
-            "--fan-out" => {
-                cfg.fan_out_threads = parse_usize(flags, i, "--fan-out")?;
-                i += 2;
-            }
             "--max-body" => {
                 cfg.max_body_bytes = parse_usize(flags, i, "--max-body")?;
                 i += 2;
@@ -611,11 +607,10 @@ fn cmd_serve(index_dir: &str, flags: &[String]) -> Result<(), String> {
     let handle = server.handle();
     let rc = handle.config();
     eprintln!(
-        "serving {index_dir} on http://{} — {} workers x {} fan-out threads \
+        "serving {index_dir} on http://{} — {} workers \
          (host parallelism {}), queue {}, deadline {:?}, cache {} entries",
         handle.addr(),
         rc.workers,
-        rc.fan_out_threads,
         rc.host_parallelism,
         rc.queue_depth,
         rc.deadline,

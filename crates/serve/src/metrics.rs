@@ -46,8 +46,6 @@ pub struct ServeMetrics {
     pub draining: Arc<Gauge>,
     /// Worker threads in the pool.
     pub workers: Arc<Gauge>,
-    /// Per-query fan-out threads the corpus was pinned to at start.
-    pub fan_out_threads: Arc<Gauge>,
     /// Appends answered from the idempotency registry (retried writes
     /// deduplicated instead of re-applied).
     pub idem_hits: Arc<Counter>,
@@ -135,10 +133,6 @@ pub fn serve() -> &'static ServeMetrics {
             ),
             draining: r.gauge("cinct_serve_draining", "1 while draining, else 0"),
             workers: r.gauge("cinct_serve_workers", "Worker threads in the pool"),
-            fan_out_threads: r.gauge(
-                "cinct_serve_fan_out_threads",
-                "Per-query shard fan-out threads pinned at server start",
-            ),
             idem_hits: r.counter(
                 "cinct_serve_idempotent_hits_total",
                 "Appends deduplicated by idempotency key",

@@ -12,11 +12,11 @@
 //! `Retry-After` so overload degrades into fast, explicit refusals
 //! instead of unbounded queueing.
 //!
-//! Thread budget is resolved **once at bind time**, not per request:
-//! `workers × fan_out_threads ≤ max(host_parallelism, workers)` by
-//! construction ([`ServeConfig::resolve`]), and the corpus is pinned to
-//! the resolved fan-out before the first query, so concurrent requests
-//! cannot oversubscribe the host no matter what the knobs say.
+//! Thread budget: the worker count, resolved **once at bind time**
+//! ([`ServeConfig::resolve`]), is all of it. A query runs start to
+//! finish on the worker that read it — the sharded corpus creates no
+//! thread on a query path — so the server's parallelism is across
+//! requests and `workers` is the only thread knob.
 //!
 //! # Drain
 //!
@@ -89,10 +89,6 @@ pub struct ServeConfig {
     pub cache_shards: usize,
     /// Request body cap in bytes (413 beyond).
     pub max_body_bytes: usize,
-    /// Per-query shard fan-out threads (0 = split the host budget
-    /// evenly across workers). Clamped so workers × fan-out never
-    /// oversubscribes the host.
-    pub fan_out_threads: usize,
 }
 
 impl Default for ServeConfig {
@@ -104,7 +100,6 @@ impl Default for ServeConfig {
             cache_capacity: 4096,
             cache_shards: 8,
             max_body_bytes: 1 << 20,
-            fan_out_threads: 0,
         }
     }
 }
@@ -114,8 +109,6 @@ impl Default for ServeConfig {
 pub struct ResolvedConfig {
     /// Worker threads in the pool (≥ 1).
     pub workers: usize,
-    /// Per-query shard fan-out threads the corpus is pinned to (≥ 1).
-    pub fan_out_threads: usize,
     /// Host hardware threads observed at resolution.
     pub host_parallelism: usize,
     /// Accept-queue depth.
@@ -131,30 +124,15 @@ pub struct ResolvedConfig {
 }
 
 impl ServeConfig {
-    /// Resolve every thread knob **once**, enforcing the
-    /// no-oversubscription invariant
-    /// `workers × fan_out_threads ≤ max(host_parallelism, workers)`.
-    ///
-    /// Auto fan-out divides the host budget evenly across workers; an
-    /// explicit fan-out is clamped into the same budget. (With more
-    /// workers than hardware threads the budget is one fan-out thread
-    /// each — the workers themselves already oversubscribe, which is a
-    /// legitimate choice for latency-hiding, but queries must not
-    /// multiply it.)
+    /// Resolve the knobs **once**: `workers` 0 becomes the host's
+    /// hardware threads, an explicit count is taken literally (more
+    /// workers than hardware threads is a legitimate choice for
+    /// latency-hiding), and the floors (`queue_depth`, `cache_shards`
+    /// ≥ 1) are applied.
     pub fn resolve(&self) -> ResolvedConfig {
-        let host = rayon::current_num_threads();
-        let workers = rayon::resolve_threads(self.workers).max(1);
-        let budget = (host / workers).max(1);
-        let fan_out = if self.fan_out_threads == 0 {
-            budget
-        } else {
-            self.fan_out_threads.min(budget)
-        };
-        debug_assert!(workers * fan_out <= host.max(workers));
         ResolvedConfig {
-            workers,
-            fan_out_threads: fan_out,
-            host_parallelism: host,
+            workers: rayon::resolve_threads(self.workers),
+            host_parallelism: rayon::current_num_threads(),
             queue_depth: self.queue_depth.max(1),
             deadline: self.deadline,
             cache_capacity: self.cache_capacity,
@@ -283,9 +261,8 @@ impl ServerHandle {
 }
 
 impl Server {
-    /// Bind a listener and assemble the serving state. Resolves the
-    /// thread budget once and pins the corpus fan-out to it before any
-    /// query can run.
+    /// Bind a listener and assemble the serving state. The corpus is
+    /// served as given: binding does not alter its configuration.
     pub fn bind(
         addr: impl ToSocketAddrs,
         corpus: ShardedCinct,
@@ -312,18 +289,16 @@ impl Server {
 
     fn bind_inner(
         addr: impl ToSocketAddrs,
-        mut corpus: ShardedCinct,
+        corpus: ShardedCinct,
         cfg: ServeConfig,
         durable: Option<(Wal, Vec<WalRecord>)>,
     ) -> io::Result<Server> {
         let resolved = cfg.resolve();
-        corpus.set_fan_out_threads(resolved.fan_out_threads);
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         metrics::register_all();
         let m = metrics::serve();
         m.workers.set(resolved.workers as u64);
-        m.fan_out_threads.set(resolved.fan_out_threads as u64);
         m.draining.set(0);
         let service = match durable {
             Some((wal, replay)) => CorpusService::new_durable(
@@ -771,7 +746,6 @@ fn stats_response(state: &ServerState) -> Response {
         ),
         ("followers", s.followers.into()),
         ("workers", cfg.workers.into()),
-        ("fan_out_threads", s.fan_out_threads.into()),
         ("host_parallelism", cfg.host_parallelism.into()),
         ("draining", state.draining().into()),
     ];
@@ -1135,57 +1109,21 @@ fn handle_append(state: &ServerState, req: &Request, body: &Json) -> Result<Resp
 mod tests {
     use super::*;
 
-    /// Satellite: the knob interplay is resolved once at bind time and
-    /// can never oversubscribe the host, whatever the knobs say.
+    /// `workers` follows the workspace thread-knob convention: 0 is the
+    /// host's hardware threads, anything else is literal, never 0.
     #[test]
-    fn resolved_thread_budget_never_oversubscribes() {
+    fn resolved_workers_follow_the_knob_convention() {
         let host = rayon::current_num_threads();
         for workers in [0usize, 1, 2, 3, host, host + 3, 64] {
-            for fan_out in [0usize, 1, 2, host, 64] {
-                let r = ServeConfig {
-                    workers,
-                    fan_out_threads: fan_out,
-                    ..ServeConfig::default()
-                }
-                .resolve();
-                assert!(r.workers >= 1 && r.fan_out_threads >= 1);
-                assert!(
-                    r.workers * r.fan_out_threads <= host.max(r.workers),
-                    "workers={workers} fan_out={fan_out} resolved to {}x{} on host {host}",
-                    r.workers,
-                    r.fan_out_threads,
-                );
-                assert_eq!(r.host_parallelism, host);
-            }
-        }
-        // Auto/auto fills the host exactly when workers divide it.
-        let auto = ServeConfig::default().resolve();
-        assert_eq!(auto.workers, host);
-        assert_eq!(auto.fan_out_threads, 1);
-    }
-
-    #[test]
-    fn bind_pins_corpus_fan_out_to_resolved_budget() {
-        let corpus = cinct::ShardedBuilder::new()
-            .shards(2)
-            .build(&[vec![0u32, 1], vec![1, 0]], 2);
-        let server = Server::bind(
-            "127.0.0.1:0",
-            corpus,
-            ServeConfig {
-                workers: 2,
-                fan_out_threads: 64, // asks for far too much
+            let r = ServeConfig {
+                workers,
                 ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let handle = server.handle();
-        let resolved = handle.config().fan_out_threads;
-        assert!(resolved * 2 <= rayon::current_num_threads().max(2));
-        // The corpus itself was pinned — queries use the budget without
-        // re-resolving per request.
-        let pinned = handle.service().with_corpus(|c| c.fan_out_threads());
-        assert_eq!(pinned, resolved);
+            }
+            .resolve();
+            assert_eq!(r.workers, if workers == 0 { host } else { workers });
+            assert!(r.workers >= 1);
+            assert_eq!(r.host_parallelism, host);
+        }
     }
 
     #[test]

@@ -83,8 +83,6 @@ pub struct ServiceStats {
     pub cache_entries: usize,
     /// Cache capacity (0 = disabled).
     pub cache_capacity: usize,
-    /// Per-query shard fan-out threads the corpus is pinned to.
-    pub fan_out_threads: usize,
     /// Whether the corpus was opened resiliently with shards quarantined.
     pub degraded: bool,
     /// Number of quarantined shards (0 unless degraded).
@@ -631,7 +629,6 @@ impl CorpusService {
             epoch: self.cache.current_epoch(),
             cache_entries: self.cache.len(),
             cache_capacity: self.cache.capacity(),
-            fan_out_threads: corpus.fan_out_threads(),
             degraded: self.degraded(),
             quarantined_shards: self.quarantined.len(),
             wal_enabled: self.wal.is_some(),
@@ -784,10 +781,9 @@ impl CorpusService {
         })?;
         let mut wal = wal_mutex.lock().unwrap_or_else(|e| e.into_inner());
         let durability = wal.durability();
-        let (mut corpus, absorbed) = ShardedCinct::install_snapshot(dir, stream, durability)?;
+        let (corpus, absorbed) = ShardedCinct::install_snapshot(dir, stream, durability)?;
         {
             let mut live = self.corpus.write().unwrap_or_else(|e| e.into_inner());
-            corpus.set_fan_out_threads(live.fan_out_threads());
             *live = corpus;
             self.cache.advance_epoch();
         }

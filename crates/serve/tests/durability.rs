@@ -133,6 +133,26 @@ fn idempotency_key_applies_exactly_once() {
     assert_eq!(svc.stats().trajectories, 7, "one key, one install");
 }
 
+/// Serving a corpus does not rewrite its build configuration: the
+/// thread knob a directory was built with is the knob a save from a
+/// bound server persists, so a later `cinct compact` builds its shards
+/// the same way whether or not the directory was ever served.
+#[test]
+fn binding_and_saving_keeps_the_built_thread_knob() {
+    for knob in [0usize, 3] {
+        let built = ShardedBuilder::new()
+            .shards(2)
+            .threads(knob)
+            .build(&[vec![0, 1, 2], vec![1, 2], vec![0, 3]], 4);
+        let server = Server::bind("127.0.0.1:0", built, ServeConfig::default()).expect("bind");
+        let dir = scratch(&format!("knob-{knob}"));
+        server.handle().service().save_dir(&dir).unwrap();
+        let reopened = ShardedCinct::open_dir(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(reopened.config().configured_threads(), knob);
+    }
+}
+
 fn start(corpus: ShardedCinct, cfg: ServeConfig) -> (ServerHandle, std::thread::JoinHandle<()>) {
     let server = Server::bind("127.0.0.1:0", corpus, cfg).expect("bind");
     let handle = server.handle();

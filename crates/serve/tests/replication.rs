@@ -173,25 +173,12 @@ fn reclaimed_history_forces_a_snapshot_bootstrap() {
 }
 
 #[test]
-fn bootstrap_preserves_fan_out_knob_and_prunes_like_primary() {
-    let (pdir, fdir) = (seed("knob-p"), seed("knob-f"));
-    let primary = durable_service(&pdir);
+fn bootstrap_keeps_fingerprint_and_prunes_like_primary() {
+    let (pdir, fdir) = (seed("prune-p"), seed("prune-f"));
+    let (primary, follower) = (durable_service(&pdir), durable_service(&fdir));
     append_all(&primary);
-    // A follower tuned to a distinctive fan-out budget before it ever
-    // sees a snapshot. `bootstrap_snapshot` rebuilds the whole corpus,
-    // so the knob must be re-applied to the installed replacement.
-    let mut opened = ShardedCinct::open_dir(&fdir).unwrap();
-    opened.set_fan_out_threads(3);
-    let (wal, replay) = Wal::open(&fdir, Durability::Fast).unwrap();
-    let follower = CorpusService::new_durable(opened, 64, 4, wal, replay).unwrap();
-    assert_eq!(follower.stats().fan_out_threads, 3);
     let stream = primary.snapshot_stream().unwrap();
     follower.bootstrap_snapshot(&fdir, &stream).unwrap();
-    assert_eq!(
-        follower.stats().fan_out_threads,
-        3,
-        "snapshot install reset the fan-out knob"
-    );
     assert_eq!(fingerprint(&follower), fingerprint(&primary));
     // Pruning metadata rides inside the snapshot's manifest: the
     // bootstrapped follower makes the same skip decisions as the

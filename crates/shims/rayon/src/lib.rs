@@ -9,6 +9,11 @@
 //! * [`current_num_threads`], mapped onto
 //!   [`std::thread::available_parallelism`].
 //!
+//! One addition the real crate does not have: [`spawned_tasks`], a
+//! process-wide count of [`Scope::spawn`] calls. Each task is an OS thread
+//! here, so a test can assert that a code path creates none
+//! (`crates/core/tests/query_spawns.rs` does, for the query paths).
+//!
 //! Differences from the real crate: there is no global work-stealing pool —
 //! every `spawn` is an OS thread for the duration of the scope. Callers
 //! therefore spawn **one task per chunk of work** (at most one per desired
@@ -17,7 +22,17 @@
 //! workspace `rayon` path dependency for the registry crate when network
 //! access is available.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
+
+/// Tasks spawned since process start (a statistic: publishes no data).
+static SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+/// How many tasks [`Scope::spawn`] has started in this process — on this
+/// shim, how many OS threads the workspace's parallel code has created.
+pub fn spawned_tasks() -> u64 {
+    SPAWNED.load(Ordering::Relaxed)
+}
 
 /// A scope for spawning parallel tasks that may borrow from the caller's
 /// stack. Created by [`scope`]; tasks may spawn further tasks through the
@@ -33,6 +48,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     where
         F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
     {
+        SPAWNED.fetch_add(1, Ordering::Relaxed);
         let inner = self.inner;
         inner.spawn(move || {
             let nested = Scope { inner };
@@ -85,10 +101,11 @@ pub fn resolve_threads(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn scope_joins_all_tasks() {
+        let spawned_before = spawned_tasks();
         let counter = AtomicUsize::new(0);
         let total: usize = scope(|s| {
             for _ in 0..8 {
@@ -100,6 +117,8 @@ mod tests {
         });
         assert_eq!(total, 42);
         assert_eq!(counter.load(Ordering::SeqCst), 8);
+        // Other tests in this process spawn too, so at least these eight.
+        assert!(spawned_tasks() >= spawned_before + 8);
     }
 
     #[test]

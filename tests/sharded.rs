@@ -240,32 +240,43 @@ proptest! {
         }
     }
 
-    /// Fan-out parallelism never changes answers: a sharded index with
-    /// parallel fan-out matches its own sequential fan-out on every
-    /// probe (same corpus, same shards).
+    /// Batch parallelism over a sharded backend never changes answers:
+    /// a mixed batch (count / range / occurrences / extract, unknown-edge
+    /// errors included) fanned across threads by `QueryEngine::parallel`
+    /// over a 3-shard corpus is order- and value-identical to the
+    /// sequential engine. A query's own shard sweep has one path, so this
+    /// is the only parallelism a sharded query can meet.
     #[test]
     fn parallel_fan_out_is_value_identical((trajs, n_edges) in corpus_strategy()) {
-        let mut sharded = ShardedBuilder::new()
+        let sharded = ShardedBuilder::new()
             .shards(3)
             .locate_sampling(2)
             .threads(1)
             .build(&trajs, n_edges);
-        let seq: Vec<_> = probe_paths(&trajs, n_edges)
-            .iter()
-            .map(|p| {
-                (
-                    sharded.count(Path::new(p)),
-                    sharded.occurrences(Path::new(p)).unwrap().collect_sorted(),
-                )
-            })
-            .collect();
-        sharded.set_fan_out_threads(4);
-        for (p, expected) in probe_paths(&trajs, n_edges).iter().zip(&seq) {
-            prop_assert_eq!(sharded.count(Path::new(p)), expected.0);
-            prop_assert_eq!(
-                &sharded.occurrences(Path::new(p)).unwrap().collect_sorted(),
-                &expected.1
-            );
+        let rows = sharded.text_len();
+        let mut batch: Vec<Query> = Vec::new();
+        for (i, p) in probe_paths(&trajs, n_edges).iter().enumerate() {
+            batch.push(Query::count(p));
+            batch.push(Query::range(p));
+            batch.push(Query::occurrences(p));
+            batch.push(Query::extract((i * 7) % rows, 1 + i % 5));
+            // Edge `n_edges` is outside the indexed network.
+            let mut unknown = p.clone();
+            unknown.push(n_edges as u32);
+            batch.push(if i % 2 == 0 {
+                Query::count(&unknown)
+            } else {
+                Query::occurrences(&unknown)
+            });
+        }
+        let seq = QueryEngine::new(&sharded).run(&batch);
+        prop_assert!(seq.errors() > 0 && seq.hits() > 0);
+        for threads in [2usize, 3, 0] {
+            let par = QueryEngine::new(&sharded).parallel(threads).run(&batch);
+            prop_assert_eq!(par.outcomes.len(), seq.outcomes.len());
+            for (i, (x, y)) in par.outcomes.iter().zip(&seq.outcomes).enumerate() {
+                prop_assert_eq!(&x.value, &y.value, "query {} at {} threads", i, threads);
+            }
         }
     }
 
