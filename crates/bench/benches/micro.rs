@@ -24,8 +24,6 @@ fn pseudo_bits(n: usize, density_pct: u64, seed: u64) -> BitBuf {
 
 fn bench_bit_rank(c: &mut Criterion) {
     let n = 1 << 20;
-    let bits = pseudo_bits(n, 30, 7);
-    let plain = RankBitVec::new(bits.clone());
     let mut group = c.benchmark_group("bit_rank");
     let mut positions: Vec<usize> = Vec::new();
     let mut x = 99u64;
@@ -35,26 +33,51 @@ fn bench_bit_rank(c: &mut Criterion) {
             .wrapping_add(1442695040888963407);
         positions.push((x >> 33) as usize % n);
     }
-    group.bench_function("plain", |bch| {
-        bch.iter(|| {
-            let mut acc = 0usize;
-            for &p in &positions {
-                acc += plain.rank1(black_box(p));
-            }
-            acc
-        })
-    });
-    for b in [15usize, 31, 63] {
-        let rrr = RrrBitVec::new(&bits, b);
-        group.bench_function(format!("rrr_b{b}"), |bch| {
-            bch.iter(|| {
-                let mut acc = 0usize;
-                for &p in &positions {
-                    acc += rrr.rank1(black_box(p));
-                }
-                acc
-            })
-        });
+    // 3 % watches sparse blocks, 30 % is the historical row, 50 % is what
+    // the wavelet levels of a random-walk corpus look like.
+    for density in [3u64, 30, 50] {
+        let bits = pseudo_bits(n, density, 7);
+        if density == 30 {
+            let plain = RankBitVec::new(bits.clone());
+            group.bench_function("plain", |bch| {
+                bch.iter(|| {
+                    let mut acc = 0usize;
+                    for &p in &positions {
+                        acc += plain.rank1(black_box(p));
+                    }
+                    acc
+                })
+            });
+        }
+        for b in [15usize, 31, 63] {
+            let rrr = RrrBitVec::new(&bits, b);
+            group.bench_function(format!("rrr_b{b}_d{density}"), |bch| {
+                bch.iter(|| {
+                    let mut acc = 0usize;
+                    for &p in &positions {
+                        acc += rrr.rank1(black_box(p));
+                    }
+                    acc
+                })
+            });
+            // `sp`/`ep` pairs: both in one block (a narrowed range), and
+            // three blocks apart (a wide one).
+            let mut bench_pairs = |name: &str, pair: &dyn Fn(usize) -> (usize, usize)| {
+                group.bench_function(format!("rrr_b{b}_d{density}_pair_{name}"), |bch| {
+                    bch.iter(|| {
+                        let mut acc = 0usize;
+                        for &p in &positions {
+                            let (i, j) = pair(black_box(p));
+                            let (ri, rj) = rrr.rank1_pair(i, j);
+                            acc += ri + rj;
+                        }
+                        acc
+                    })
+                });
+            };
+            bench_pairs("same", &|p| (p - p % b / 2, p));
+            bench_pairs("cross", &|p| (p, (p + 3 * b).min(n - 1)));
+        }
     }
     group.finish();
 }

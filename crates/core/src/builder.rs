@@ -520,23 +520,26 @@ mod tests {
     }
 
     /// `(corpus, block size, locate sampling, bytes, FNV-1a of the bytes)`
-    /// of the serialized index. Recorded from the seed's pipeline (recursive
-    /// SA-IS, copied BWT, separate Z-term scan, full ISA), which produced
-    /// these same bytes for every row, so a row that moves means the
-    /// on-disk format or a numeric kernel changed.
+    /// of the serialized index: a row that moves means the on-disk format
+    /// or a numeric kernel changed. Digests re-pinned once, for index
+    /// format 3 (RRR offsets renumbered by the split block code); the byte
+    /// lengths are still the ones recorded from the seed's pipeline
+    /// (recursive SA-IS, copied BWT, separate Z-term scan, full ISA) — the
+    /// renumbering keeps every class and offset width, and this column is
+    /// that claim in test form.
     const GOLDEN: [(Corpus, usize, Option<usize>, usize, u64); 12] = [
-        (Corpus::Paper, 15, None, 607, 0x9b5fd3a57d41244a),
-        (Corpus::Paper, 15, Some(8), 679, 0x588e045e84d8eab2),
-        (Corpus::Paper, 31, None, 607, 0xeadb1819b3270c28),
-        (Corpus::Paper, 31, Some(8), 679, 0xc03a0083f3c9dc50),
-        (Corpus::Paper, 63, None, 607, 0xaeefefb418091754),
-        (Corpus::Paper, 63, Some(8), 679, 0x3935a92bd233c8ec),
-        (Corpus::Synthetic, 15, None, 13277, 0x3314f806e54e2c6e),
-        (Corpus::Synthetic, 15, Some(8), 16493, 0xc7645310943c3d48),
-        (Corpus::Synthetic, 31, None, 13165, 0x9fe7a16b44f5648d),
-        (Corpus::Synthetic, 31, Some(8), 16381, 0x063028b427210bc7),
-        (Corpus::Synthetic, 63, None, 13085, 0x5fec540ccc197813),
-        (Corpus::Synthetic, 63, Some(8), 16301, 0xd79f1155aa607839),
+        (Corpus::Paper, 15, None, 607, 0x824412f944f2d82b),
+        (Corpus::Paper, 15, Some(8), 679, 0xc0450c3914b1f073),
+        (Corpus::Paper, 31, None, 607, 0x87e57c63eebe06d7),
+        (Corpus::Paper, 31, Some(8), 679, 0x41e448a6c3706b8f),
+        (Corpus::Paper, 63, None, 607, 0x29233653970c5085),
+        (Corpus::Paper, 63, Some(8), 679, 0x17319262bfe7111d),
+        (Corpus::Synthetic, 15, None, 13277, 0x1d6c9f0bc3f759e3),
+        (Corpus::Synthetic, 15, Some(8), 16493, 0x62b9a5e5219d2429),
+        (Corpus::Synthetic, 31, None, 13165, 0xefb697438aa1c1cd),
+        (Corpus::Synthetic, 31, Some(8), 16381, 0xb8a1bb6adecbbc07),
+        (Corpus::Synthetic, 63, None, 13085, 0x3c1162f0c4b3280c),
+        (Corpus::Synthetic, 63, Some(8), 16301, 0xc0473e4fe8341c7a),
     ];
 
     /// Build every golden row with `threads` and compare length + digest.

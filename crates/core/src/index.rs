@@ -12,10 +12,14 @@ use cinct_succinct::{
 use std::io::{Read, Write};
 use std::ops::Range;
 
-/// Magic + version header for persisted indexes. Version 2: the RRR
-/// payload dropped its persisted sample arrays (the rank directory is
-/// rebuilt on load).
-const MAGIC: u64 = 0x4349_4e43_5431_0002; // "CINCT1" + version 2
+/// Index magic prefix ("CINCT1" as bytes, low 16 bits = format version).
+const INDEX_PREFIX: u64 = 0x4349_4e43_5431_0000;
+/// Index format version, the only one this build reads or writes. 3: RRR
+/// offsets are numbered by the split block code — same widths and lengths
+/// as version 2, different values, so a version-2 payload would load and
+/// then rank wrongly; it is refused instead. (2 dropped the persisted RRR
+/// sample arrays.)
+const INDEX_VERSION: u64 = 3;
 
 /// Optional locate support: a sampled suffix array lets the index map BWT
 /// rows back to text positions (needed by `locate`/strict-path queries).
@@ -256,7 +260,7 @@ impl CinctIndex {
     /// Serialize the whole index (including the trajectory directory and
     /// optional SA samples) to a stream.
     pub fn write_to(&self, w: &mut dyn Write) -> std::io::Result<()> {
-        write_u64(w, MAGIC)?;
+        write_u64(w, INDEX_PREFIX | INDEX_VERSION)?;
         self.c.raw_counts().to_vec().persist(w)?;
         self.labeled.persist(w)?;
         self.rml.persist(w)?;
@@ -280,8 +284,15 @@ impl CinctIndex {
     /// truncated or failing streams as [`QueryError::Io`].
     pub fn read_from(r: &mut dyn Read) -> Result<Self, QueryError> {
         let bad = |msg: &str| QueryError::CorruptIndex(msg.to_string());
-        if read_u64(r)? != MAGIC {
+        let magic = read_u64(r)?;
+        if magic & !0xffff != INDEX_PREFIX {
             return Err(bad("not a CiNCT index (bad magic)"));
+        }
+        let version = magic & 0xffff;
+        if version != INDEX_VERSION {
+            return Err(QueryError::CorruptIndex(format!(
+                "unsupported index version {version} (this build reads {INDEX_VERSION})"
+            )));
         }
         let counts: Vec<u64> = Persist::restore(r)?;
         let c = CArray::from_raw_counts(counts).ok_or_else(|| bad("corrupt C array"))?;

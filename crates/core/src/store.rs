@@ -361,6 +361,9 @@ impl ShardedCinct {
     /// absorbs. Files land through the same atomic temp-file + rename
     /// discipline as `save_dir`, manifest last, so a crash mid-install
     /// leaves either the previous corpus or the new one — never a mix.
+    /// Shards are restored through [`CinctIndex::read_from`] by the closing
+    /// `open_dir`, so a stream from a build with another index format
+    /// version is refused with the same typed error as a saved directory.
     /// The caller owns re-basing its WAL at the returned position (see
     /// `Wal::create_at`).
     pub fn install_snapshot(
@@ -950,6 +953,42 @@ mod tests {
     #[test]
     fn future_manifest_version_is_rejected_typed() {
         assert_manifest_version_rejected("v4-future", MANIFEST_VERSION + 1);
+    }
+
+    #[test]
+    fn v2_shard_file_is_refused_strict_and_quarantined_resilient() {
+        // A shard file from index format 2 whose checksum the manifest
+        // vouches for: integrity passes, so only the index header's
+        // version check stands between it and silently wrong ranks.
+        let dir = scratch("v2-shard");
+        build_sharded().save_dir(&dir).unwrap();
+        let spath = shard_files(&dir).remove(0);
+        let mut sbytes = std::fs::read(&spath).unwrap();
+        let old_sum = fnv64(&sbytes);
+        sbytes[..8].copy_from_slice(&0x4349_4e43_5431_0002u64.to_le_bytes());
+        std::fs::write(&spath, &sbytes).unwrap();
+        let mpath = dir.join(MANIFEST_FILE);
+        let mut manifest = std::fs::read(&mpath).unwrap();
+        let body = manifest.len() - 8;
+        let at = (0..body - 8)
+            .find(|&i| manifest[i..i + 8] == old_sum.to_le_bytes())
+            .expect("manifest records the shard checksum");
+        manifest[at..at + 8].copy_from_slice(&fnv64(&sbytes).to_le_bytes());
+        let digest = fnv64(&manifest[..body]);
+        manifest[body..].copy_from_slice(&digest.to_le_bytes());
+        std::fs::write(&mpath, &manifest).unwrap();
+
+        match ShardedCinct::open_dir(&dir) {
+            Err(QueryError::CorruptIndex(msg)) => {
+                assert!(msg.contains("index version 2"), "{msg}")
+            }
+            other => panic!("expected CorruptIndex, got {other:?}"),
+        }
+        let degraded = ShardedCinct::open_dir_with(&dir, OpenMode::Resilient).unwrap();
+        assert_eq!(degraded.quarantined().len(), 1);
+        assert!(degraded.quarantined()[0].reason.contains("index version 2"));
+        assert_eq!(degraded.num_shards(), build_sharded().num_shards() - 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //!
 //! The supported block sizes are `1 ..= 63` — the paper evaluates
 //! `b ∈ {15, 31, 63}` (Fig. 10) and defaults to `b = 63`. Space per bit is
-//! `H0(B) + h(b)` with `h(b) = log2(b+1) / b` overhead (paper Eq. (11)),
-//! and in-block rank costs `O(b)` time (Theorem 5 footnote).
+//! `H0(B) + h(b)` with `h(b) = log2(b+1) / b` overhead (paper Eq. (11)).
+//! The paper's in-block rank is an `O(b)` enumerative walk (Theorem 5
+//! footnote); the block code used here keeps the same classes and offset
+//! widths — hence the same bytes and the same space bound — and decodes in
+//! `O(log b)` splits: at most two for `b = 63`, one for 31, none for 15.
 //!
 //! # Hot-path engineering (vs the straightforward implementation)
 //!
@@ -29,25 +32,32 @@
 //!    classes with a *single* `get_bits` word fetch and adds offset widths
 //!    from a process-wide `u8` lookup table ([`offset_width_table`])
 //!    instead of probing the binomial table per block.
-//! 3. **Transposed binomial rows** — the enumerative in-block walk probes
-//!    `C(rem − 1, c)` with `rem` descending and `c` fixed until a one is
-//!    consumed; [`binom_rows`]`[c][rem − 1]` makes those probes consecutive
-//!    `u64`s (≈ 8 per cache line) where the natural `[n][k]` layout touched
-//!    a fresh 520-byte-strided line per step.
-//! 4. **Branchless / fused decodes** — in-block rank reconstructs the
-//!    prefix in a branchless walk (dense blocks make a per-bit conditional
-//!    mispredict every other step), jumps zero runs by binary search when
-//!    the block is sparse, answers `sp`/`ep` pairs that narrow into one
-//!    block with a single decode + two popcounts
-//!    ([`RrrBitVec::rank1_pair`]), and serves wavelet `access` descents
-//!    `(bit, rank)` from one decode ([`RrrBitVec::get_and_rank1`]).
+//! 3. **Split block code** — a block wider than [`LEAF_BITS`] is the pair
+//!    of its halves ([`Split`]): `cum[c][c1] + o1 · C(n2, c2) + o2`,
+//!    recursively, a bijection onto `[0, C(n, c))` by Vandermonde's
+//!    identity. Decoding towards position `p` ([`decode_leaf`]) is, per
+//!    split, a branch-free search for `c1` in one table row plus one
+//!    division, then one load from [`leaf_words`] — the 65 536 16-bit words
+//!    grouped by popcount, which number and decode every leaf width of every
+//!    block size. The lexicographic code it replaced cost one table probe
+//!    per bit position (≈ 70 % of a `b = 63` rank on near-uniform wavelet
+//!    levels).
+//! 4. **One decode behind every entry point** — `rank1`, `get`,
+//!    [`RrrBitVec::get_and_rank1`] (the wavelet `access` descent) and both
+//!    halves of [`RrrBitVec::rank1_pair`] are a popcount or a bit test on
+//!    the decoded leaf; an `sp`/`ep` pair that narrows into one leaf takes
+//!    one seek and one decode.
 //!
-//! The binomial table itself is a process-wide [`OnceLock`] static shared
-//! by builds and queries on every thread.
+//! The tables are process-wide [`OnceLock`] statics shared by builds and
+//! queries on every thread, outside any index's reported size: the binomial
+//! table (33 KiB), the leaf words and their inverse (128 KiB each; the
+//! inverse is the encoder's) and, per block size in use, the split plan
+//! (≈ 35 KiB at `b = 63`, ≈ 9 KiB at 31, nothing at 15).
 //!
-//! Unit and property tests pin every fast path to a naive bit-by-bit count
-//! over the uncompressed input; `benchmark/` reports `succinct.rrr_rank1_ns`
-//! and `succinct.rrr_rank1_pair_ns` (see `PERFORMANCE.md`).
+//! Unit and property tests pin every entry point to a naive bit-by-bit count
+//! over the uncompressed input, and the block code to a literal table;
+//! `benchmark/` reports `succinct.rrr_rank1_ns` and
+//! `succinct.rrr_rank1_pair_ns` (see `PERFORMANCE.md`).
 
 use crate::bits::BitBuf;
 use crate::int_vec::IntVec;
@@ -132,24 +142,6 @@ fn offset_width_table() -> &'static [[u8; 64]; 64] {
     })
 }
 
-/// Process-wide **transposed** binomial table: `binom_rows()[k][n] =
-/// C(n, k)` for `n, k <= 63` (0 where `n < k`). See module docs, layer 3.
-static BINOM_T: OnceLock<[[u64; 64]; 64]> = OnceLock::new();
-
-#[inline]
-fn binom_rows() -> &'static [[u64; 64]; 64] {
-    BINOM_T.get_or_init(|| {
-        let binom = binom();
-        let mut t = [[0u64; 64]; 64];
-        for (k, row) in t.iter_mut().enumerate() {
-            for (n, v) in row.iter_mut().enumerate() {
-                *v = binom.get(n, k);
-            }
-        }
-        t
-    })
-}
-
 /// Offset width in bits for class `c` of block size `b`.
 #[inline]
 fn offset_width(b: usize, c: usize, binom: &BinomialTable) -> usize {
@@ -161,237 +153,225 @@ fn offset_width(b: usize, c: usize, binom: &BinomialTable) -> usize {
     }
 }
 
-/// Encode a block of `b` bits (LSB-first in `block`) with class `c` into
-/// its enumerative offset. Only set bits contribute (skipping a zero at
-/// `pos` adds `C(b-1-pos, c)` exactly when the bit at `pos` is one), so
-/// the walk is popcount-guided — `c` table adds per block, not `b` — and
-/// the skewed wavelet bitmaps CiNCT builds (H0 ≪ 1) encode in a handful
-/// of steps. `c` must equal `block.count_ones()`.
-#[inline]
-fn encode_block(mut block: u64, b: usize, mut c: usize) -> u64 {
-    let rows = binom_rows();
-    let mut offset = 0u64;
-    while block != 0 {
-        let pos = block.trailing_zeros() as usize;
-        offset += rows[c & 63][(b - 1 - pos) & 63];
-        c -= 1;
-        block &= block - 1;
-    }
-    offset
+/// Widest leaf of the split code: a block, or a half of one, of at most
+/// this many bits is numbered and decoded by one [`leaf_words`] lookup.
+const LEAF_BITS: usize = 16;
+
+/// Process-wide leaf tables: `words` is every 16-bit word, grouped by
+/// popcount and in numeric order within a group, `starts[c]` group `c`'s
+/// first index, and `index[w]` the position of `w` within its group (the
+/// inverse, read by the encoder only). A word confined to its low `n ≤ 16`
+/// bits precedes every wider word of its popcount, so its index in the
+/// group is also its index among the `C(n, c)` words of that width — one
+/// pair of tables serves every leaf width.
+struct LeafWords {
+    words: Box<[u16; 1 << LEAF_BITS]>,
+    starts: [u32; 32],
+    index: Box<[u16; 1 << LEAF_BITS]>,
 }
 
-/// Per-iteration strategy switch for the fast decodes: jump zero runs when
-/// the expected run (`remaining / (c + 1)`) dwarfs a ~log₂ b binary
-/// search, i.e. when `c * JUMP_FACTOR ≤ remaining`.
-const JUMP_FACTOR: usize = 8;
+static LEAF_WORDS: OnceLock<LeafWords> = OnceLock::new();
 
-/// Position of the next one from `pos` on, given the walk state, found by
-/// binary-searching the increasing row `binom_rows()[c]`: a one sits at the
-/// first `pos'` with `offset ≥ C(b−1−pos', c)`, and `row[c−1] = 0`
-/// guarantees a valid lower bound. Returns `(one_pos, row_index)`.
 #[inline]
-fn next_one_position(offset: u64, b: usize, c: usize, pos: usize) -> (usize, usize) {
-    let row = &binom_rows()[c & 63];
-    let (mut lo, mut hi) = (c - 1, b - 1 - pos);
-    while lo < hi {
-        let mid = hi - (hi - lo) / 2;
-        if row[mid & 63] <= offset {
-            lo = mid;
+fn leaf_words() -> &'static LeafWords {
+    LEAF_WORDS.get_or_init(|| {
+        let mut starts = [0u32; 32];
+        for c in 1..=LEAF_BITS {
+            starts[c] = starts[c - 1] + binom().get(LEAF_BITS, c - 1) as u32;
+        }
+        let mut next = starts;
+        let mut words = vec![0u16; 1 << LEAF_BITS];
+        let mut index = vec![0u16; 1 << LEAF_BITS];
+        for w in 0..=u16::MAX {
+            let c = w.count_ones() as usize;
+            words[next[c] as usize] = w;
+            index[w as usize] = (next[c] - starts[c]) as u16;
+            next[c] += 1;
+        }
+        let boxed = |v: Vec<u16>| v.into_boxed_slice().try_into().expect("2^16 entries");
+        LeafWords {
+            words: boxed(words),
+            starts,
+            index: boxed(index),
+        }
+    })
+}
+
+/// Entries per [`Split::cum`] row: `c1 ∈ 0 ..= 32`, plus the end sentinel.
+const CUM_ROW: usize = 34;
+
+/// End sentinel of a [`Split::cum`] row: above every offset (widths are
+/// ≤ 60 bits), below 2⁶³ (see [`entries_at_most`]).
+const CUM_END: u64 = u64::MAX >> 1;
+
+/// Candidates of the windowed class search in [`Split::low_class`].
+const WINDOW: usize = 8;
+
+/// One inner node of a block size's split code: `n > LEAF_BITS` bits of
+/// class `c` are the pair (low `n1 = ⌈n/2⌉` bits of class `c1`, high
+/// `n2 = n − n1` bits of class `c2 = c − c1`), numbered
+/// `cum[c][c1] + o1 · C(n2, c2) + o2`. By Vandermonde's identity the code is
+/// a bijection onto `[0, C(n, c))`, so classes and offset widths are those
+/// of any other enumerative code.
+struct Split {
+    n1: usize,
+    /// `cum[c][j] = Σ_{i<j} C(n1, i) · C(n2, c − i)` up to the largest
+    /// feasible `c1`, [`CUM_END`] beyond it: the `c1` of an offset is the
+    /// number of entries `j ≥ 1` not above it, and is feasible (so the
+    /// divisor below is ≥ 1) for *any* offset value, valid or not.
+    cum: Vec<[u64; CUM_ROW]>,
+    /// `c1` lies in `window[c] ..= window[c] + WINDOW` for all but the tails
+    /// of its (hypergeometric, σ ≤ 2) distribution.
+    window: [u8; 64],
+    /// `high_count[c2] = C(n2, c2)`.
+    high_count: [u64; 32],
+    low: Plan,
+    high: Plan,
+}
+
+/// The split code of one width: `None` is a leaf.
+type Plan = Option<Box<Split>>;
+
+fn build_plan(n: usize) -> Plan {
+    if n <= LEAF_BITS {
+        return None;
+    }
+    let binom = binom();
+    let (n1, n2) = (n.div_ceil(2), n / 2);
+    let mut cum = vec![[CUM_END; CUM_ROW]; n + 1];
+    let mut window = [0u8; 64];
+    for (c, row) in cum.iter_mut().enumerate() {
+        let last = c.min(n1);
+        let mut sum = 0u64;
+        for (j, entry) in row.iter_mut().enumerate().take(last + 1) {
+            *entry = sum;
+            sum += binom.get(n1, j) * binom.get(n2, c - j);
+        }
+        // Centred on the mode, pulled down to end at the last feasible
+        // class (which also keeps `start + WINDOW + 1` inside the row).
+        let mode = (c + 1) * (n1 + 1) / (n + 2);
+        let centred = mode.saturating_sub(WINDOW / 2);
+        window[c] = centred.min(last.saturating_sub(WINDOW)) as u8;
+    }
+    let mut high_count = [0u64; 32];
+    for (c2, count) in high_count.iter_mut().enumerate() {
+        *count = binom.get(n2, c2);
+    }
+    Some(Box::new(Split {
+        n1,
+        cum,
+        window,
+        high_count,
+        low: build_plan(n1),
+        high: build_plan(n2),
+    }))
+}
+
+/// Process-wide split plans, one per block size in use (≈ 35 KiB at
+/// `b = 63`), built on first use like the binomial table.
+static PLANS: [OnceLock<Plan>; 64] = [UNBUILT; 64];
+#[allow(clippy::declare_interior_mutable_const)] // array-repeat seed only
+const UNBUILT: OnceLock<Plan> = OnceLock::new();
+
+#[inline]
+fn plan(b: usize) -> &'static Plan {
+    PLANS[b].get_or_init(|| build_plan(b))
+}
+
+/// Entries of a non-decreasing [`Split::cum`] slice that are `≤ offset`.
+/// Entries and offsets are below 2⁶³, so `offset − entry` borrows into the
+/// top bit exactly when `entry > offset`: the count is a sum of shifted
+/// differences, which baseline x86-64 vectorises (it has no unsigned 64-bit
+/// compare to vectorise the obvious `filter().count()` with).
+#[inline]
+fn entries_at_most(entries: &[u64], offset: u64) -> usize {
+    let above: u64 = entries.iter().map(|e| offset.wrapping_sub(*e) >> 63).sum();
+    entries.len() - above as usize
+}
+
+impl Split {
+    /// Class `c1` of the low half of the pair numbered `offset` within
+    /// class `c`, and the pair's index among those of `(c1, c − c1)`:
+    /// [`WINDOW`] branch-free compares around the mode, the whole row when
+    /// the offset falls outside that window.
+    #[inline]
+    fn low_class(&self, c: usize, offset: u64) -> (usize, u64) {
+        let row = &self.cum[c & 63];
+        let start = self.window[c & 63] as usize;
+        let c1 = if row[start] <= offset && offset < row[start + WINDOW + 1] {
+            start + entries_at_most(&row[start + 1..=start + WINDOW], offset)
         } else {
-            hi = mid - 1;
+            entries_at_most(&row[1..], offset)
+        };
+        (c1, offset - row[c1])
+    }
+}
+
+/// Offset of `word` (popcount `c`, confined to the plan's width) in the
+/// split code.
+fn encode_block(plan: &Plan, word: u64, c: usize) -> u64 {
+    let Some(split) = plan else {
+        return leaf_words().index[word as usize] as u64;
+    };
+    let low = word & low_mask(split.n1);
+    let c1 = low.count_ones() as usize;
+    split.cum[c][c1]
+        + encode_block(&split.low, low, c1) * split.high_count[c - c1]
+        + encode_block(&split.high, word >> split.n1, c - c1)
+}
+
+/// The leaf of a block that holds in-block position `p`.
+struct Leaf {
+    /// The leaf's bits (bit `k` = block bit `start + k`).
+    word: u64,
+    /// Ones of the block before the leaf.
+    ones: usize,
+    /// In-block positions `start .. end` are the leaf's.
+    start: usize,
+    end: usize,
+}
+
+impl Leaf {
+    /// Ones of the block before position `p ∈ start ..= end`.
+    #[inline]
+    fn rank(&self, p: usize) -> usize {
+        self.ones + (self.word & low_mask(p - self.start)).count_ones() as usize
+    }
+
+    #[inline]
+    fn bit(&self, p: usize) -> bool {
+        (self.word >> (p - self.start)) & 1 == 1
+    }
+}
+
+/// Decode the leaf holding position `p` of the `b`-bit block `(c, offset)`:
+/// at most two splits (`b ≤ 63` halves to ≤ 32, then ≤ 16), each one class
+/// search and one division, then one table load. Every in-block query is a
+/// popcount or a bit test on the result. Never panics or divides by zero on
+/// an offset outside `[0, C(b, c))` (it returns *some* leaf).
+#[inline]
+fn decode_leaf(plan: &Plan, b: usize, mut c: usize, mut offset: u64, p: usize) -> Leaf {
+    let (mut node, mut ones, mut start, mut end) = (plan, 0usize, 0usize, b);
+    while let Some(split) = node {
+        let (c1, pair) = split.low_class(c, offset);
+        let c2 = c - c1;
+        let high_count = split.high_count[c2 & 31];
+        if p < start + split.n1 {
+            (node, c, offset, end) = (&split.low, c1, pair / high_count, start + split.n1);
+        } else {
+            (node, c, offset, ones) = (&split.high, c2, pair % high_count, ones + c1);
+            start += split.n1;
         }
     }
-    (b - 1 - lo, lo)
-}
-
-/// Reconstruct the first `p` bits of the block encoded by `(c, offset)` as
-/// a machine word (bit `k` of the result = block bit `k`), hybrid walk:
-/// branchless linear steps on dense stretches (a per-bit conditional would
-/// mispredict every other step), zero-run jumps when the block is sparse.
-/// In-block rank/get are then popcount/bit-test on the word. Two
-/// structural properties avoid special cases: a consumed lane (`c == 0`)
-/// has `offset == 0 < C(m, 0) = 1`, so it no-ops, and an all-ones suffix
-/// (`remaining == c`) has `C(remaining − 1, c) = 0 ≤ offset`, so every
-/// remaining step takes a one. Indexes are masked to 6 bits (`c`, `m` ≤ 63
-/// by construction) so the loops carry no panic branches.
-#[inline]
-fn decode_prefix_word(mut offset: u64, b: usize, mut c: usize, p: usize) -> u64 {
-    debug_assert!(p <= b && b <= 63);
-    let rows = binom_rows();
-    let mut word = 0u64;
-    let mut pos = 0usize;
-    // Strategy picked once per block (not per step — the check would tax
-    // every dense iteration): dense blocks take the pipelined branchless
-    // walk, sparse ones jump zero runs.
-    if c * JUMP_FACTOR > p {
-        // Software-pipelined: the next step's class is this step's `c` or
-        // `c − 1`, so both table candidates are loaded with addresses that
-        // depend only on the already-resolved class and the taken one is
-        // selected by a conditional move — the L1 load latency sits off
-        // the loop-carried `offset`/`take` chain. A wrapped `c − 1` when
-        // `c` hits 0 reads a harmless in-bounds garbage candidate (never
-        // selected: a consumed lane's skip is C(m, 0) = 1 > offset = 0).
-        let mut a = rows[c & 63][(b - 1) & 63];
-        while c > 0 && pos < p {
-            let mnext = (b.wrapping_sub(2 + pos)) & 63;
-            let l_keep = rows[c & 63][mnext];
-            let l_down = rows[c.wrapping_sub(1) & 63][mnext];
-            let take = (offset >= a) as u64;
-            offset -= a & take.wrapping_neg();
-            word |= take << pos;
-            c -= take as usize;
-            a = if take == 1 { l_down } else { l_keep };
-            pos += 1;
-        }
-        return word;
+    let table = leaf_words();
+    let index = (table.starts[c & 31] as u64).wrapping_add(offset) as usize;
+    let word = table.words[index & ((1 << LEAF_BITS) - 1)] as u64;
+    Leaf {
+        word,
+        ones,
+        start,
+        end,
     }
-    while c > 0 && pos < p {
-        let (one_pos, m) = next_one_position(offset, b, c, pos);
-        if one_pos >= p {
-            return word; // next one is beyond the prefix
-        }
-        word |= 1u64 << one_pos;
-        offset -= rows[c & 63][m & 63];
-        c -= 1;
-        pos = one_pos + 1;
-    }
-    word
-}
-
-/// Dense pipelined tally from a mid-walk state `(offset, c)` at position
-/// `pos`, counting ones in `[pos, p)`. Same software pipeline as
-/// [`decode_prefix_word`], minus the word. Returns the tally plus the walk
-/// state at `p` so a caller can resume (the state is live loop state —
-/// returning it is free).
-#[inline]
-fn dense_ones_walk(
-    mut offset: u64,
-    b: usize,
-    mut c: usize,
-    mut pos: usize,
-    p: usize,
-) -> (usize, u64, usize) {
-    let rows = binom_rows();
-    let mut ones = 0usize;
-    let mut a = rows[c & 63][(b.wrapping_sub(1 + pos)) & 63];
-    // No `c > 0` early exit: a consumed lane no-ops (skip = C(m, 0) = 1 >
-    // offset = 0), and the fixed trip count lets the compiler unroll.
-    while pos < p {
-        let mnext = (b.wrapping_sub(2 + pos)) & 63;
-        let l_keep = rows[c & 63][mnext];
-        let l_down = rows[c.wrapping_sub(1) & 63][mnext];
-        let take = (offset >= a) as usize;
-        offset -= a & (take as u64).wrapping_neg();
-        c -= take;
-        ones += take;
-        a = if take == 1 { l_down } else { l_keep };
-        pos += 1;
-    }
-    (ones, offset, c)
-}
-
-/// [`dense_ones_walk`] when only the tally is needed.
-#[inline]
-fn dense_ones_tail(offset: u64, b: usize, c: usize, pos: usize, p: usize) -> usize {
-    dense_ones_walk(offset, b, c, pos, p).0
-}
-
-/// Ones among the first `p1` and first `p2 >= p1` bits of one block, in a
-/// single resumed walk (no word is materialized) — the same-block
-/// `sp`/`ep` rank pair.
-#[inline]
-fn decode_prefix_ones2(offset: u64, b: usize, c: usize, p1: usize, p2: usize) -> (usize, usize) {
-    debug_assert!(p1 <= p2 && p2 <= b);
-    if c * JUMP_FACTOR > p2 {
-        let (ones1, off_mid, c_mid) = dense_ones_walk(offset, b, c, 0, p1);
-        let ones2 = ones1 + dense_ones_tail(off_mid, b, c_mid, p1, p2);
-        return (ones1, ones2);
-    }
-    let word = decode_prefix_word(offset, b, c, p2);
-    (
-        (word & low_mask(p1)).count_ones() as usize,
-        (word & low_mask(p2)).count_ones() as usize,
-    )
-}
-
-/// [`decode_prefix_word`] specialized to the count of ones (no word is
-/// materialized — pure `rank1` lanes don't need the bits, only the tally).
-#[inline]
-fn decode_prefix_ones(mut offset: u64, b: usize, mut c: usize, p: usize) -> usize {
-    debug_assert!(p <= b && b <= 63);
-    if c * JUMP_FACTOR > p {
-        return dense_ones_tail(offset, b, c, 0, p);
-    }
-    let rows = binom_rows();
-    let mut ones = 0usize;
-    let mut pos = 0usize;
-    while c > 0 && pos < p {
-        let (one_pos, m) = next_one_position(offset, b, c, pos);
-        if one_pos >= p {
-            return ones;
-        }
-        offset -= rows[c & 63][m & 63];
-        c -= 1;
-        ones += 1;
-        pos = one_pos + 1;
-    }
-    ones
-}
-
-/// Two [`decode_prefix_ones`] walks fused into one lockstep loop when both
-/// lanes are dense (independent chains overlap in the out-of-order core);
-/// sparse lanes fall back to their own zero-run-jumping walks.
-#[inline]
-fn decode_prefix_ones_pair(
-    mut off1: u64,
-    mut c1: usize,
-    p1: usize,
-    mut off2: u64,
-    mut c2: usize,
-    p2: usize,
-    b: usize,
-) -> (usize, usize) {
-    debug_assert!(p1 <= b && p2 <= b && b <= 63);
-    if c1 * JUMP_FACTOR <= p1 || c2 * JUMP_FACTOR <= p2 {
-        return (
-            decode_prefix_ones(off1, b, c1, p1),
-            decode_prefix_ones(off2, b, c2, p2),
-        );
-    }
-    let rows = binom_rows();
-    let (mut ones1, mut ones2) = (0usize, 0usize);
-    // Phase 1: both lanes to the shorter prefix, two software-pipelined
-    // lanes in lockstep (see [`decode_prefix_word`]) with no per-lane
-    // bound checks. Phase 2: the longer lane finishes alone.
-    let pmin = p1.min(p2);
-    let mut pos = 0usize;
-    let mut a1 = rows[c1 & 63][(b - 1) & 63];
-    let mut a2 = rows[c2 & 63][(b - 1) & 63];
-    // Fixed trip count (consumed lanes no-op; see `dense_ones_tail`).
-    while pos < pmin {
-        let mnext = (b.wrapping_sub(2 + pos)) & 63;
-        let l1_keep = rows[c1 & 63][mnext];
-        let l1_down = rows[c1.wrapping_sub(1) & 63][mnext];
-        let l2_keep = rows[c2 & 63][mnext];
-        let l2_down = rows[c2.wrapping_sub(1) & 63][mnext];
-        let t1 = (off1 >= a1) as usize;
-        let t2 = (off2 >= a2) as usize;
-        off1 -= a1 & (t1 as u64).wrapping_neg();
-        off2 -= a2 & (t2 as u64).wrapping_neg();
-        c1 -= t1;
-        c2 -= t2;
-        ones1 += t1;
-        ones2 += t2;
-        a1 = if t1 == 1 { l1_down } else { l1_keep };
-        a2 = if t2 == 1 { l2_down } else { l2_keep };
-        pos += 1;
-    }
-    if p1 > pos {
-        ones1 += dense_ones_tail(off1, b, c1, pos, p1);
-    } else if p2 > pos {
-        ones2 += dense_ones_tail(off2, b, c2, pos, p2);
-    }
-    (ones1, ones2)
 }
 
 /// The low `p < 64` bits set.
@@ -434,13 +414,14 @@ fn minor_entry_shape(b: usize) -> (usize, usize) {
 /// Build the three-level directory over packed `classes` (`n_blocks`
 /// entries of `class_width` bits). Also returns the totals the classes
 /// imply: `(ones, offset_bits)` — callers validate stored payloads
-/// against them.
+/// against them. `None` when a class exceeds `b` (representable whenever
+/// `b + 1` is not a power of two, and no row of any table).
 fn build_directory(
     b: usize,
     n_blocks: usize,
     classes: &BitBuf,
     class_width: usize,
-) -> (Directory, u64, u64) {
+) -> Option<(Directory, u64, u64)> {
     let (ones_bits, entry_bits) = minor_entry_shape(b);
     let widths = offset_width_table();
     let mut super_ranks = Vec::with_capacity(n_blocks / SUPER_RATE + 1);
@@ -469,21 +450,21 @@ fn build_directory(
             minors.push(((ptr - maj_ptr) << ones_bits) | (ones - maj_ones));
         }
         let c = classes.get_bits(blk * class_width, class_width) as usize;
+        if c > b {
+            return None;
+        }
         ones += c as u64;
-        ptr += widths[b][c & 63] as u64;
+        ptr += widths[b][c] as u64;
     }
     minors.shrink_to_fit();
-    (
-        Directory {
-            super_ranks,
-            super_ptrs,
-            majors,
-            minors,
-            minor_ones_bits: ones_bits,
-        },
-        ones,
-        ptr,
-    )
+    let dir = Directory {
+        super_ranks,
+        super_ptrs,
+        majors,
+        minors,
+        minor_ones_bits: ones_bits,
+    };
+    Some((dir, ones, ptr))
 }
 
 impl SpaceUsage for Directory {
@@ -532,6 +513,7 @@ fn encode_blocks(
     let mut classes = BitBuf::with_capacity((end_blk - start_blk) * class_width);
     let mut offsets = BitBuf::new();
     let mut ones = 0u64;
+    let plan = plan(b);
     for blk in start_blk..end_blk {
         let start = blk * b;
         let width = b.min(len - start);
@@ -540,7 +522,7 @@ fn encode_blocks(
         let c = word.count_ones() as usize;
         classes.push_bits(c as u64, class_width);
         let ow = offset_width(b, c, binom);
-        let off = encode_block(word, b, c);
+        let off = encode_block(plan, word, c);
         offsets.push_bits(off, ow);
         ones += c as u64;
     }
@@ -620,7 +602,8 @@ impl RrrBitVec {
         let n_blocks = len.div_ceil(b);
         classes.shrink_to_fit();
         offsets.shrink_to_fit();
-        let (dir, dir_ones, dir_ptr) = build_directory(b, n_blocks, &classes, class_width);
+        let (dir, dir_ones, dir_ptr) = build_directory(b, n_blocks, &classes, class_width)
+            .expect("the encoder emits classes <= b");
         debug_assert_eq!(ones, dir_ones);
         debug_assert_eq!(offsets.len() as u64, dir_ptr);
         Self {
@@ -647,8 +630,9 @@ impl RrrBitVec {
     }
 
     /// Reassemble from raw fields; `None` on inconsistent shapes (including
-    /// an `ones` count that disagrees with the classes). Rebuilds the rank
-    /// directory.
+    /// a class above `b` and an `ones` count that disagrees with the
+    /// classes). Rebuilds the rank directory. Offset *values* are not
+    /// checked: one outside its class's range decodes to some answer.
     pub fn from_raw_parts(
         b: usize,
         len: usize,
@@ -664,7 +648,7 @@ impl RrrBitVec {
         if classes.len() != n_blocks * class_width {
             return None;
         }
-        let (dir, dir_ones, dir_ptr) = build_directory(b, n_blocks, &classes, class_width);
+        let (dir, dir_ones, dir_ptr) = build_directory(b, n_blocks, &classes, class_width)?;
         // The classes imply exact totals; a payload that disagrees (e.g. a
         // truncated offsets stream) is corrupt.
         if dir_ones != ones as u64 || dir_ptr != offsets.len() as u64 {
@@ -717,60 +701,45 @@ impl RrrBitVec {
         (ones, ptr, (chunk & cmask) as usize)
     }
 
-    /// `(get(i), rank1(i))` from one directory seek and one block decode:
-    /// the prefix word up to bit `i % b` inclusive yields the bit (its top
-    /// position) and the rank (popcount below it) together. This is the
-    /// wavelet-tree access descent's primitive — the seed paid a seek plus
-    /// up to three prefix walks for the same pair.
-    pub fn get_and_rank1(&self, i: usize) -> (bool, usize) {
-        debug_assert!(i < self.len);
+    /// Seek block `blk` and fetch its offset: `(ones_before_block, class,
+    /// offset)`, the input of [`decode_leaf`].
+    #[inline]
+    fn block(&self, blk: usize) -> (usize, usize, u64) {
         let widths = &offset_width_table()[self.b];
-        let blk = i / self.b;
         let (ones, ptr, c) = self.seek(blk, widths);
-        let ow = widths[c & 63] as usize;
-        let off = self.offsets.get_bits(ptr as usize, ow);
-        let p = i % self.b;
-        let word = decode_prefix_word(off, self.b, c, p + 1);
-        (
-            (word >> p) & 1 == 1,
-            ones as usize + (word & low_mask(p)).count_ones() as usize,
-        )
+        let off = self.offsets.get_bits(ptr as usize, widths[c & 63] as usize);
+        (ones as usize, c, off)
     }
 
-    /// `(rank1(i), rank1(j))` with the two in-block decode walks fused
-    /// (same block: one decode + two popcounts; different blocks: lockstep
-    /// interleaved walks). Backward-search callers rank `sp` and `ep`
-    /// together through this; it is answer-identical to two
-    /// [`BitRank::rank1`] calls.
+    /// `(get(i), rank1(i))` from one directory seek and one block decode:
+    /// the wavelet-tree access descent's primitive.
+    pub fn get_and_rank1(&self, i: usize) -> (bool, usize) {
+        debug_assert!(i < self.len);
+        let (ones, c, off) = self.block(i / self.b);
+        let p = i % self.b;
+        let leaf = decode_leaf(plan(self.b), self.b, c, off, p);
+        (leaf.bit(p), ones + leaf.rank(p))
+    }
+
+    /// `(rank1(i), rank1(j))`, answer-identical to two [`BitRank::rank1`]
+    /// calls. Backward-search callers rank `sp` and `ep` together through
+    /// this: narrowed ranges usually land both in one block (one seek), and
+    /// often in one leaf (one decode + two popcounts).
     pub fn rank1_pair(&self, i: usize, j: usize) -> (usize, usize) {
         debug_assert!(i <= self.len && j <= self.len);
-        if i == 0 || i == self.len || j == 0 || j == self.len {
+        if i == 0 || i == self.len || j == 0 || j == self.len || i / self.b != j / self.b {
             return (self.rank1(i), self.rank1(j));
         }
-        let widths = &offset_width_table()[self.b];
-        if i / self.b == j / self.b {
-            // Narrowed backward-search ranges usually land `sp` and `ep`
-            // in one block: a single seek + decode answers both ranks.
-            let (ones, ptr, c) = self.seek(i / self.b, widths);
-            let off = self.offsets.get_bits(ptr as usize, widths[c & 63] as usize);
-            let (p1, p2) = (i % self.b, j % self.b);
-            let (r1, r2) = decode_prefix_ones2(off, self.b, c, p1.min(p2), p1.max(p2));
-            return if p1 <= p2 {
-                (ones as usize + r1, ones as usize + r2)
-            } else {
-                (ones as usize + r2, ones as usize + r1)
-            };
-        }
-        let (ones1, ptr1, c1) = self.seek(i / self.b, widths);
-        let (ones2, ptr2, c2) = self.seek(j / self.b, widths);
-        let off1 = self
-            .offsets
-            .get_bits(ptr1 as usize, widths[c1 & 63] as usize);
-        let off2 = self
-            .offsets
-            .get_bits(ptr2 as usize, widths[c2 & 63] as usize);
-        let (r1, r2) = decode_prefix_ones_pair(off1, c1, i % self.b, off2, c2, j % self.b, self.b);
-        (ones1 as usize + r1, ones2 as usize + r2)
+        let (ones, c, off) = self.block(i / self.b);
+        let plan = plan(self.b);
+        let (p1, p2) = (i % self.b, j % self.b);
+        let leaf1 = decode_leaf(plan, self.b, c, off, p1);
+        let r2 = if (leaf1.start..=leaf1.end).contains(&p2) {
+            leaf1.rank(p2)
+        } else {
+            decode_leaf(plan, self.b, c, off, p2).rank(p2)
+        };
+        (ones + leaf1.rank(p1), ones + r2)
     }
 }
 
@@ -782,13 +751,9 @@ impl BitRank for RrrBitVec {
     #[inline]
     fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
-        let widths = &offset_width_table()[self.b];
-        let blk = i / self.b;
-        let (_, ptr, c) = self.seek(blk, widths);
-        let ow = widths[c & 63] as usize;
-        let off = self.offsets.get_bits(ptr as usize, ow);
+        let (_, c, off) = self.block(i / self.b);
         let p = i % self.b;
-        (decode_prefix_word(off, self.b, c, p + 1) >> p) & 1 == 1
+        decode_leaf(plan(self.b), self.b, c, off, p).bit(p)
     }
 
     #[inline]
@@ -800,16 +765,9 @@ impl BitRank for RrrBitVec {
         if i == self.len {
             return self.ones;
         }
-        let widths = &offset_width_table()[self.b];
-        let blk = i / self.b;
-        let (ones, ptr, c) = self.seek(blk, widths);
+        let (ones, c, off) = self.block(i / self.b);
         let p = i % self.b;
-        if p == 0 {
-            return ones as usize;
-        }
-        let ow = widths[c & 63] as usize;
-        let off = self.offsets.get_bits(ptr as usize, ow);
-        ones as usize + decode_prefix_ones(off, self.b, c, p)
+        ones + decode_leaf(plan(self.b), self.b, c, off, p).rank(p)
     }
 
     fn count_ones(&self) -> usize {
@@ -1030,50 +988,237 @@ mod tests {
         }
     }
 
+    /// Naive in-block answers at position `p` of `word`.
+    fn naive(word: u64, p: usize) -> (bool, usize) {
+        (
+            (word >> p) & 1 == 1,
+            (word & low_mask(p)).count_ones() as usize,
+        )
+    }
+
+    /// Kernel round trip of one block: the offset is in range and every
+    /// position decodes to the naive bit and rank.
+    fn check_block(b: usize, word: u64) {
+        let c = word.count_ones() as usize;
+        let off = encode_block(plan(b), word, c);
+        assert!(off < binom().get(b, c), "b={b} word={word:#x} off={off}");
+        for p in 0..b {
+            let leaf = decode_leaf(plan(b), b, c, off, p);
+            assert!(leaf.start <= p && p < leaf.end && leaf.end <= b);
+            assert_eq!(
+                (leaf.bit(p), leaf.rank(p)),
+                naive(word, p),
+                "b={b} word={word:#x} p={p}"
+            );
+            assert_eq!(leaf.rank(leaf.end), naive(word, leaf.end).1);
+        }
+    }
+
     #[test]
     fn encode_decode_block_exhaustive_small() {
-        let binom = BinomialTable::new();
-        let b = 10;
-        for word in 0u64..(1 << b) {
-            let c = word.count_ones() as usize;
-            let off = encode_block(word, b, c);
-            assert!(off < binom.get(b, c));
-            for p in 0..=b {
-                let expect = (word & ((1u64 << p) - 1)).count_ones() as usize;
-                assert_eq!(decode_prefix_ones(off, b, c, p), expect, "ones p={p}");
-                assert_eq!(
-                    decode_prefix_word(off, b, c, p),
-                    word & ((1u64 << p) - 1),
-                    "prefix word off={off} c={c} p={p}"
-                );
-                let p2 = (p + 3).min(b);
-                let expect2 = (word & ((1u64 << p2) - 1)).count_ones() as usize;
-                assert_eq!(
-                    decode_prefix_ones2(off, b, c, p, p2),
-                    (expect, expect2),
-                    "ones2 p={p} p2={p2}"
-                );
+        for b in 1..=12usize {
+            let mut seen = vec![false; 1 << b];
+            for word in 0u64..(1 << b) {
+                check_block(b, word);
+                // Bijection per class: (class, offset) pairs are distinct.
+                let c = word.count_ones() as usize;
+                let rank_base: u64 = (0..c).map(|k| binom().get(b, k)).sum();
+                let slot = (rank_base + encode_block(plan(b), word, c)) as usize;
+                assert!(!std::mem::replace(&mut seen[slot], true), "b={b} {word:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn block_code_golden_table() {
+        // (b, word, class, offset): pinned literally so a change to the
+        // block code fails here, one level below the index digests.
+        const GOLDEN: [(usize, u64, usize, u64); 21] = [
+            (15, 0x0, 0, 0),       // all zero
+            (15, 0x7fff, 15, 0),   // all one
+            (15, 0x1, 1, 0),       // lowest bit
+            (15, 0x4000, 1, 14),   // highest bit
+            (15, 0x5555, 8, 4081), // alternating
+            (15, 0x5f77, 12, 144), // dense
+            (15, 0x1082, 3, 242),  // sparse
+            (31, 0x0, 0, 0),
+            (31, 0x7fff_ffff, 31, 0),
+            (31, 0x1, 1, 15),
+            (31, 0x4000_0000, 1, 14),
+            (31, 0x5555_5555, 16, 114_421_576),
+            (31, 0x5fff_7ff7, 28, 726),
+            (31, 0x1000_8002, 3, 3737),
+            (63, 0x0, 0, 0),
+            (63, 0x7fff_ffff_ffff_ffff, 63, 0),
+            (63, 0x1, 1, 47),
+            (63, 0x4000_0000_0000_0000, 1, 14),
+            (63, 0x5555_5555_5555_5555, 32, 403_889_897_712_369_892),
+            (63, 0x5fff_ffff_7fff_fff7, 60, 14_649),
+            (63, 0x1000_0000_8000_0002, 3, 24_068),
+        ];
+        for (b, word, class, offset) in GOLDEN {
+            assert_eq!(word.count_ones() as usize, class, "b={b} {word:#x}");
+            assert_eq!(
+                encode_block(plan(b), word, class),
+                offset,
+                "b={b} {word:#x}"
+            );
+            check_block(b, word);
+        }
+    }
+
+    #[test]
+    fn split_plans_satisfy_vandermonde() {
+        fn check_node(n: usize, node: &Plan) {
+            let Some(split) = node else {
+                assert!(n <= LEAF_BITS);
+                return;
+            };
+            let (n1, n2) = (split.n1, n - split.n1);
+            assert_eq!((n1, n2), (n.div_ceil(2), n / 2));
+            assert_eq!(split.cum.len(), n + 1);
+            for (c, row) in split.cum.iter().enumerate() {
+                let last = c.min(n1);
+                let last_term = binom().get(n1, last) * binom().get(n2, c - last);
+                assert_eq!(row[last] + last_term, binom().get(n, c), "n={n} c={c}");
+                assert!(row[last + 1..].iter().all(|&e| e == CUM_END));
+                assert!(row[..=last].windows(2).all(|w| w[0] <= w[1]));
+                // The window sits on feasible classes (or below them, where
+                // the row is zero) and never reaches past the row.
+                let start = split.window[c] as usize;
+                assert!(start <= last && start + WINDOW + 1 < CUM_ROW);
+            }
+            check_node(n1, &split.low);
+            check_node(n2, &split.high);
+        }
+        for b in 1..=63usize {
+            check_node(b, plan(b));
+        }
+    }
+
+    #[test]
+    fn uneven_splits_match_popcounts() {
+        // Odd widths: uneven halves, and leaves narrower than 16 bits.
+        for &b in &[17usize, 33, 47, 63] {
+            for &density in &[3u64, 25, 50, 97] {
+                let words = 10_000;
+                let bits = pseudo_bits(words * b, density, (b as u64) << 8 | density);
+                let rrr = RrrBitVec::new(&bits, b);
+                let mut before = 0usize;
+                for k in 0..words {
+                    let word = bits.get_bits(k * b, b);
+                    check_block(b, word);
+                    // Through the public entry points: a pair inside the
+                    // block (same or different leaves) and one leaving it.
+                    let (p1, p2) = (k % b, (k * 7 + 3) % b);
+                    let (i, j) = (k * b + p1, k * b + p2);
+                    let want = (before + naive(word, p1).1, before + naive(word, p2).1);
+                    assert_eq!(rrr.rank1_pair(i, j), want, "pair b={b} k={k}");
+                    assert_eq!(rrr.rank1_pair(k * b, j), (before, want.1));
+                    assert_eq!(rrr.get_and_rank1(i), (naive(word, p1).0, want.0));
+                    before += word.count_ones() as usize;
+                }
+                assert_eq!(rrr.count_ones(), before);
             }
         }
     }
 
     #[test]
     fn paired_decode_matches_singles_exhaustive_small() {
+        // Every (i, j) over two 9-bit blocks, every first block.
         let b = 9;
         for w1 in 0u64..(1 << b) {
             // A shifted partner pattern exercises unequal classes/offsets.
             let w2 = (w1.wrapping_mul(0x9e37) ^ (w1 >> 3)) & ((1 << b) - 1);
-            let (c1, c2) = (w1.count_ones() as usize, w2.count_ones() as usize);
-            let o1 = encode_block(w1, b, c1);
-            let o2 = encode_block(w2, b, c2);
-            for p1 in 0..=b {
-                let p2 = (p1 * 5 + 3) % (b + 1);
-                let got = decode_prefix_ones_pair(o1, c1, p1, o2, c2, p2, b);
-                let want = (
-                    (w1 & ((1u64 << p1) - 1)).count_ones() as usize,
-                    (w2 & ((1u64 << p2) - 1)).count_ones() as usize,
-                );
-                assert_eq!(got, want, "w1={w1:b} w2={w2:b} p1={p1} p2={p2}");
+            let mut bits = BitBuf::new();
+            bits.push_bits(w1, b);
+            bits.push_bits(w2, b);
+            let rrr = RrrBitVec::new(&bits, b);
+            let all = w1 | (w2 << b);
+            for i in 0..=2 * b {
+                for j in 0..=2 * b {
+                    let want = (naive(all, i).1, naive(all, j).1);
+                    assert_eq!(
+                        rrr.rank1_pair(i, j),
+                        want,
+                        "w1={w1:b} w2={w2:b} i={i} j={j}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn class_above_block_size_is_rejected() {
+        // b = 10 stores classes in 4 bits, so 11..=15 are representable.
+        let b = 10;
+        let bits = pseudo_bits(400, 50, 17);
+        let rrr = RrrBitVec::new(&bits, b);
+        let (_, len, classes, offsets, ones) = rrr.raw_parts();
+        let mut hostile = BitBuf::new();
+        hostile.push_bits(11, 4);
+        for blk in 1..len.div_ceil(b) {
+            hostile.push_bits(classes.get_bits(blk * 4, 4), 4);
+        }
+        // Totals are kept consistent with the forged class (width 0 is what
+        // the unchecked scan priced it at), so only the class check can
+        // refuse it.
+        let first = classes.get_bits(0, 4) as usize;
+        let skip = offset_width_table()[b][first] as usize;
+        let tail = BitBuf::from_bools(offsets.iter().skip(skip));
+        assert!(
+            RrrBitVec::from_raw_parts(b, len, hostile, tail, ones - first + 11).is_none(),
+            "class 11 accepted at b = 10"
+        );
+    }
+
+    #[test]
+    fn out_of_range_offsets_decode_without_panic() {
+        // An offset in [C(b, c), 2^width) is representable on disk and
+        // passes `from_raw_parts` (totals only): every entry point must
+        // still return *some* in-range answer.
+        for &b in &[15usize, 31, 63] {
+            let bits = pseudo_bits(40_000, 45, b as u64);
+            let rrr = RrrBitVec::new(&bits, b);
+            let (_, len, classes, offsets, ones) = rrr.raw_parts();
+            let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ b as u64;
+            let mut next = move |bound: usize| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 11) as usize % bound
+            };
+            for round in 0..20 {
+                // Progressively noisier: 1, 2, 4, ... flipped bits, then
+                // every bit set (each offset at its width's maximum).
+                let mut mutated: Vec<bool> = offsets.iter().collect();
+                if round == 19 {
+                    mutated.iter_mut().for_each(|bit| *bit = true);
+                } else {
+                    for _ in 0..(1usize << round.min(12)) {
+                        let at = next(mutated.len());
+                        mutated[at] = !mutated[at];
+                    }
+                }
+                let hostile = RrrBitVec::from_raw_parts(
+                    b,
+                    len,
+                    classes.clone(),
+                    BitBuf::from_bools(mutated),
+                    ones,
+                )
+                .expect("totals unchanged");
+                for _ in 0..1000 {
+                    let (i, j) = (next(len), next(len + 1));
+                    assert!(hostile.rank1(j) <= len);
+                    let _ = hostile.get(i);
+                    let (_, rank) = hostile.get_and_rank1(i);
+                    assert!(rank <= len);
+                    let near = (i + next(b)).min(len);
+                    let (ri, rj) = hostile.rank1_pair(i, near);
+                    assert!(ri <= len && rj <= len);
+                    let _ = hostile.rank1_pair(i, j);
+                }
             }
         }
     }

@@ -82,6 +82,26 @@ fn rejects_garbage_with_corrupt_index() {
 }
 
 #[test]
+fn v2_index_magic_is_a_typed_version_error() {
+    // Format 2 numbered RRR offsets by the lexicographic block code: its
+    // payload has the lengths this build expects and different values, so
+    // it must be refused at the header, not loaded and ranked wrongly.
+    let idx = CinctIndex::build(&[vec![2u32, 3, 4], vec![3, 4, 5]], 8);
+    let mut buf = Vec::new();
+    idx.write_to(&mut buf).unwrap();
+    buf[..8].copy_from_slice(&0x4349_4e43_5431_0002u64.to_le_bytes());
+    match CinctIndex::read_from(&mut std::io::Cursor::new(buf)) {
+        Err(QueryError::CorruptIndex(msg)) => {
+            assert!(
+                msg.contains("version 2") && msg.contains("reads 3"),
+                "{msg}"
+            )
+        }
+        other => panic!("expected CorruptIndex, got {other:?}"),
+    }
+}
+
+#[test]
 fn truncated_stream_is_an_io_error() {
     let trajs = vec![vec![0u32, 1], vec![1, 0]];
     let idx = CinctIndex::build(&trajs, 2);
