@@ -16,10 +16,9 @@
 //!    time and stream size.
 //!
 //! Every section ends in a mirror-identity assert against the primary.
-//! Absolute numbers are host-dependent (page cache, allocator). The JSON
-//! report (the shape of the frozen `BENCH_PR9.json`) is the last thing
-//! printed on stdout. Knobs: `CINCT_SCALE` (default 0.25),
-//! `CINCT_SERVE_BATCH` (default 64).
+//! Absolute numbers are host-dependent (page cache, allocator). A JSON
+//! report of the three sections is the last thing printed on stdout.
+//! Knobs: `CINCT_SCALE` (default 0.25), `CINCT_SERVE_BATCH` (default 64).
 
 use std::fmt::Write as _;
 use std::time::Instant;

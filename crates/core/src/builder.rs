@@ -521,25 +521,24 @@ mod tests {
 
     /// `(corpus, block size, locate sampling, bytes, FNV-1a of the bytes)`
     /// of the serialized index: a row that moves means the on-disk format
-    /// or a numeric kernel changed. Digests re-pinned once, for index
-    /// format 3 (RRR offsets renumbered by the split block code); the byte
-    /// lengths are still the ones recorded from the seed's pipeline
-    /// (recursive SA-IS, copied BWT, separate Z-term scan, full ISA) — the
-    /// renumbering keeps every class and offset width, and this column is
-    /// that claim in test form.
+    /// or a numeric kernel changed. Re-pinned once for index format 4,
+    /// which drops the ET-graph's bigram counts and the labeling tag: every
+    /// length is the format-3 length minus 8·|E_T| + 24 bytes (|E_T| = 11
+    /// on the paper corpus, 481 on the synthetic one), and that column is
+    /// the space claim in test form.
     const GOLDEN: [(Corpus, usize, Option<usize>, usize, u64); 12] = [
-        (Corpus::Paper, 15, None, 607, 0x824412f944f2d82b),
-        (Corpus::Paper, 15, Some(8), 679, 0xc0450c3914b1f073),
-        (Corpus::Paper, 31, None, 607, 0x87e57c63eebe06d7),
-        (Corpus::Paper, 31, Some(8), 679, 0x41e448a6c3706b8f),
-        (Corpus::Paper, 63, None, 607, 0x29233653970c5085),
-        (Corpus::Paper, 63, Some(8), 679, 0x17319262bfe7111d),
-        (Corpus::Synthetic, 15, None, 13277, 0x1d6c9f0bc3f759e3),
-        (Corpus::Synthetic, 15, Some(8), 16493, 0x62b9a5e5219d2429),
-        (Corpus::Synthetic, 31, None, 13165, 0xefb697438aa1c1cd),
-        (Corpus::Synthetic, 31, Some(8), 16381, 0xb8a1bb6adecbbc07),
-        (Corpus::Synthetic, 63, None, 13085, 0x3c1162f0c4b3280c),
-        (Corpus::Synthetic, 63, Some(8), 16301, 0xc0473e4fe8341c7a),
+        (Corpus::Paper, 15, None, 495, 0x99a9589b3e8bb275),
+        (Corpus::Paper, 15, Some(8), 567, 0x0b4fd98043525ded),
+        (Corpus::Paper, 31, None, 495, 0x68f7361feff7859d),
+        (Corpus::Paper, 31, Some(8), 567, 0xfe4c8ed5dc83c605),
+        (Corpus::Paper, 63, None, 495, 0x15e5fa4b8f81062b),
+        (Corpus::Paper, 63, Some(8), 567, 0x23ea196f36bfde73),
+        (Corpus::Synthetic, 15, None, 9405, 0xc069c70a511b927a),
+        (Corpus::Synthetic, 15, Some(8), 12621, 0xce91afebff9143f4),
+        (Corpus::Synthetic, 31, None, 9293, 0xaf68cf59057e16d8),
+        (Corpus::Synthetic, 31, Some(8), 12509, 0x85abaf7dd43a23d6),
+        (Corpus::Synthetic, 63, None, 9213, 0x3c6fbb90dc58a785),
+        (Corpus::Synthetic, 63, Some(8), 12429, 0xb9fad5aa66ffc2ff),
     ];
 
     /// Build every golden row with `threads` and compare length + digest.

@@ -9,14 +9,15 @@
 //! Stored as CSR adjacency with, per edge: the target symbol (packed at
 //! `⌈lg σ⌉` bits), the RML label (implicitly, by in-list position) and the
 //! PseudoRank correction term `Z_{w′w}` (packed at the width of the largest
-//! term, attached by `builder.rs`). Bigram counts are construction-time
-//! scaffolding and are not part of the queryable structure.
+//! term, attached by `builder.rs`). Bigram counts only choose the label
+//! order during construction; the built graph does not keep them.
 
 use cinct_succinct::serial::Persist;
 use cinct_succinct::{IntVec, SpaceUsage};
 use std::collections::HashMap;
 
-/// CSR representation of the ET-graph, with per-edge payloads.
+/// CSR representation of the ET-graph, with per-edge payloads: exactly
+/// what a query reads (labels by position, targets, `Z` terms).
 #[derive(Clone, Debug)]
 pub struct EtGraph {
     /// Per-vertex offsets into the edge arrays (length σ+1).
@@ -24,8 +25,6 @@ pub struct EtGraph {
     /// Out-neighbours of each vertex, packed; the edge at in-list position
     /// `k` has RML label `k+1`.
     targets: IntVec,
-    /// Bigram count per edge (construction-time only; excluded from size).
-    counts: Vec<u64>,
     /// PseudoRank correction terms per edge, packed. Empty until the index
     /// builder attaches them.
     z_terms: IntVec,
@@ -65,20 +64,17 @@ impl EtGraph {
         let mut offsets = Vec::with_capacity(sigma + 1);
         let width = IntVec::width_for(sigma.max(2) as u64 - 1);
         let mut targets = IntVec::with_capacity(width, n_edges);
-        let mut counts = Vec::with_capacity(n_edges);
         offsets.push(0u32);
         for adj in per_vertex.iter_mut() {
             adj.sort_by_key(|&(w, c)| (std::cmp::Reverse(c), w));
-            for &(w, c) in adj.iter() {
+            for &(w, _) in adj.iter() {
                 targets.push(w as u64);
-                counts.push(c);
             }
             offsets.push(targets.len() as u32);
         }
         Self {
             offsets,
             targets,
-            counts,
             z_terms: IntVec::new(1),
         }
     }
@@ -172,13 +168,6 @@ impl EtGraph {
         self.z_terms = IntVec::from_slice(&encoded);
     }
 
-    /// Bigram count of edge `(w′, w)` at `label`.
-    #[inline]
-    pub fn bigram_count(&self, label: u32, w_prime: u32) -> u64 {
-        let lo = self.offsets[w_prime as usize] as usize;
-        self.counts[lo + (label - 1) as usize]
-    }
-
     /// Maximum out-degree δ (drives the Theorem 5 bound `O(|P|·δb)`).
     pub fn max_out_degree(&self) -> usize {
         (0..self.num_vertices())
@@ -219,10 +208,8 @@ impl EtGraph {
             }
             let p = perm(v, &t_old);
             debug_assert_eq!(p.len(), t_old.len());
-            let c_old = self.counts[lo..hi].to_vec();
-            for (k, &src) in p.iter().enumerate() {
+            for &src in &p {
                 new_targets.push(t_old[src] as u64);
-                self.counts[lo + k] = c_old[src];
             }
         }
         self.targets = new_targets;
@@ -233,19 +220,14 @@ impl Persist for EtGraph {
     fn persist(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
         self.offsets.persist(w)?;
         self.targets.persist(w)?;
-        self.counts.persist(w)?;
         self.z_terms.persist(w)
     }
 
     fn restore(r: &mut dyn std::io::Read) -> std::io::Result<Self> {
         let offsets: Vec<u32> = Persist::restore(r)?;
         let targets = IntVec::restore(r)?;
-        let counts: Vec<u64> = Persist::restore(r)?;
         let z_terms = IntVec::restore(r)?;
-        if offsets.is_empty()
-            || counts.len() != targets.len()
-            || *offsets.last().unwrap() as usize != targets.len()
-        {
+        if offsets.is_empty() || *offsets.last().unwrap() as usize != targets.len() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 "ET-graph tables disagree",
@@ -254,16 +236,15 @@ impl Persist for EtGraph {
         Ok(Self {
             offsets,
             targets,
-            counts,
             z_terms,
         })
     }
 }
 
 impl SpaceUsage for EtGraph {
-    /// The on-query footprint of the ET-graph: offsets + packed targets +
-    /// packed Z terms. (Bigram counts are construction-time only, matching
-    /// the paper's accounting of "CiNCT" vs "CiNCT (w/o ET-graph)".)
+    /// The ET-graph as the paper sizes it in "CiNCT" vs "CiNCT (w/o
+    /// ET-graph)": offsets + packed targets + packed Z terms — the whole
+    /// struct.
     fn size_in_bytes(&self) -> usize {
         self.offsets.capacity() * 4 + self.targets.size_in_bytes() + self.z_terms.size_in_bytes()
     }
@@ -318,15 +299,21 @@ mod tests {
 
     #[test]
     fn bigram_counts_descend() {
-        let g = paper_graph();
+        // Count `(w′, w)` naively from the text, cyclic wrap included, and
+        // check every out-list is in non-increasing count order.
+        let trajs = vec![vec![0, 1, 4, 5], vec![0, 1, 2], vec![1, 2], vec![0, 3]];
+        let ts = TrajectoryString::build(&trajs, 6);
+        let text = ts.text();
+        let g = EtGraph::from_text(text, ts.sigma());
+        let n_of = |w_prime: u32, w: u32| {
+            (0..text.len())
+                .filter(|&i| text[i] == w && text[(i + 1) % text.len()] == w_prime)
+                .count()
+        };
         for v in 0..g.num_vertices() as u32 {
-            let d = g.out_degree(v);
-            for k in 1..d as u32 {
-                assert!(
-                    g.bigram_count(k, v) >= g.bigram_count(k + 1, v),
-                    "labels of {v} not frequency-sorted"
-                );
-            }
+            let counts: Vec<usize> = g.out(v).iter().map(|&w| n_of(v, w)).collect();
+            assert!(counts.iter().all(|&c| c > 0), "{v}: {counts:?}");
+            assert!(counts.windows(2).all(|p| p[0] >= p[1]), "{v}: {counts:?}");
         }
     }
 

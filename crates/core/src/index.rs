@@ -5,7 +5,7 @@ use crate::builder::CinctBuilder;
 use crate::rml::Rml;
 use cinct_bwt::CArray;
 use cinct_fmindex::{OccurIter, OccurrenceSource, Path, PathQuery, QueryError};
-use cinct_succinct::serial::{read_u64, read_usize, write_u64, write_usize, Persist};
+use cinct_succinct::serial::{read_u64, read_usize, write_u64, write_u64s, write_usize, Persist};
 use cinct_succinct::{
     BitRank, HuffmanWaveletTree, IntVec, RankBitVec, RrrBitVec, SpaceUsage, Symbol, SymbolSeq,
 };
@@ -14,12 +14,12 @@ use std::ops::Range;
 
 /// Index magic prefix ("CINCT1" as bytes, low 16 bits = format version).
 const INDEX_PREFIX: u64 = 0x4349_4e43_5431_0000;
-/// Index format version, the only one this build reads or writes. 3: RRR
-/// offsets are numbered by the split block code — same widths and lengths
-/// as version 2, different values, so a version-2 payload would load and
-/// then rank wrongly; it is refused instead. (2 dropped the persisted RRR
-/// sample arrays.)
-const INDEX_VERSION: u64 = 3;
+/// Index format version, the only one this build reads or writes. 4 drops
+/// the ET-graph's bigram counts and the labeling tag: a file holds only
+/// what a query reads. (3 renumbered RRR offsets by the split block code,
+/// so an older payload would load and rank wrongly; it is refused
+/// instead. 2 dropped the persisted RRR sample arrays.)
+const INDEX_VERSION: u64 = 4;
 
 /// Optional locate support: a sampled suffix array lets the index map BWT
 /// rows back to text positions (needed by `locate`/strict-path queries).
@@ -261,7 +261,7 @@ impl CinctIndex {
     /// optional SA samples) to a stream.
     pub fn write_to(&self, w: &mut dyn Write) -> std::io::Result<()> {
         write_u64(w, INDEX_PREFIX | INDEX_VERSION)?;
-        self.c.raw_counts().to_vec().persist(w)?;
+        write_u64s(w, self.c.raw_counts())?;
         self.labeled.persist(w)?;
         self.rml.persist(w)?;
         self.traj_starts.persist(w)?;
@@ -294,10 +294,16 @@ impl CinctIndex {
                 "unsupported index version {version} (this build reads {INDEX_VERSION})"
             )));
         }
-        let counts: Vec<u64> = Persist::restore(r)?;
-        let c = CArray::from_raw_counts(counts).ok_or_else(|| bad("corrupt C array"))?;
+        let cumulative: Vec<u64> = Persist::restore(r)?;
+        let c = CArray::from_raw_counts(cumulative).ok_or_else(|| bad("corrupt C array"))?;
         let labeled = HuffmanWaveletTree::<RrrBitVec>::restore(r)?;
+        if c.get(c.sigma() as u32) != labeled.len() {
+            return Err(bad("C array and labeled BWT disagree on length"));
+        }
         let rml = Rml::restore(r)?;
+        if rml.graph().num_vertices() != c.sigma() {
+            return Err(bad("ET-graph and C array disagree on sigma"));
+        }
         let traj_starts: Vec<u32> = Persist::restore(r)?;
         let traj_rows: Vec<u32> = Persist::restore(r)?;
         if traj_rows.len() != traj_starts.len() {

@@ -3,9 +3,9 @@
 //! owns.
 //!
 //! A K-shard fan-out pays K full backward searches even when a shard
-//! cannot possibly match — BENCH_PR5.json records count collapsing to
-//! 0.34x at K=8 for exactly this reason. The fix is metadata, not
-//! search: an edge absent from a shard's BWT makes *every* path through
+//! cannot possibly match — sequential counting measured 0.34x of the
+//! monolithic index at K=8 for exactly this reason. The fix is metadata,
+//! not search: an edge absent from a shard's BWT makes *every* path through
 //! that edge absent from the shard, so an O(L) membership probe (L =
 //! pattern length) replaces an O(L) backward search's rank machinery for
 //! shards that cannot match. [`EdgeMembership`] is that structure;

@@ -15,7 +15,7 @@
 
 use crate::et_graph::EtGraph;
 use cinct_bwt::CArray;
-use cinct_succinct::serial::{read_u64, write_u64, Persist};
+use cinct_succinct::serial::Persist;
 
 /// How labels are assigned within each out-list.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,11 +31,11 @@ pub enum LabelingStrategy {
 }
 
 /// The RML function φ, realised as an [`EtGraph`] whose out-lists are in
-/// label order.
+/// label order. The strategy that chose the order is a construction
+/// input only: φ is the same structure whichever produced it.
 #[derive(Clone, Debug)]
 pub struct Rml {
     graph: EtGraph,
-    strategy: LabelingStrategy,
 }
 
 impl Rml {
@@ -96,7 +96,7 @@ impl Rml {
                 p
             });
         }
-        Self { graph, strategy }
+        Self { graph }
     }
 
     /// `φ(w|w′)`, or `None` if the transition does not occur in the data.
@@ -145,11 +145,6 @@ impl Rml {
         &mut self.graph
     }
 
-    /// Which strategy produced this labeling.
-    pub fn strategy(&self) -> LabelingStrategy {
-        self.strategy
-    }
-
     /// Histogram of label values over `φ(T_bwt)` — label `k` is stored at
     /// index `k-1`. Used by entropy comparisons (Tables III and V).
     pub fn label_histogram(&self, labeled_bwt: &[u32]) -> Vec<u64> {
@@ -164,35 +159,12 @@ impl Rml {
 
 impl Persist for Rml {
     fn persist(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        match self.strategy {
-            LabelingStrategy::BigramSorted => {
-                write_u64(w, 0)?;
-                write_u64(w, 0)?;
-            }
-            LabelingStrategy::Random { seed } => {
-                write_u64(w, 1)?;
-                write_u64(w, seed)?;
-            }
-        }
         self.graph.persist(w)
     }
 
     fn restore(r: &mut dyn std::io::Read) -> std::io::Result<Self> {
-        let tag = read_u64(r)?;
-        let seed = read_u64(r)?;
-        let strategy = match tag {
-            0 => LabelingStrategy::BigramSorted,
-            1 => LabelingStrategy::Random { seed },
-            _ => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "unknown labeling strategy tag",
-                ))
-            }
-        };
         Ok(Self {
             graph: EtGraph::restore(r)?,
-            strategy,
         })
     }
 }
@@ -300,8 +272,9 @@ mod tests {
     #[test]
     fn from_bwt_matches_from_text() {
         // The BWT-context construction must reproduce the text-bigram
-        // construction exactly — same labels, Z slots, and counts — for
-        // both strategies.
+        // construction exactly — same labels and Z slots — for both
+        // strategies. Under `BigramSorted` equal out-lists are equal count
+        // orders.
         let (text, sigma, tbwt, c) = paper_setup();
         for strategy in [
             LabelingStrategy::BigramSorted,
@@ -312,13 +285,6 @@ mod tests {
             assert_eq!(a.graph().num_edges(), b.graph().num_edges());
             for w_prime in 0..sigma as u32 {
                 assert_eq!(a.graph().out(w_prime), b.graph().out(w_prime), "{w_prime}");
-                for (k, _) in a.graph().out(w_prime).iter().enumerate() {
-                    let label = k as u32 + 1;
-                    assert_eq!(
-                        a.graph().bigram_count(label, w_prime),
-                        b.graph().bigram_count(label, w_prime)
-                    );
-                }
             }
         }
     }

@@ -957,15 +957,16 @@ mod tests {
 
     #[test]
     fn v2_shard_file_is_refused_strict_and_quarantined_resilient() {
-        // A shard file from index format 2 whose checksum the manifest
-        // vouches for: integrity passes, so only the index header's
-        // version check stands between it and silently wrong ranks.
-        let dir = scratch("v2-shard");
+        // A shard file headed with index format 3, the newest one this
+        // build refuses, whose checksum the manifest vouches for:
+        // integrity passes, so only the index header's version check
+        // stands between it and a misread payload.
+        let dir = scratch("v3-shard");
         build_sharded().save_dir(&dir).unwrap();
         let spath = shard_files(&dir).remove(0);
         let mut sbytes = std::fs::read(&spath).unwrap();
         let old_sum = fnv64(&sbytes);
-        sbytes[..8].copy_from_slice(&0x4349_4e43_5431_0002u64.to_le_bytes());
+        sbytes[..8].copy_from_slice(&0x4349_4e43_5431_0003u64.to_le_bytes());
         std::fs::write(&spath, &sbytes).unwrap();
         let mpath = dir.join(MANIFEST_FILE);
         let mut manifest = std::fs::read(&mpath).unwrap();
@@ -980,13 +981,13 @@ mod tests {
 
         match ShardedCinct::open_dir(&dir) {
             Err(QueryError::CorruptIndex(msg)) => {
-                assert!(msg.contains("index version 2"), "{msg}")
+                assert!(msg.contains("index version 3"), "{msg}")
             }
             other => panic!("expected CorruptIndex, got {other:?}"),
         }
         let degraded = ShardedCinct::open_dir_with(&dir, OpenMode::Resilient).unwrap();
         assert_eq!(degraded.quarantined().len(), 1);
-        assert!(degraded.quarantined()[0].reason.contains("index version 2"));
+        assert!(degraded.quarantined()[0].reason.contains("index version 3"));
         assert_eq!(degraded.num_shards(), build_sharded().num_shards() - 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }

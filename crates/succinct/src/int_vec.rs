@@ -99,7 +99,7 @@ impl IntVec {
     /// Reassemble from packed bits + shape; `None` if the shape does not
     /// match the bit count.
     pub fn from_raw_parts(bits: BitBuf, width: usize, len: usize) -> Option<Self> {
-        if width > 64 || bits.len() != width * len {
+        if width > 64 || width.checked_mul(len) != Some(bits.len()) {
             return None;
         }
         Some(Self { bits, width, len })

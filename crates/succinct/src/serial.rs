@@ -43,22 +43,48 @@ pub fn read_usize(r: &mut dyn Read) -> io::Result<usize> {
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "usize overflow"))
 }
 
+/// Write `values` as a length word plus little-endian words — the layout
+/// `Vec<u64>::restore` reads back — straight from a borrowed slice.
+pub fn write_u64s(w: &mut dyn Write, values: &[u64]) -> io::Result<()> {
+    write_usize(w, values.len())?;
+    for &v in values {
+        write_u64(w, v)?;
+    }
+    Ok(())
+}
+
+/// Up-front reservation cap of [`read_len_prefixed`]: a buffer past it
+/// grows only as bytes arrive.
+const RESERVE_MAX: usize = 1 << 20;
+
+/// Read a length word `n`, then `n × width` bytes. The buffer grows with
+/// the bytes actually present, so a forged length costs a short read
+/// (`UnexpectedEof`) or an overflow (`InvalidData`), never an allocation
+/// of the size it claims.
+fn read_len_prefixed(r: &mut dyn Read, width: usize) -> io::Result<Vec<u8>> {
+    let n = read_usize(r)?;
+    let len = n
+        .checked_mul(width)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "length overflow"))?;
+    let mut bytes = Vec::with_capacity(len.min(RESERVE_MAX));
+    Read::take(&mut *r, len as u64).read_to_end(&mut bytes)?;
+    if bytes.len() != len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(bytes)
+}
+
 impl Persist for Vec<u64> {
     fn persist(&self, w: &mut dyn Write) -> io::Result<()> {
-        write_usize(w, self.len())?;
-        for &v in self {
-            write_u64(w, v)?;
-        }
-        Ok(())
+        write_u64s(w, self)
     }
 
     fn restore(r: &mut dyn Read) -> io::Result<Self> {
-        let n = read_usize(r)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(read_u64(r)?);
-        }
-        Ok(out)
+        let bytes = read_len_prefixed(r, 8)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect())
     }
 }
 
@@ -72,14 +98,11 @@ impl Persist for Vec<u32> {
     }
 
     fn restore(r: &mut dyn Read) -> io::Result<Self> {
-        let n = read_usize(r)?;
-        let mut out = Vec::with_capacity(n);
-        let mut buf = [0u8; 4];
-        for _ in 0..n {
-            r.read_exact(&mut buf)?;
-            out.push(u32::from_le_bytes(buf));
-        }
-        Ok(out)
+        let bytes = read_len_prefixed(r, 4)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+            .collect())
     }
 }
 
@@ -90,17 +113,14 @@ impl Persist for Vec<u8> {
     }
 
     fn restore(r: &mut dyn Read) -> io::Result<Self> {
-        let n = read_usize(r)?;
-        let mut out = vec![0u8; n];
-        r.read_exact(&mut out)?;
-        Ok(out)
+        read_len_prefixed(r, 1)
     }
 }
 
 impl Persist for BitBuf {
     fn persist(&self, w: &mut dyn Write) -> io::Result<()> {
         write_usize(w, self.len())?;
-        self.words().to_vec().persist(w)
+        write_u64s(w, self.words())
     }
 
     fn restore(r: &mut dyn Read) -> io::Result<Self> {

@@ -2,7 +2,7 @@
 //! reload it, and verify every query path behaves identically — plus the
 //! typed-error contract for corrupt and truncated streams.
 
-use cinct::{CinctBuilder, CinctIndex, Path, PathQuery, QueryError};
+use cinct::{CinctBuilder, CinctIndex, LabelingStrategy, Path, PathQuery, QueryError};
 
 fn roundtrip(idx: &CinctIndex) -> CinctIndex {
     let mut buf = Vec::new();
@@ -83,22 +83,93 @@ fn rejects_garbage_with_corrupt_index() {
 
 #[test]
 fn v2_index_magic_is_a_typed_version_error() {
-    // Format 2 numbered RRR offsets by the lexicographic block code: its
-    // payload has the lengths this build expects and different values, so
-    // it must be refused at the header, not loaded and ranked wrongly.
+    // Format 2 numbered RRR offsets by the lexicographic block code and
+    // format 3 still carried bigram counts and a labeling tag: neither is
+    // a payload this build can read, so both are refused at the header,
+    // not loaded and ranked wrongly.
     let idx = CinctIndex::build(&[vec![2u32, 3, 4], vec![3, 4, 5]], 8);
     let mut buf = Vec::new();
     idx.write_to(&mut buf).unwrap();
-    buf[..8].copy_from_slice(&0x4349_4e43_5431_0002u64.to_le_bytes());
-    match CinctIndex::read_from(&mut std::io::Cursor::new(buf)) {
-        Err(QueryError::CorruptIndex(msg)) => {
-            assert!(
-                msg.contains("version 2") && msg.contains("reads 3"),
-                "{msg}"
-            )
+    for version in [2u64, 3] {
+        buf[..8].copy_from_slice(&(0x4349_4e43_5431_0000 | version).to_le_bytes());
+        match CinctIndex::read_from(&mut std::io::Cursor::new(&buf)) {
+            Err(QueryError::CorruptIndex(msg)) => assert_eq!(
+                msg,
+                format!("unsupported index version {version} (this build reads 4)")
+            ),
+            other => panic!("version {version}: expected CorruptIndex, got {other:?}"),
         }
-        other => panic!("expected CorruptIndex, got {other:?}"),
     }
+}
+
+#[test]
+fn rewrite_after_reload_is_byte_identical_for_every_strategy() {
+    // Nothing persisted depends on the labeling strategy: what is read
+    // back writes the same bytes again, sorted or random.
+    let trajs = vec![vec![0u32, 1, 4, 5], vec![0, 1, 2], vec![1, 2], vec![0, 3]];
+    for strategy in [
+        LabelingStrategy::BigramSorted,
+        LabelingStrategy::Random { seed: 42 },
+    ] {
+        let idx = CinctBuilder::new()
+            .labeling(strategy)
+            .locate_sampling(4)
+            .build(&trajs, 6);
+        let mut first = Vec::new();
+        idx.write_to(&mut first).unwrap();
+        let mut second = Vec::new();
+        roundtrip(&idx).write_to(&mut second).unwrap();
+        assert_eq!(first, second, "{strategy:?}");
+    }
+}
+
+#[test]
+fn forged_length_word_is_a_typed_error() {
+    // A C-array length word of 2^32 in an 80-byte input: the decoder must
+    // run out of bytes, not reserve 32 GiB up front.
+    let mut buf = Vec::new();
+    CinctIndex::build(&[vec![2u32, 3, 4], vec![3, 4, 5]], 8)
+        .write_to(&mut buf)
+        .unwrap();
+    buf[8..16].copy_from_slice(&(1u64 << 32).to_le_bytes());
+    buf.truncate(80);
+    match CinctIndex::read_from(&mut std::io::Cursor::new(buf)) {
+        Err(QueryError::Io(msg)) => assert!(msg.contains("UnexpectedEof"), "{msg}"),
+        other => panic!("expected a typed Io error, got {other:?}"),
+    }
+}
+
+#[test]
+fn hostile_length_words_never_panic_or_abort() {
+    // Overwrite 8 bytes at every offset of a valid index with huge values:
+    // every decoder must answer Ok or a typed error, with allocation
+    // bounded by the input, never a panic or an allocation abort.
+    let trajs = vec![vec![0u32, 1, 4, 5], vec![0, 1, 2], vec![1, 2], vec![0, 3]];
+    let mut panics = Vec::new();
+    for locate in [None, Some(8)] {
+        let mut builder = CinctBuilder::new();
+        if let Some(rate) = locate {
+            builder = builder.locate_sampling(rate);
+        }
+        let mut buf = Vec::new();
+        builder.build(&trajs, 6).write_to(&mut buf).unwrap();
+        for at in 0..=buf.len() - 8 {
+            for value in [1u64 << 32, 1 << 40, 1 << 61, u64::MAX] {
+                let mut bad = buf.clone();
+                bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                let outcome = std::panic::catch_unwind(|| {
+                    CinctIndex::read_from(&mut std::io::Cursor::new(bad)).map(|_| ())
+                });
+                if outcome.is_err() {
+                    panics.push((locate, at, value));
+                }
+            }
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "(locate, offset, value) that panicked: {panics:?}"
+    );
 }
 
 #[test]
