@@ -717,4 +717,44 @@ mod tests {
             assert!(parse_fast_query(text).is_none(), "{text:?} must fall back");
         }
     }
+
+    /// Every single-byte replacement, insertion and deletion (from a
+    /// small alphabet of JSON-significant bytes) of valid count/locate
+    /// bodies: the fast path either falls back or agrees with the
+    /// generic parser exactly, and the generic parser never panics.
+    #[test]
+    fn mutated_query_bodies_fall_back_or_match_generic() {
+        const ALPHABET: &[u8] = b"{}[],:\"0019-.eE tfn\\x";
+        let bodies = [
+            r#"{"path":[0,1,4]}"#,
+            r#"{"path":[7],"cache":false}"#,
+            r#"{"path":[0,12],"limit":32,"cache":true}"#,
+            r#"{"paths":[[0,1],[2],[]],"cache":true}"#,
+            r#"{"paths":[[3,40]],"limit":5}"#,
+        ];
+        let check = |bytes: &[u8]| {
+            let Ok(text) = std::str::from_utf8(bytes) else {
+                return;
+            };
+            let generic = Json::parse(text);
+            if let Some(fast) = parse_fast_query(text) {
+                assert!(generic.is_ok(), "fast path accepted {text:?}");
+                assert_eq!(fast, generic_query(text), "{text:?}");
+            }
+        };
+        for body in bodies {
+            let b = body.as_bytes();
+            for i in 0..=b.len() {
+                for &c in ALPHABET {
+                    check(&[&b[..i], &[c], &b[i..]].concat());
+                    if i < b.len() {
+                        check(&[&b[..i], &[c], &b[i + 1..]].concat());
+                    }
+                }
+                if i < b.len() {
+                    check(&[&b[..i], &b[i + 1..]].concat());
+                }
+            }
+        }
+    }
 }

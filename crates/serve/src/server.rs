@@ -46,6 +46,7 @@ use std::{io, thread};
 
 use cinct::{QueryError, ShardedCinct, Wal, WalRead, WalRecord};
 
+use crate::cache::{CacheOp, CachedValue};
 use crate::http::{self, Limits, NextRequest, Request, Response};
 use crate::json::{self, obj, obj_move, Json};
 use crate::metrics;
@@ -762,18 +763,18 @@ fn handle_api(state: &ServerState, target: &str, req: &Request, started: Instant
     // dominant body shape; anything it can't prove identical falls back
     // to the generic `Json` tree, which owns the error taxonomy.
     let result = match target {
-        "/v1/count" => match parse_query(text) {
+        "/v1/count" | "/v1/locate" | "/v1/occurrences" => match parse_query(text) {
             Err(resp) => Ok(resp),
-            Ok((spec, cache, _limit)) => match deadline_check(state, started) {
+            Ok(query) => match deadline_check(state, started) {
                 Some(resp) => Ok(resp),
-                None => handle_count(state, spec, cache, started),
-            },
-        },
-        "/v1/locate" | "/v1/occurrences" => match parse_query(text) {
-            Err(resp) => Ok(resp),
-            Ok((spec, cache, limit)) => match deadline_check(state, started) {
-                Some(resp) => Ok(resp),
-                None => handle_occurrences(state, spec, cache, limit, started),
+                None => {
+                    let op = if target == "/v1/count" {
+                        CacheOp::Count
+                    } else {
+                        CacheOp::Occurrences
+                    };
+                    handle_query(state, op, query, started)
+                }
             },
         },
         "/v1/extract" | "/v1/append" => {
@@ -911,115 +912,74 @@ fn elapsed_ns(started: Instant) -> Json {
         .into()
 }
 
-fn handle_count(
-    state: &ServerState,
-    spec: PathSpec,
-    cache: bool,
-    started: Instant,
-) -> Result<Response, QueryError> {
-    let svc = &state.service;
-    match spec {
-        PathSpec::One(path) => {
-            let (n, cached, epoch) = svc.count(&path, cache)?;
-            let mut fields = vec![
-                ("count", n.into()),
-                ("cached", cached.into()),
-                ("epoch", epoch.into()),
-                ("elapsed_ns", elapsed_ns(started)),
-            ];
-            push_degraded_fields(svc, &mut fields);
-            Ok(Response::json(200, &obj_move(fields)))
-        }
-        PathSpec::Many(paths) => {
-            let mut counts = Vec::with_capacity(paths.len());
-            let mut hits = 0usize;
-            let mut epoch = svc.epoch();
-            // Chunked so the lock is amortized but deadlines still get
-            // their cooperative re-check between chunks. Each chunk is
-            // answered at one epoch; the response names the last chunk's
-            // (an append landing between chunks leaves earlier ones at the
-            // epoch before).
-            for chunk in paths.chunks(BATCH_DEADLINE_STRIDE) {
-                if let Some(resp) = deadline_check(state, started) {
-                    return Ok(resp);
-                }
-                let (mut ns, h, e) = svc.count_batch(chunk, cache)?;
-                counts.append(&mut ns);
-                hits += h;
-                epoch = e;
-            }
-            let mut fields = vec![
-                ("counts", counts.into()),
-                ("cache_hits", hits.into()),
-                ("epoch", epoch.into()),
-                ("elapsed_ns", elapsed_ns(started)),
-            ];
-            push_degraded_fields(svc, &mut fields);
-            Ok(Response::json(200, &obj_move(fields)))
-        }
-    }
-}
-
-fn occ_json(occ: &[(usize, usize)], limit: Option<usize>) -> Json {
+fn occ_fields(occ: &[(usize, usize)], limit: Option<usize>) -> Vec<(&'static str, Json)> {
     let shown = limit.unwrap_or(occ.len()).min(occ.len());
-    Json::Arr(
-        occ[..shown]
-            .iter()
-            .map(|&(t, o)| Json::Arr(vec![t.into(), o.into()]))
-            .collect(),
-    )
+    let listing = occ[..shown]
+        .iter()
+        .map(|&(t, o)| Json::Arr(vec![t.into(), o.into()]))
+        .collect();
+    vec![
+        ("total", occ.len().into()),
+        ("occurrences", Json::Arr(listing)),
+    ]
 }
 
-fn handle_occurrences(
+/// `/v1/count` and `/v1/locate` for both body shapes: one chunked loop
+/// over the service, then the shape's renderer. Chunked so a batch
+/// amortizes the lock but deadlines still get their cooperative
+/// re-check between chunks. Each chunk is answered at one epoch; a
+/// batch names the last chunk's (an append landing between chunks
+/// leaves earlier ones at the epoch before).
+fn handle_query(
     state: &ServerState,
-    spec: PathSpec,
-    cache: bool,
-    limit: Option<usize>,
+    op: CacheOp,
+    (spec, cache, limit): (PathSpec, bool, Option<usize>),
     started: Instant,
 ) -> Result<Response, QueryError> {
     let svc = &state.service;
-    match spec {
-        PathSpec::One(path) => {
-            let (occ, cached, epoch) = svc.occurrences(&path, cache)?;
-            let mut fields = vec![
-                ("total", occ.len().into()),
-                ("occurrences", occ_json(&occ, limit)),
-                ("cached", cached.into()),
-                ("epoch", epoch.into()),
-                ("elapsed_ns", elapsed_ns(started)),
-            ];
-            push_degraded_fields(svc, &mut fields);
-            Ok(Response::json(200, &obj_move(fields)))
-        }
-        PathSpec::Many(paths) => {
-            let mut results = Vec::with_capacity(paths.len());
-            let mut hits = 0usize;
-            let mut epoch = svc.epoch();
-            // Per-chunk epochs as in `handle_count`.
-            for chunk in paths.chunks(BATCH_DEADLINE_STRIDE) {
-                if let Some(resp) = deadline_check(state, started) {
-                    return Ok(resp);
-                }
-                let (occs, h, e) = svc.occurrences_batch(chunk, cache)?;
-                hits += h;
-                epoch = e;
-                for occ in occs {
-                    results.push(obj_move(vec![
-                        ("total", occ.len().into()),
-                        ("occurrences", occ_json(&occ, limit)),
-                    ]));
-                }
+    let (paths, single) = match spec {
+        PathSpec::One(path) => (vec![path], true),
+        PathSpec::Many(paths) => (paths, false),
+    };
+    let mut values = Vec::with_capacity(paths.len());
+    let mut hits = 0usize;
+    let mut epoch = svc.epoch();
+    for (i, chunk) in paths.chunks(BATCH_DEADLINE_STRIDE).enumerate() {
+        if i > 0 {
+            if let Some(resp) = deadline_check(state, started) {
+                return Ok(resp);
             }
-            let mut fields = vec![
-                ("results", Json::Arr(results)),
-                ("cache_hits", hits.into()),
-                ("epoch", epoch.into()),
-                ("elapsed_ns", elapsed_ns(started)),
-            ];
-            push_degraded_fields(svc, &mut fields);
-            Ok(Response::json(200, &obj_move(fields)))
         }
+        let (mut vs, h, e) = svc.serve(op, chunk, cache)?;
+        values.append(&mut vs);
+        hits += h;
+        epoch = e;
     }
+    let mut fields = if single {
+        let mut fields = match &values[0] {
+            CachedValue::Count(n) => vec![("count", (*n).into())],
+            CachedValue::Occurrences(occ) => occ_fields(occ, limit),
+        };
+        fields.push(("cached", (hits == 1).into()));
+        fields
+    } else {
+        let answers = values
+            .iter()
+            .map(|v| match v {
+                CachedValue::Count(n) => (*n).into(),
+                CachedValue::Occurrences(occ) => obj_move(occ_fields(occ, limit)),
+            })
+            .collect();
+        let key = match op {
+            CacheOp::Count => "counts",
+            CacheOp::Occurrences => "results",
+        };
+        vec![(key, Json::Arr(answers)), ("cache_hits", hits.into())]
+    };
+    fields.push(("epoch", epoch.into()));
+    fields.push(("elapsed_ns", elapsed_ns(started)));
+    push_degraded_fields(svc, &mut fields);
+    Ok(Response::json(200, &obj_move(fields)))
 }
 
 fn handle_extract(state: &ServerState, body: &Json) -> Result<Response, QueryError> {

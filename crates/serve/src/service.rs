@@ -6,14 +6,17 @@
 //! everything here is directly testable without a socket. The
 //! concurrency discipline, in full:
 //!
-//! * **Queries** take the corpus read lock, so any number proceed
-//!   concurrently. Each query reads the cache epoch *while holding the
-//!   read lock*; a result computed at epoch `e` is only inserted into
-//!   the cache if `e` is still current, so a racing append can never be
-//!   shadowed by a stale insert. That epoch is returned with the answer
-//!   (a single-path cache hit, which takes no lock, returns the epoch
-//!   the hit was validated at), so a response names the epoch it is the
-//!   answer of, not whatever is current when it is rendered.
+//! * **Queries** (count and occurrences, single or batched — a single
+//!   path is a batch of one) follow one rule. Every path is probed in
+//!   the cache *without* the corpus lock; if every probe hit at one
+//!   epoch, that is the answer and no lock is taken, so a hot client is
+//!   unaffected by concurrent appends. Otherwise the read lock is taken
+//!   **once** and the epoch read under it: hits validated at that epoch
+//!   are kept, the rest are computed against the locked corpus and
+//!   inserted stamped with it. A result computed at epoch `e` is only
+//!   inserted if `e` is still current, so a racing append can never be
+//!   shadowed by a stale insert. The epoch is returned with the answers,
+//!   so every response names the one epoch all of its answers are of.
 //! * **Appends** run in two phases mirroring
 //!   [`ShardedCinct::prepare_batch`] / [`ShardedCinct::install_prepared`]:
 //!   the expensive index construction happens under the **read** lock
@@ -126,6 +129,20 @@ impl IdemRegistry {
                 }
             }
         }
+    }
+}
+
+fn into_count(value: CachedValue) -> usize {
+    match value {
+        CachedValue::Count(n) => n,
+        CachedValue::Occurrences(_) => unreachable!("count answered with occurrences"),
+    }
+}
+
+fn into_occurrences(value: CachedValue) -> OccurrenceList {
+    match value {
+        CachedValue::Occurrences(occ) => occ,
+        CachedValue::Count(_) => unreachable!("occurrences answered with a count"),
     }
 }
 
@@ -254,113 +271,26 @@ impl CorpusService {
     }
 
     /// Count trajectories matching `path`. Returns `(count, from_cache,
-    /// epoch)`: the count is the corpus's answer after exactly `epoch`
-    /// installed appends (read under the same read lock as the answer, or
-    /// the epoch a cache hit was validated at).
-    /// `use_cache = false` bypasses both lookup and insert (honest
-    /// cache-miss benchmarking; also the right call for one-off probes).
+    /// epoch)` under the module's epoch contract. `use_cache = false`
+    /// bypasses both lookup and insert (honest cache-miss benchmarking;
+    /// also the right call for one-off probes).
     pub fn count(&self, path: &[u32], use_cache: bool) -> Result<(usize, bool, u64), QueryError> {
-        let m = metrics::serve();
-        if use_cache {
-            match self.cache.get(CacheOp::Count, path) {
-                Lookup::Hit(CachedValue::Count(n), epoch) => {
-                    m.cache_hits.inc();
-                    return Ok((n, true, epoch));
-                }
-                Lookup::Hit(..) => m.cache_misses.inc(), // op/value mismatch: treat as miss
-                Lookup::Stale => {
-                    m.cache_stale.inc();
-                    m.cache_misses.inc();
-                }
-                Lookup::Miss => m.cache_misses.inc(),
-            }
-        }
-        let corpus = self.read();
-        let epoch = self.cache.current_epoch();
-        let value = QueryEngine::new(&*corpus)
-            .run_one(&Query::count(path))
-            .value?;
-        let QueryValue::Count(n) = value else {
-            unreachable!("count query returned non-count value")
-        };
-        if use_cache
-            && self
-                .cache
-                .insert(CacheOp::Count, path, CachedValue::Count(n), epoch)
-        {
-            m.cache_evictions.inc();
-        }
-        Ok((n, false, epoch))
+        let (mut values, hits, epoch) =
+            self.serve(CacheOp::Count, std::slice::from_ref(&path), use_cache)?;
+        Ok((into_count(values.remove(0)), hits == 1, epoch))
     }
 
-    /// Count a whole batch under **one** read-lock acquisition. The
-    /// per-item engine ceremony (lock, `Query` clone, two clock reads,
-    /// per-query histogram sample) is what a batched protocol exists to
-    /// amortize — this is the difference between the served path keeping
-    /// up with direct calls and trailing them by ~25%.
-    ///
-    /// Outcome-identical to calling [`CorpusService::count`] per item:
-    /// same counts, and the first invalid path fails the whole batch
-    /// with the same [`QueryError`]. Engine metrics count each query;
-    /// latency is recorded as one per-item mean sample per batch
-    /// (end-to-end latency lives in `cinct_serve_request_ns`).
-    ///
-    /// Returns `(counts, cache_hits, epoch)`. The lock is held across the
-    /// cache probes too, so no append can land mid-batch: every count,
-    /// cached or computed, is the answer at `epoch`.
+    /// Count a batch; the first invalid path fails the whole batch with
+    /// the [`QueryError`] [`CorpusService::count`] gives for it. Returns
+    /// `(counts, cache_hits, epoch)`: every count, cached or computed, is
+    /// the answer at `epoch`.
     pub fn count_batch(
         &self,
         paths: &[Vec<u32>],
         use_cache: bool,
     ) -> Result<(Vec<usize>, usize, u64), QueryError> {
-        let m = metrics::serve();
-        let corpus = self.read();
-        let epoch = self.cache.current_epoch();
-        let mut counts = vec![0usize; paths.len()];
-        let mut pending = Vec::with_capacity(paths.len());
-        for (i, path) in paths.iter().enumerate() {
-            if use_cache {
-                match self.cache.get(CacheOp::Count, path) {
-                    Lookup::Hit(CachedValue::Count(n), _) => {
-                        m.cache_hits.inc();
-                        counts[i] = n;
-                        continue;
-                    }
-                    Lookup::Hit(..) => m.cache_misses.inc(),
-                    Lookup::Stale => {
-                        m.cache_stale.inc();
-                        m.cache_misses.inc();
-                    }
-                    Lookup::Miss => m.cache_misses.inc(),
-                }
-            }
-            pending.push(i);
-        }
-        let hits = paths.len() - pending.len();
-        if pending.is_empty() {
-            return Ok((counts, hits, epoch));
-        }
-        let t0 = Instant::now();
-        for &i in &pending {
-            let path = &paths[i];
-            let n = corpus
-                .try_range(cinct::Path::new(path))?
-                .map_or(0, |r| r.len());
-            counts[i] = n;
-            if use_cache
-                && self
-                    .cache
-                    .insert(CacheOp::Count, path, CachedValue::Count(n), epoch)
-            {
-                m.cache_evictions.inc();
-            }
-        }
-        let em = cinct::metrics::engine();
-        em.queries.add(pending.len() as u64);
-        em.count_ns.record(
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX) / pending.len() as u64,
-        );
-        Ok((counts, hits, epoch))
+        let (values, hits, epoch) = self.serve(CacheOp::Count, paths, use_cache)?;
+        Ok((values.into_iter().map(into_count).collect(), hits, epoch))
     }
 
     /// List every `(trajectory, offset)` occurrence of `path`, sorted.
@@ -372,104 +302,131 @@ impl CorpusService {
         path: &[u32],
         use_cache: bool,
     ) -> Result<(OccurrenceList, bool, u64), QueryError> {
-        let m = metrics::serve();
-        if use_cache {
-            match self.cache.get(CacheOp::Occurrences, path) {
-                Lookup::Hit(CachedValue::Occurrences(occ), epoch) => {
-                    m.cache_hits.inc();
-                    return Ok((occ, true, epoch));
-                }
-                Lookup::Hit(..) => m.cache_misses.inc(),
-                Lookup::Stale => {
-                    m.cache_stale.inc();
-                    m.cache_misses.inc();
-                }
-                Lookup::Miss => m.cache_misses.inc(),
-            }
-        }
-        let corpus = self.read();
-        let epoch = self.cache.current_epoch();
-        let value = QueryEngine::new(&*corpus)
-            .run_one(&Query::occurrences(path))
-            .value?;
-        let QueryValue::Occurrences(occ) = value else {
-            unreachable!("occurrences query returned non-occurrence value")
-        };
-        let occ = Arc::new(occ);
-        if use_cache
-            && self.cache.insert(
-                CacheOp::Occurrences,
-                path,
-                CachedValue::Occurrences(Arc::clone(&occ)),
-                epoch,
-            )
-        {
-            m.cache_evictions.inc();
-        }
-        Ok((occ, false, epoch))
+        let (mut values, hits, epoch) =
+            self.serve(CacheOp::Occurrences, std::slice::from_ref(&path), use_cache)?;
+        Ok((into_occurrences(values.remove(0)), hits == 1, epoch))
     }
 
-    /// Batched [`CorpusService::occurrences`]: one read-lock acquisition
-    /// for the whole batch, same amortization, identity and epoch
-    /// contract as [`CorpusService::count_batch`]. Returns
-    /// `(per-path listings, cache_hits, epoch)`.
+    /// Batched [`CorpusService::occurrences`], with the error and epoch
+    /// contract of [`CorpusService::count_batch`]. Returns `(per-path
+    /// listings, cache_hits, epoch)`.
     pub fn occurrences_batch(
         &self,
         paths: &[Vec<u32>],
         use_cache: bool,
     ) -> Result<(Vec<OccurrenceList>, usize, u64), QueryError> {
+        let (values, hits, epoch) = self.serve(CacheOp::Occurrences, paths, use_cache)?;
+        Ok((
+            values.into_iter().map(into_occurrences).collect(),
+            hits,
+            epoch,
+        ))
+    }
+
+    /// The one served-query routine behind count and occurrences, single
+    /// or batched (a single path is a batch of one); the lock/epoch rule
+    /// is in the module docs. Returns `(values, cache_hits, epoch)`.
+    ///
+    /// Engine metrics count every evaluated path, the failing one too
+    /// (and that one as an error); latency is one per-path mean sample
+    /// per call (end-to-end latency lives in `cinct_serve_request_ns`).
+    pub(crate) fn serve<P: AsRef<[u32]>>(
+        &self,
+        op: CacheOp,
+        paths: &[P],
+        use_cache: bool,
+    ) -> Result<(Vec<CachedValue>, usize, u64), QueryError> {
         let m = metrics::serve();
-        let corpus = self.read();
-        let epoch = self.cache.current_epoch();
-        let mut results: Vec<Option<OccurrenceList>> = vec![None; paths.len()];
-        let mut pending = Vec::with_capacity(paths.len());
-        for (i, path) in paths.iter().enumerate() {
-            if use_cache {
-                match self.cache.get(CacheOp::Occurrences, path) {
-                    Lookup::Hit(CachedValue::Occurrences(occ), _) => {
-                        m.cache_hits.inc();
-                        results[i] = Some(occ);
-                        continue;
-                    }
-                    Lookup::Hit(..) => m.cache_misses.inc(),
+        let mut probed: Vec<Option<(CachedValue, u64)>> = Vec::with_capacity(paths.len());
+        for path in paths {
+            probed.push(if use_cache {
+                match self.cache.get(op, path.as_ref()) {
+                    Lookup::Hit(value, epoch) => Some((value, epoch)),
                     Lookup::Stale => {
                         m.cache_stale.inc();
                         m.cache_misses.inc();
+                        None
                     }
-                    Lookup::Miss => m.cache_misses.inc(),
+                    Lookup::Miss => {
+                        m.cache_misses.inc();
+                        None
+                    }
                 }
-            }
-            pending.push(i);
+            } else {
+                None
+            });
         }
-        let hits = paths.len() - pending.len();
-        if !pending.is_empty() {
-            let t0 = Instant::now();
-            for &i in &pending {
-                let path = &paths[i];
-                let occ = Arc::new(corpus.occurrences(cinct::Path::new(path))?.collect_sorted());
-                if use_cache
-                    && self.cache.insert(
-                        CacheOp::Occurrences,
-                        path,
-                        CachedValue::Occurrences(Arc::clone(&occ)),
-                        epoch,
-                    )
-                {
-                    m.cache_evictions.inc();
-                }
-                results[i] = Some(occ);
+        // Every path hit at one epoch: answer without the lock.
+        if let Some(&Some((_, epoch))) = probed.first() {
+            if probed
+                .iter()
+                .all(|p| matches!(p, Some((_, e)) if *e == epoch))
+            {
+                m.cache_hits.add(probed.len() as u64);
+                let values = probed.into_iter().flatten().map(|(v, _)| v).collect();
+                return Ok((values, paths.len(), epoch));
             }
+        }
+
+        let corpus = self.read();
+        let epoch = self.cache.current_epoch();
+        let mut values = Vec::with_capacity(paths.len());
+        let mut hits = 0usize;
+        let mut evaluated = 0u64;
+        let mut failed = None;
+        let t0 = Instant::now();
+        for (path, probe) in paths.iter().zip(probed) {
+            match probe {
+                Some((value, e)) if e == epoch => {
+                    hits += 1;
+                    values.push(value);
+                    continue;
+                }
+                // Validated before an append the lock now sees.
+                Some(_) => {
+                    m.cache_stale.inc();
+                    m.cache_misses.inc();
+                }
+                None => {}
+            }
+            evaluated += 1;
+            let path = path.as_ref();
+            let value = match op {
+                CacheOp::Count => corpus
+                    .try_range(cinct::Path::new(path))
+                    .map(|r| CachedValue::Count(r.map_or(0, |r| r.len()))),
+                CacheOp::Occurrences => corpus
+                    .occurrences(cinct::Path::new(path))
+                    .map(|it| CachedValue::Occurrences(Arc::new(it.collect_sorted()))),
+            };
+            match value {
+                Ok(value) => {
+                    if use_cache && self.cache.insert(op, path, value.clone(), epoch) {
+                        m.cache_evictions.inc();
+                    }
+                    values.push(value);
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
+            }
+        }
+        m.cache_hits.add(hits as u64);
+        if evaluated > 0 {
             let em = cinct::metrics::engine();
-            em.queries.add(pending.len() as u64);
-            em.occurrences_ns.record(
-                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX) / pending.len() as u64,
-            );
+            em.queries.add(evaluated);
+            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX) / evaluated;
+            match op {
+                CacheOp::Count => em.count_ns.record(ns),
+                CacheOp::Occurrences => em.occurrences_ns.record(ns),
+            }
         }
-        let results = results
-            .into_iter()
-            .map(|r| r.expect("every slot filled by cache or compute"))
-            .collect();
-        Ok((results, hits, epoch))
+        if let Some(e) = failed {
+            cinct::metrics::engine().errors.inc();
+            return Err(e);
+        }
+        Ok((values, hits, epoch))
     }
 
     /// Extract `len` symbols preceding `SA[row]` (never cached: row
@@ -892,6 +849,78 @@ mod tests {
                 n_edges: 6
             })
         ));
+
+        // A single path is a batch of one: same value, error, cache
+        // flag and epoch. Each side gets its own identically-primed
+        // service so neither call warms the cache for the other.
+        let primed = || {
+            let svc = CorpusService::new(corpus(), 64, 4);
+            svc.append(&[vec![0, 1, 2]]).unwrap();
+            svc.count(&[0, 1], true).unwrap();
+            svc.occurrences(&[0, 1], true).unwrap();
+            svc
+        };
+        let hot = vec![0u32, 1];
+        let cold = vec![1u32, 2];
+        let absent = vec![5u32, 1];
+        let unknown = vec![9u32];
+        let empty: Vec<u32> = Vec::new();
+        for p in [&hot, &cold, &absent, &unknown, &empty] {
+            for use_cache in [true, false] {
+                let single = primed().count(p, use_cache);
+                let batch = primed().count_batch(std::slice::from_ref(p), use_cache);
+                match (single, batch) {
+                    (Ok((n, cached, e)), Ok((ns, hits, be))) => {
+                        assert_eq!((vec![n], usize::from(cached), e), (ns, hits, be), "{p:?}");
+                        assert_eq!(cached, use_cache && p == &hot, "{p:?}");
+                        assert_eq!(e, 1);
+                    }
+                    (single, batch) => assert_eq!(single.err(), batch.err(), "{p:?}"),
+                }
+                let single = primed().occurrences(p, use_cache);
+                let batch = primed().occurrences_batch(std::slice::from_ref(p), use_cache);
+                match (single, batch) {
+                    (Ok((occ, cached, e)), Ok((occs, hits, be))) => {
+                        assert_eq!(
+                            (vec![occ], usize::from(cached), e),
+                            (occs, hits, be),
+                            "{p:?}"
+                        );
+                        assert_eq!(cached, use_cache && p == &hot, "{p:?}");
+                    }
+                    (single, batch) => assert_eq!(single.err(), batch.err(), "{p:?}"),
+                }
+            }
+        }
+        assert!(primed().count(&unknown, true).is_err());
+        assert!(primed().count(&empty, true).is_err());
+    }
+
+    /// Engine metrics count every evaluated path of a failing request,
+    /// and the failure as an error — single or batched. The metrics are
+    /// process-global (other tests run concurrently), hence `>=`.
+    #[test]
+    fn failed_requests_still_record_engine_metrics() {
+        let svc = CorpusService::new(corpus(), 64, 4);
+        let em = cinct::metrics::engine();
+        let (q0, e0) = (em.queries.get(), em.errors.get());
+        assert!(svc.count(&[9], false).is_err());
+        assert!(em.queries.get() > q0);
+        assert!(em.errors.get() > e0);
+
+        let (q0, e0) = (em.queries.get(), em.errors.get());
+        let batch = [vec![0, 1], vec![1, 2], vec![9], vec![4, 5]];
+        assert!(svc.count_batch(&batch, false).is_err());
+        assert!(
+            em.queries.get() >= q0 + 3,
+            "both answered paths and the failing one"
+        );
+        assert!(em.errors.get() > e0);
+
+        let (q0, e0) = (em.queries.get(), em.errors.get());
+        assert!(svc.occurrences_batch(&batch, false).is_err());
+        assert!(em.queries.get() >= q0 + 3);
+        assert!(em.errors.get() > e0);
     }
 
     #[test]
@@ -994,6 +1023,24 @@ mod tests {
                     appends_done.fetch_add(1, Ordering::Release);
                 }
             });
+            // Batched readers mixing the hot pattern (usually a hit) with
+            // a rotating cold one (usually a miss): a hit kept beside
+            // computed answers must be of the epoch the call names.
+            for r in 0..2u32 {
+                let (svc, appends_done) = (&svc, &appends_done);
+                s.spawn(move || {
+                    for i in 0u32.. {
+                        let done = appends_done.load(Ordering::Acquire);
+                        let cold = vec![(r + i) % 6, i % 6, (i / 6) % 6];
+                        let (ns, _, epoch) = svc.count_batch(&[pat.to_vec(), cold], true).unwrap();
+                        assert!(ns[0] >= base + done, "batched count {} after {done}", ns[0]);
+                        assert_eq!(ns[0], base + epoch as usize, "batch names epoch {epoch}");
+                        if done == APPENDS {
+                            break;
+                        }
+                    }
+                });
+            }
             // N readers racing it through the cache.
             for _ in 0..4 {
                 s.spawn(|| loop {
