@@ -1,14 +1,15 @@
 //! Criterion micro-benchmarks for the succinct substrate: bit-level rank
 //! (plain vs RRR at the paper's block sizes), symbol rank (HWT vs WM),
 //! and PseudoRank vs true rank — the operations whose costs drive every
-//! figure in the paper.
+//! figure in the paper — plus the store's integrity checksum, which every
+//! open, save, snapshot install and WAL record pays per byte.
 
 use cinct::{CinctBuilder, LabelingStrategy};
 use cinct_bwt::TrajectoryString;
 use cinct_succinct::{
     BitBuf, BitRank, HuffmanWaveletTree, RankBitVec, RrrBitVec, SymbolSeq, WaveletMatrix,
 };
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 fn pseudo_bits(n: usize, density_pct: u64, seed: u64) -> BitBuf {
     let mut b = BitBuf::new();
@@ -176,9 +177,31 @@ fn bench_pseudo_rank(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_store_checksum(c: &mut Criterion) {
+    // 1 MiB is a small shard file; 8 MiB is the `direct_query` corpus's
+    // whole directory (7.4 MB over four shards).
+    let mut group = c.benchmark_group("store_checksum");
+    for mib in [1usize, 8] {
+        let mut x = 17u64;
+        let buf: Vec<u8> = (0..mib << 20)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect();
+        group.throughput(Throughput::Bytes(buf.len() as u64));
+        group.bench_function(format!("{mib}mib"), |bch| {
+            bch.iter(|| cinct::store::checksum64(black_box(&buf)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_bit_rank, bench_symbol_rank, bench_pseudo_rank
+    targets = bench_bit_rank, bench_symbol_rank, bench_pseudo_rank, bench_store_checksum
 }
 criterion_main!(benches);

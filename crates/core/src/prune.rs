@@ -262,14 +262,14 @@ impl ShardPruning {
         self.membership.size_in_bytes() + 8
     }
 
-    /// Serialize (manifest v3 per-shard block).
+    /// Serialize (the manifest's per-shard block).
     pub(crate) fn persist(&self, w: &mut dyn Write) -> std::io::Result<()> {
         self.membership.persist(w)?;
         write_u64(w, self.min_global as u64)?;
         write_u64(w, self.max_global as u64)
     }
 
-    /// Deserialize (manifest v3 per-shard block).
+    /// Deserialize (the manifest's per-shard block).
     pub(crate) fn restore(r: &mut dyn Read) -> std::io::Result<Self> {
         let membership = EdgeMembership::restore(r)?;
         let min_global = read_u64(r)? as u32;

@@ -120,7 +120,7 @@ pub(crate) struct Shard {
     pub(crate) globals: Vec<u32>,
     /// Pruning metadata: edge membership + owned global-ID span (see
     /// [`crate::prune`]). Derived from the index at every construction
-    /// site, or restored from a v3 manifest.
+    /// site, or restored from the manifest.
     pub(crate) pruning: ShardPruning,
 }
 

@@ -15,15 +15,17 @@
 //!
 //! The manifest records the network size, the construction configuration
 //! (so [`ShardedCinct::append_batch`] after reopening builds new shards
-//! identically), and per shard: its trajectory count, the FNV-1a checksum
-//! of its file, its global-ID column, and (format v3) its **pruning
-//! block** — the edge-membership structure and owned global-ID span the
-//! fan-out skips shards with (see [`crate::prune`]). The manifest itself
-//! ends with an FNV-1a checksum over everything before it, so truncation
-//! or bit rot anywhere in the file — pruning blocks included — is caught
-//! before any field is trusted. A block that disagrees with its shard's
-//! ID column is re-derived, exactly, from the shard's `C` array; a
-//! manifest of any other version (v2, pre-pruning, included) is rejected.
+//! identically), and per shard: its trajectory count, the [`checksum64`]
+//! of its file, its global-ID column, and its **pruning block** — the
+//! edge-membership structure and owned global-ID span the fan-out skips
+//! shards with (see [`crate::prune`]). The manifest itself ends with a
+//! [`checksum64`] over everything before it, so truncation or bit rot
+//! anywhere in the file — pruning blocks included — is caught before any
+//! field is trusted. A block that disagrees with its shard's ID column is
+//! re-derived, exactly, from the shard's `C` array. The manifest is
+//! format v4; any other version (v3, whose checksums were FNV-1a,
+//! included) is rejected, so a directory written by an older build must
+//! be rebuilt.
 //!
 //! # Failure taxonomy (no panics)
 //!
@@ -46,16 +48,16 @@ use std::path::Path as FsPath;
 /// Manifest magic prefix ("CINCTS" as bytes, low 16 bits = format version).
 const MANIFEST_PREFIX: u64 = 0x4349_4e43_5453_0000;
 /// Manifest format version, the only one this build reads or writes
-/// (3 = per-shard pruning blocks: edge membership + owned global-ID span,
-/// appended to each shard's directory entry; 2 added the
-/// absorbed-WAL-position stamp).
-const MANIFEST_VERSION: u64 = 3;
+/// (4 = every checksum, and so every shard file name, is [`checksum64`];
+/// 3 added per-shard pruning blocks, 2 the absorbed-WAL-position stamp).
+const MANIFEST_VERSION: u64 = 4;
 /// The manifest file inside a sharded-index directory.
 pub const MANIFEST_FILE: &str = "manifest.cinct";
 /// Snapshot-stream magic prefix ("CINCSN" as bytes, low 16 bits = version).
 const SNAPSHOT_PREFIX: u64 = 0x4349_4e43_534e_0000;
-/// Current snapshot-stream format version.
-const SNAPSHOT_VERSION: u64 = 1;
+/// Snapshot-stream format version, the only one this build reads or
+/// writes (2 = [`checksum64`] trailer).
+const SNAPSHOT_VERSION: u64 = 2;
 
 /// File name of shard `s` inside the directory. **Content-addressed**:
 /// the name embeds the file's own checksum, so a re-save (after
@@ -104,6 +106,22 @@ fn write_atomic(path: &FsPath, bytes: &[u8], durability: Durability) -> Result<(
     Ok(())
 }
 
+/// Land a content-addressed file: [`write_atomic`] unless `path` already
+/// holds exactly `bytes`. The name alone proves nothing — a file that
+/// rotted after it was written keeps its name, and trusting it would
+/// commit a manifest the next open refuses — so the bytes on disk are
+/// compared with the good bytes in hand.
+fn write_content_addressed(
+    path: &FsPath,
+    bytes: &[u8],
+    durability: Durability,
+) -> Result<(), QueryError> {
+    if faultio::read(path).is_ok_and(|disk| disk == bytes) {
+        return Ok(());
+    }
+    write_atomic(path, bytes, durability)
+}
+
 /// An fsync failure leaves durability unknown — surface it as an error
 /// (callers must not ack) and count it, because a recurring fsync failure
 /// is a dying disk.
@@ -112,16 +130,58 @@ pub(crate) fn fsync_err(path: &FsPath, e: std::io::Error) -> QueryError {
     QueryError::Io(format!("fsync {}: {e}", path.display()))
 }
 
-/// FNV-1a 64-bit — the store's integrity checksum. Not cryptographic;
-/// it guards against truncation, bit rot, and mixed-up files, which is
-/// the failure model for a local index directory.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// One XXH64-style round: a bijection in `w` for a fixed `acc`, and in
+/// `acc` for a fixed `w` (odd multipliers, rotation and addition all are).
+fn round(acc: u64, w: u64) -> u64 {
+    acc.wrapping_add(w.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// The store's integrity checksum, over the manifest, every shard file,
+/// the snapshot stream and each WAL record. Not cryptographic; it guards
+/// against truncation, bit rot and mixed-up files, which is the failure
+/// model for a local index directory.
+///
+/// Four independent 64-bit lanes consume 32-byte stripes, so the loop is
+/// bound by multiply throughput, not by one multiply's latency per byte.
+/// The byte length seeds the fold; the lanes, the 8-byte words of the
+/// < 32-byte tail and its last bytes follow in order, then an avalanche.
+/// Every step is a bijection in the input it changes, so damage confined
+/// to one aligned 8-byte word, or to one tail byte, always changes the
+/// digest.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte word"));
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = round(*lane, word(w));
+        }
     }
-    h
+    let mut h = (bytes.len() as u64).wrapping_add(P5);
+    for lane in lanes {
+        h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+    }
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ round(0, word(w))).rotate_left(27);
+        h = h.wrapping_mul(P1).wrapping_add(P4);
+    }
+    for &b in words.remainder() {
+        h = (h ^ (b as u64).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h = (h ^ (h >> 33)).wrapping_mul(P2);
+    h = (h ^ (h >> 29)).wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 pub(crate) fn io_err(path: &FsPath, e: std::io::Error) -> QueryError {
@@ -240,12 +300,7 @@ impl ShardedCinct {
         // Shard files first, collecting names + checksums for the manifest.
         let shards = self.serialize_shards()?;
         for (name, bytes, _) in &shards {
-            let path = dir.join(name);
-            // The name *is* the content hash: an existing file with this
-            // name already holds these bytes (open_dir re-verifies).
-            if !path.exists() {
-                write_atomic(&path, bytes, durability)?;
-            }
+            write_content_addressed(&dir.join(name), bytes, durability)?;
         }
         let m = self.manifest_bytes(&shards, wal_position)?;
         write_atomic(&dir.join(MANIFEST_FILE), &m, durability)?;
@@ -277,7 +332,7 @@ impl ShardedCinct {
             self.shard_index(s)
                 .write_to(&mut bytes)
                 .map_err(|e| QueryError::Io(format!("serialize shard {s}: {e}")))?;
-            let checksum = fnv64(&bytes);
+            let checksum = checksum64(&bytes);
             out.push((shard_file_name(s, checksum), bytes, checksum));
         }
         Ok(out)
@@ -315,7 +370,7 @@ impl ShardedCinct {
             self.shard_globals(s).to_vec().persist(w)?;
             self.shard_pruning(s).persist(w)?;
         }
-        let digest = fnv64(&m);
+        let digest = checksum64(&m);
         write_u64(&mut m, digest)?;
         Ok(m)
     }
@@ -326,7 +381,7 @@ impl ShardedCinct {
     /// shard file, and `absorbed_seq`: the WAL position this snapshot
     /// absorbs (every record below it is already folded in, so a
     /// follower installing the snapshot resumes pulling from exactly
-    /// `absorbed_seq`). A trailing FNV-1a checksum over the whole stream
+    /// `absorbed_seq`). A trailing [`checksum64`] over the whole stream
     /// catches truncation in transit before any field is trusted.
     ///
     /// Refuses a degraded corpus for the same reason `save_dir` does:
@@ -351,7 +406,7 @@ impl ShardedCinct {
             name.into_bytes().persist(w)?;
             bytes.persist(w)?;
         }
-        let digest = fnv64(&out);
+        let digest = checksum64(&out);
         write_u64(&mut out, digest)?;
         Ok(out)
     }
@@ -387,7 +442,7 @@ impl ShardedCinct {
         }
         let (body, tail) = stream.split_at(stream.len() - 8);
         let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if fnv64(body) != stored {
+        if checksum64(body) != stored {
             crate::metrics::store().checksum_fail.inc();
             return Err(corrupt(
                 "snapshot stream checksum mismatch (truncated or corrupted in transit)",
@@ -410,10 +465,7 @@ impl ShardedCinct {
                 )));
             }
             let bytes: Vec<u8> = Persist::restore(r)?;
-            let path = dir.join(&name);
-            if !path.exists() {
-                write_atomic(&path, &bytes, durability)?;
-            }
+            write_content_addressed(&dir.join(&name), &bytes, durability)?;
         }
         // Manifest last: the rename is the commit point, exactly as in
         // `save_dir`. Only after it lands does the new corpus exist.
@@ -463,11 +515,11 @@ impl ShardedCinct {
                  (this build reads {MANIFEST_VERSION})"
             )));
         }
-        // Integrity: trailing FNV over the whole body. Catches truncation
+        // Integrity: trailing checksum over the whole body. Catches truncation
         // and bit rot before any field is parsed.
         let (body, tail) = bytes.split_at(bytes.len() - 8);
         let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if fnv64(body) != stored {
+        if checksum64(body) != stored {
             crate::metrics::store().checksum_fail.inc();
             return Err(corrupt(
                 "shard manifest checksum mismatch (truncated or corrupted)",
@@ -615,7 +667,7 @@ fn load_shard(
     let spath = dir.join(name);
     let loaded = (|| {
         let sbytes = faultio::read(&spath).map_err(|e| io_err(&spath, e))?;
-        if fnv64(&sbytes) != checksum {
+        if checksum64(&sbytes) != checksum {
             crate::metrics::store().checksum_fail.inc();
             return Err(corrupt(format!(
                 "shard file {} checksum mismatch (truncated or corrupted)",
@@ -663,7 +715,7 @@ pub(crate) fn manifest_wal_position(dir: &FsPath) -> Option<u64> {
         return None;
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
-    if fnv64(body) != u64::from_le_bytes(tail.try_into().ok()?) {
+    if checksum64(body) != u64::from_le_bytes(tail.try_into().ok()?) {
         return None;
     }
     Some(u64::from_le_bytes(bytes[8..16].try_into().ok()?))
@@ -934,7 +986,7 @@ mod tests {
         match ShardedCinct::open_dir(&dir) {
             Err(QueryError::CorruptIndex(msg)) => {
                 assert!(msg.contains(&format!("version {version}")), "{msg}");
-                assert!(msg.contains("reads 3"), "{msg}");
+                assert!(msg.contains(&format!("reads {MANIFEST_VERSION}")), "{msg}");
             }
             other => panic!("expected CorruptIndex, got {other:?}"),
         }
@@ -947,12 +999,21 @@ mod tests {
     fn v2_manifest_is_rejected_like_any_unsupported_version() {
         // One format: nothing outside this repo ever wrote a pre-pruning
         // v2 directory, so it gets no read path of its own.
-        assert_manifest_version_rejected("v2-rejected", MANIFEST_VERSION - 1);
+        assert_manifest_version_rejected("v2-rejected", 2);
+    }
+
+    #[test]
+    fn v3_manifest_of_the_previous_build_is_rejected_typed() {
+        // v3 differs from v4 only in its checksum function, yet gets no
+        // bridge: the version check runs before any checksum, so the
+        // operator is told which version to rebuild, not "checksum
+        // mismatch".
+        assert_manifest_version_rejected("v3-rejected", 3);
     }
 
     #[test]
     fn future_manifest_version_is_rejected_typed() {
-        assert_manifest_version_rejected("v4-future", MANIFEST_VERSION + 1);
+        assert_manifest_version_rejected("v5-future", MANIFEST_VERSION + 1);
     }
 
     #[test]
@@ -965,7 +1026,7 @@ mod tests {
         build_sharded().save_dir(&dir).unwrap();
         let spath = shard_files(&dir).remove(0);
         let mut sbytes = std::fs::read(&spath).unwrap();
-        let old_sum = fnv64(&sbytes);
+        let old_sum = checksum64(&sbytes);
         sbytes[..8].copy_from_slice(&0x4349_4e43_5431_0003u64.to_le_bytes());
         std::fs::write(&spath, &sbytes).unwrap();
         let mpath = dir.join(MANIFEST_FILE);
@@ -974,8 +1035,8 @@ mod tests {
         let at = (0..body - 8)
             .find(|&i| manifest[i..i + 8] == old_sum.to_le_bytes())
             .expect("manifest records the shard checksum");
-        manifest[at..at + 8].copy_from_slice(&fnv64(&sbytes).to_le_bytes());
-        let digest = fnv64(&manifest[..body]);
+        manifest[at..at + 8].copy_from_slice(&checksum64(&sbytes).to_le_bytes());
+        let digest = checksum64(&manifest[..body]);
         manifest[body..].copy_from_slice(&digest.to_le_bytes());
         std::fs::write(&mpath, &manifest).unwrap();
 
@@ -995,7 +1056,7 @@ mod tests {
     #[test]
     fn manifest_checksum_covers_the_pruning_block() {
         // The pruning blocks sit between the shard directory and the
-        // trailing FNV checksum — a flipped bit inside one must fail the
+        // trailing checksum — a flipped bit inside one must fail the
         // open before any field is trusted.
         let dir = scratch("prune-bitflip");
         build_sharded().save_dir(&dir).unwrap();
@@ -1027,7 +1088,7 @@ mod tests {
         // byte of `max_global` and recompute the trailing checksum.
         let body = bytes.len() - 8;
         bytes[body - 8] ^= 0x20;
-        let digest = fnv64(&bytes[..body]);
+        let digest = checksum64(&bytes[..body]);
         bytes[body..].copy_from_slice(&digest.to_le_bytes());
         std::fs::write(&mpath, &bytes).unwrap();
         let back = ShardedCinct::open_dir(&dir).unwrap();
@@ -1093,16 +1154,216 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_stable() {
-        // Pin the checksum so a refactor can't silently change the
-        // on-disk format.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"cinct"), {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for &b in b"cinct" {
-                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    fn v1_snapshot_stream_is_rejected_before_touching_the_directory() {
+        let dir = scratch("snapshot-v1");
+        let mut stream = build_sharded().snapshot_to_vec(0).unwrap();
+        stream[..8].copy_from_slice(&(SNAPSHOT_PREFIX | 1).to_le_bytes());
+        match ShardedCinct::install_snapshot(&dir, &stream, Durability::Fast) {
+            Err(QueryError::CorruptIndex(msg)) => {
+                assert!(msg.contains("version 1"), "{msg}");
+                assert!(msg.contains(&format!("reads {SNAPSHOT_VERSION}")), "{msg}");
             }
-            h
-        });
+            other => panic!("expected CorruptIndex, got {other:?}"),
+        }
+        assert!(!dir.exists(), "a refused stream created the directory");
+    }
+
+    /// Flip one bit in the middle of the file at `path`.
+    fn rot(path: &std::path::Path) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn resave_rewrites_a_rotted_shard_file() {
+        // The rotted file keeps its content-addressed name, so a save
+        // that trusted the name would commit a manifest the next open
+        // refuses.
+        let dir = scratch("resave-rot");
+        let sharded = build_sharded();
+        sharded.save_dir(&dir).unwrap();
+        rot(&shard_files(&dir)[1]);
+        sharded.save_dir(&dir).unwrap();
+        let back = ShardedCinct::open_dir(&dir).unwrap();
+        for g in 0..4 {
+            assert_eq!(back.trajectory(g), sharded.trajectory(g), "g={g}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_install_rewrites_a_rotted_shard_file() {
+        let dir = scratch("install-rot");
+        let sharded = build_sharded();
+        sharded.save_dir(&dir).unwrap();
+        rot(&shard_files(&dir)[1]);
+        let stream = sharded.snapshot_to_vec(7).unwrap();
+        let (back, absorbed) =
+            ShardedCinct::install_snapshot(&dir, &stream, Durability::Fast).unwrap();
+        assert_eq!(absorbed, 7);
+        assert_eq!(back.count(Path::new(&[0, 1])), 2);
+        ShardedCinct::open_dir(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_bit_flip_in_a_shard_file_is_a_checksum_error() {
+        // Strict: a typed checksum error, never a parse error or a panic.
+        // Resilient: exactly the damaged shard is quarantined.
+        let dir = scratch("shard-bit-sweep");
+        build_sharded().save_dir(&dir).unwrap();
+        let spath = shard_files(&dir).remove(0);
+        let good = std::fs::read(&spath).unwrap();
+        for bit in 0..good.len() * 8 {
+            let mut bytes = good.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&spath, &bytes).unwrap();
+            match ShardedCinct::open_dir(&dir) {
+                Err(QueryError::CorruptIndex(msg)) => {
+                    assert!(msg.contains("checksum"), "bit {bit}: {msg}")
+                }
+                other => panic!("bit {bit}: expected CorruptIndex, got {other:?}"),
+            }
+            let degraded = ShardedCinct::open_dir_with(&dir, OpenMode::Resilient).unwrap();
+            let q = degraded.quarantined();
+            assert_eq!(q.len(), 1, "bit {bit}");
+            assert_eq!(q[0].slot, 0, "bit {bit}");
+            assert!(
+                q[0].reason.contains("checksum"),
+                "bit {bit}: {}",
+                q[0].reason
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `n` bytes of a fixed pattern: the top byte of `i · φ·2⁶⁴`.
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n as u64)
+            .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn checksum64_known_answers() {
+        // `checksum64(&pattern(len))` for every length 0..=70: each tail
+        // length on both sides of the 32- and 64-byte stripe boundaries.
+        // Pinned literally so any change to the function — and so to the
+        // manifest, snapshot and WAL formats — fails here.
+        const KNOWN: [u64; 71] = [
+            0xc1620d0a2dcaa9d2,
+            0x2ccc2711faa975c3,
+            0x18161ed80b3a5d48,
+            0x346079dc583ee432,
+            0x13869fe8635be6b3,
+            0x561f1dd813e4fe1b,
+            0xcda4acb5100fbfc2,
+            0xaebc793044debb8d,
+            0xbe4049df5f472187,
+            0xed35e6a30273b822,
+            0xe5ec625b79afc6e1,
+            0x31d16ef464b60d47,
+            0x6e27300112a54c47,
+            0x5acc42c406049fe4,
+            0x7b05d72aa777b9ad,
+            0x0cb0b93e46717b55,
+            0xe3de18a1f5ee617b,
+            0xfae327b9af564dd4,
+            0x5745f9e421ce0517,
+            0x17b3ffe4cbb663f2,
+            0x469b45db6c452214,
+            0x90d6296c893a6b20,
+            0xbff2942ea31b446d,
+            0x225aee47f334bc9d,
+            0x94969aedd92de47a,
+            0x95c601cd5976d8de,
+            0x171928d207a405f0,
+            0x9ef8f4a43776afd0,
+            0x69a573ed78efba33,
+            0x39b96f2741c1f77e,
+            0x082b58d69a5910d3,
+            0xdcf423542b25c69d,
+            0x4f27aab714cad2aa,
+            0xdd555f6c5e503aae,
+            0x3ffcb38520e906f9,
+            0x20d872c2e30804cf,
+            0xc7408be61afaae5c,
+            0x140fdb0f1bbfa603,
+            0xd62a7317ab85c3de,
+            0x0a9d3a7db8506ef9,
+            0x2c6109c40e46c8ad,
+            0xccd03f934596cc90,
+            0x0a6b144d0185b26f,
+            0x7766a794a1f255e6,
+            0xd498de37b7f81bbf,
+            0x390cd7255aac25d9,
+            0xac6a5e241116c088,
+            0xdd19aa73ca1b3acf,
+            0x5e50aea33bfb54af,
+            0xc992a8228ecf7605,
+            0x80a8ca396474a1c2,
+            0xd07436934735edb8,
+            0xb1d106b6a385b17c,
+            0xef0a61dbe88ea2fa,
+            0xd0e7e9ce717ea31d,
+            0x498332e81d349e7d,
+            0xd169ca70c47ec52e,
+            0xdb743cbbcb5254df,
+            0x0871e0e6ac0edfd2,
+            0x1cf24189f8cf979c,
+            0xc9fe1ebd815f9393,
+            0x5e73eb4dde0a9f62,
+            0x5a5d14e2bca7ac92,
+            0x67052da5d9b8c0bc,
+            0x06d82dd87f96b29a,
+            0xfb4af93647dd78c7,
+            0x3b5c41cb5da79404,
+            0x7fdbef64ce03666b,
+            0x681f333fbb6bac3e,
+            0xa612804ba25157e0,
+            0x9c4e332561493320,
+        ];
+        for (len, &want) in KNOWN.iter().enumerate() {
+            assert_eq!(checksum64(&pattern(len)), want, "len {len}");
+        }
+        assert_eq!(checksum64(&pattern(1 << 20)), 0x3a3215eb656bd509, "1 MiB");
+    }
+
+    /// 4 KiB from a 64-bit LCG: no two 8-byte words alike.
+    fn noise() -> Vec<u8> {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        (0..4096)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checksum64_catches_bit_flips_word_swaps_and_appended_zeros() {
+        let buf = noise();
+        let base = checksum64(&buf);
+        for bit in 0..buf.len() * 8 {
+            let mut b = buf.clone();
+            b[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum64(&b), base, "bit {bit}");
+        }
+        for w in 0..buf.len() / 8 - 1 {
+            let mut b = buf.clone();
+            b[w * 8..w * 8 + 16].rotate_left(8);
+            assert_ne!(b, buf);
+            assert_ne!(checksum64(&b), base, "swap words {w}, {}", w + 1);
+        }
+        for len in (0..=70).chain([buf.len()]) {
+            let mut b = buf[..len].to_vec();
+            let before = checksum64(&b);
+            b.push(0);
+            assert_ne!(checksum64(&b), before, "len {len}");
+        }
     }
 }

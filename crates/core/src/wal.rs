@@ -17,18 +17,23 @@
 //! Sealed segments are garbage-collected by [`Wal::reclaim`] only once
 //! every registered follower has passed them.
 //!
-//! # On-disk format (version 2)
+//! # On-disk format (version 3)
 //!
 //! The **active segment** is `wal.cinct` inside the corpus directory;
 //! **sealed segments** are `wal-<base-seq>.cinct` (20-digit zero-padded
 //! base, so lexical order is sequence order). Every segment:
 //!
 //! ```text
-//! [u64 magic|version][u64 base_seq]                        16-byte header
-//! [u64 seq][u64 len][u64 fnv64(payload)][payload]          record base_seq
-//! [u64 seq][u64 len][u64 fnv64(payload)][payload]          record base_seq+1
+//! [u64 magic|version][u64 base_seq]                          16-byte header
+//! [u64 seq][u64 len][u64 checksum64(payload)][payload]       record base_seq
+//! [u64 seq][u64 len][u64 checksum64(payload)][payload]       record base_seq+1
 //! ...
 //! ```
+//!
+//! `checksum64` is [`crate::store::checksum64`]. A segment of any other
+//! version (v2, whose record checksums were FNV-1a, included) fails the
+//! header check before a frame is read, so [`Wal::open`] refuses it
+//! without truncating anything.
 //!
 //! A payload is the idempotency key (a `Vec<u8>` in [`Persist`] layout)
 //! followed by the batch (`u64` count, then each trajectory as a
@@ -67,7 +72,7 @@
 //! [`ShardedCinct::save_dir`]: crate::shard::ShardedCinct::save_dir
 
 use crate::faultio;
-use crate::store::{fnv64, fsync_err, io_err, Durability};
+use crate::store::{checksum64, fsync_err, io_err, Durability};
 use cinct_fmindex::QueryError;
 use cinct_succinct::serial::{read_usize, write_usize, Persist};
 use std::fs::{File, OpenOptions};
@@ -85,8 +90,10 @@ pub const MAX_RECORD_BYTES: usize = 64 << 20;
 
 /// WAL magic prefix ("CINCWL" as bytes, low 16 bits = format version).
 const WAL_PREFIX: u64 = 0x4349_4e43_574c_0000;
-/// Current WAL format version (2 = position-addressed segments).
-const WAL_VERSION: u64 = 2;
+/// WAL format version, the only one this build reads or writes
+/// (3 = [`checksum64`] record checksums; 2 made segments
+/// position-addressed).
+const WAL_VERSION: u64 = 3;
 /// Bytes of header before the first record: magic|version, base_seq.
 const HEADER_LEN: u64 = 16;
 /// Bytes of frame header before the payload: seq, len, checksum.
@@ -231,7 +238,7 @@ fn walk_segment(bytes: &[u8]) -> Result<SegmentScan, QueryError> {
             break;
         }
         let payload = &bytes[off + FRAME_HEADER..end];
-        if fnv64(payload) != stored {
+        if checksum64(payload) != stored {
             defect = Some("payload checksum mismatch".into());
             break;
         }
@@ -491,7 +498,7 @@ impl Wal {
         let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
         frame.extend_from_slice(&seq.to_le_bytes());
         frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&fnv64(&payload).to_le_bytes());
+        frame.extend_from_slice(&checksum64(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
         if let Err(e) = faultio::append_file(&mut self.file, &frame) {
             self.poisoned = true;
@@ -809,6 +816,75 @@ mod tests {
         match Wal::open(&dir, Durability::Fast) {
             Err(QueryError::CorruptIndex(msg)) => assert!(msg.contains("magic"), "{msg}"),
             other => panic!("expected CorruptIndex, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn v2_active_segment_is_refused_and_left_byte_identical() {
+        // Records this build cannot read are not a torn tail: the open
+        // refuses them by version and truncates nothing.
+        let dir = scratch("v2");
+        let (mut wal, _) = Wal::open(&dir, Durability::Fast).unwrap();
+        wal.append("a", &[vec![1, 2]]).unwrap();
+        drop(wal);
+        let path = dir.join(WAL_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(&(WAL_PREFIX | 2).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match Wal::open(&dir, Durability::Fast) {
+            Err(QueryError::CorruptIndex(msg)) => {
+                assert!(msg.contains("version 2"), "{msg}");
+                assert!(msg.contains(&format!("reads {WAL_VERSION}")), "{msg}");
+            }
+            other => panic!("expected CorruptIndex, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_bit_flip_in_a_record_payload_is_caught() {
+        // The second record's payload is 45 bytes: one 32-byte stripe,
+        // one tail word and five tail bytes. In the active segment a
+        // flip anywhere in it is a torn tail, dropped; in a sealed
+        // segment it is rot, refused.
+        let dir = scratch("payload-sweep");
+        let (mut wal, _) = Wal::open(&dir, Durability::Fast).unwrap();
+        wal.append("a", &[vec![1, 2]]).unwrap();
+        let intact = std::fs::metadata(wal.path()).unwrap().len();
+        wal.append("b", &[vec![3, 4, 5, 6, 7]]).unwrap();
+        drop(wal);
+        let path = dir.join(WAL_FILE);
+        let good = std::fs::read(&path).unwrap();
+        let payload = intact as usize + FRAME_HEADER..good.len();
+        assert_eq!(payload.len(), 45);
+        let flipped = |bit: usize| {
+            let mut bytes = good.clone();
+            bytes[payload.start + bit / 8] ^= 1 << (bit % 8);
+            bytes
+        };
+        for bit in 0..payload.len() * 8 {
+            std::fs::write(&path, flipped(bit)).unwrap();
+            let (wal, replay) = Wal::open(&dir, Durability::Fast).unwrap();
+            assert_eq!(replay.len(), 1, "bit {bit}");
+            assert_eq!(replay[0].key, "a", "bit {bit}");
+            assert_eq!(wal.next_seq(), 1, "bit {bit}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), intact, "bit {bit}");
+        }
+        std::fs::write(&path, &good).unwrap();
+        let (mut wal, _) = Wal::open(&dir, Durability::Fast).unwrap();
+        wal.retire().unwrap();
+        let sealed = dir.join(segment_file_name(0));
+        assert_eq!(std::fs::read(&sealed).unwrap(), good);
+        for bit in 0..payload.len() * 8 {
+            std::fs::write(&sealed, flipped(bit)).unwrap();
+            match wal.read_from(0) {
+                Err(QueryError::CorruptIndex(msg)) => {
+                    assert!(msg.contains("checksum"), "bit {bit}: {msg}")
+                }
+                other => panic!("bit {bit}: expected CorruptIndex, got {other:?}"),
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

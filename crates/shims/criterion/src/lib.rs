@@ -4,7 +4,8 @@
 //! The build container has no registry access, so this shim provides the
 //! subset of the criterion 0.5 API the workspace's benches use —
 //! [`Criterion::benchmark_group`], [`BenchmarkGroup::bench_function`],
-//! [`Bencher::iter`], [`black_box`], [`criterion_group!`] and
+//! [`BenchmarkGroup::throughput`], [`Bencher::iter`], [`black_box`],
+//! [`criterion_group!`] and
 //! [`criterion_main!`] — with plain mean/min wall-clock reporting instead
 //! of criterion's statistical machinery. Swap the workspace `criterion`
 //! path dependency for the registry crate for real measurements.
@@ -40,17 +41,32 @@ impl Criterion {
         BenchmarkGroup {
             criterion: self,
             name,
+            throughput: None,
         }
     }
+}
+
+/// Work done by one iteration, reported as a rate beside the time.
+#[derive(Clone, Copy, Debug)]
+pub enum Throughput {
+    /// Bytes processed per iteration (printed as GB/s).
+    Bytes(u64),
 }
 
 /// A named benchmark group (prints one line per benchmark on completion).
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
+    /// Report the benchmarks that follow with a rate for `throughput`.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
+        self
+    }
+
     /// Time one benchmark closure.
     pub fn bench_function(&mut self, id: impl Into<String>, mut f: impl FnMut(&mut Bencher)) {
         let id = id.into();
@@ -69,8 +85,12 @@ impl BenchmarkGroup<'_> {
         }
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+        let rate = match self.throughput {
+            Some(Throughput::Bytes(n)) => format!(", {:.2} GB/s", n as f64 / mean / 1e9),
+            None => String::new(),
+        };
         eprintln!(
-            "  {}/{id}: mean {:.3} us, min {:.3} us ({} samples)",
+            "  {}/{id}: mean {:.3} us, min {:.3} us ({} samples){rate}",
             self.name,
             mean * 1e6,
             min * 1e6,
