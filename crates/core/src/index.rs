@@ -2,6 +2,7 @@
 //! terms (paper §III–§IV).
 
 use crate::builder::CinctBuilder;
+use crate::format;
 use crate::rml::Rml;
 use cinct_bwt::CArray;
 use cinct_fmindex::{OccurIter, OccurrenceSource, Path, PathQuery, QueryError};
@@ -11,15 +12,6 @@ use cinct_succinct::{
 };
 use std::io::{Read, Write};
 use std::ops::Range;
-
-/// Index magic prefix ("CINCT1" as bytes, low 16 bits = format version).
-const INDEX_PREFIX: u64 = 0x4349_4e43_5431_0000;
-/// Index format version, the only one this build reads or writes. 4 drops
-/// the ET-graph's bigram counts and the labeling tag: a file holds only
-/// what a query reads. (3 renumbered RRR offsets by the split block code,
-/// so an older payload would load and rank wrongly; it is refused
-/// instead. 2 dropped the persisted RRR sample arrays.)
-const INDEX_VERSION: u64 = 4;
 
 /// Optional locate support: a sampled suffix array lets the index map BWT
 /// rows back to text positions (needed by `locate`/strict-path queries).
@@ -260,7 +252,7 @@ impl CinctIndex {
     /// Serialize the whole index (including the trajectory directory and
     /// optional SA samples) to a stream.
     pub fn write_to(&self, w: &mut dyn Write) -> std::io::Result<()> {
-        write_u64(w, INDEX_PREFIX | INDEX_VERSION)?;
+        write_u64(w, format::INDEX.header())?;
         write_u64s(w, self.c.raw_counts())?;
         self.labeled.persist(w)?;
         self.rml.persist(w)?;
@@ -280,20 +272,13 @@ impl CinctIndex {
 
     /// Reload an index written with [`CinctIndex::write_to`].
     ///
-    /// Structural problems surface as [`QueryError::CorruptIndex`];
-    /// truncated or failing streams as [`QueryError::Io`].
+    /// A stream of another format version is refused at its header (an
+    /// older payload would load and rank wrongly). Structural problems
+    /// surface as [`QueryError::CorruptIndex`]; truncated or failing
+    /// streams as [`QueryError::Io`].
     pub fn read_from(r: &mut dyn Read) -> Result<Self, QueryError> {
         let bad = |msg: &str| QueryError::CorruptIndex(msg.to_string());
-        let magic = read_u64(r)?;
-        if magic & !0xffff != INDEX_PREFIX {
-            return Err(bad("not a CiNCT index (bad magic)"));
-        }
-        let version = magic & 0xffff;
-        if version != INDEX_VERSION {
-            return Err(QueryError::CorruptIndex(format!(
-                "unsupported index version {version} (this build reads {INDEX_VERSION})"
-            )));
-        }
+        format::INDEX.check(read_u64(r)?)?;
         let cumulative: Vec<u64> = Persist::restore(r)?;
         let c = CArray::from_raw_counts(cumulative).ok_or_else(|| bad("corrupt C array"))?;
         let labeled = HuffmanWaveletTree::<RrrBitVec>::restore(r)?;

@@ -118,6 +118,7 @@ pub mod engine;
 pub mod error;
 pub mod et_graph;
 pub mod faultio;
+mod format;
 pub mod index;
 pub mod metrics;
 pub mod prune;

@@ -3,29 +3,34 @@
 //!
 //! # On-disk layout
 //!
-//! A sharded index is a **directory**:
-//!
 //! ```text
-//! corpus.cinct/
-//!   manifest.cinct     versioned header + per-shard directory + checksum
-//!   shard-00000.cinct  CinctIndex (the single-file format of write_to)
-//!   shard-00001.cinct
+//! corpus.cinct/                    a sharded index is a directory
+//!   manifest.cinct                 format v5:
+//!     [header word][absorbed WAL position][network edges][6 config words]
+//!     [shard count], then per shard:
+//!     [file length][file checksum64][global-ID column][pruning block]
+//!     [checksum64 of everything above]
+//!   shard-00000-<checksum>.cinct   CinctIndex (the single-file format of write_to)
+//!   shard-00001-<checksum>.cinct
 //!   ...
+//! snapshot stream                  format v3:
+//!   [header word][manifest.cinct][each shard file, in manifest order]
 //! ```
 //!
-//! The manifest records the network size, the construction configuration
-//! (so [`ShardedCinct::append_batch`] after reopening builds new shards
-//! identically), and per shard: its trajectory count, the [`checksum64`]
-//! of its file, its global-ID column, and its **pruning block** — the
-//! edge-membership structure and owned global-ID span the fan-out skips
-//! shards with (see [`crate::prune`]). The manifest itself ends with a
-//! [`checksum64`] over everything before it, so truncation or bit rot
-//! anywhere in the file — pruning blocks included — is caught before any
-//! field is trusted. A block that disagrees with its shard's ID column is
-//! re-derived, exactly, from the shard's `C` array. The manifest is
-//! format v4; any other version (v3, whose checksums were FNV-1a,
-//! included) is rejected, so a directory written by an older build must
-//! be rebuilt.
+//! The absorbed WAL position is [`ShardedCinct::save_dir_at`]'s stamp; the
+//! configuration lets [`ShardedCinct::append_batch`] after reopening build
+//! new shards identically; a pruning block is the edge-membership structure
+//! and owned global-ID span the fan-out skips shards with
+//! ([`crate::prune`]). The rest is derived: a shard's file name is
+//! [`shard_file_name`]`(slot, checksum)`, its trajectory count the length
+//! of its ID column, the corpus's their sum. The trailing [`checksum64`]
+//! catches truncation or bit rot anywhere in the manifest before any field
+//! is trusted, and each shard file is checked against its recorded
+//! checksum before it is parsed; a snapshot has no field of its own, so
+//! every byte of it is covered the same way. A pruning block that
+//! disagrees with its shard's ID column is re-derived, exactly, from the
+//! shard's `C` array. The `format` module owns every header and seal; any
+//! other version is refused by number, so an older directory is rebuilt.
 //!
 //! # Failure taxonomy (no panics)
 //!
@@ -37,7 +42,9 @@
 
 use crate::builder::CinctBuilder;
 use crate::faultio;
+use crate::format::{self, corrupt};
 use crate::index::CinctIndex;
+use crate::prune::ShardPruning;
 use crate::rml::LabelingStrategy;
 use crate::shard::{QuarantinedShard, Shard, ShardPartition, ShardedBuilder, ShardedCinct};
 use cinct_fmindex::QueryError;
@@ -45,19 +52,10 @@ use cinct_succinct::serial::{read_u64, read_usize, write_u64, write_usize, Persi
 use std::io::Cursor;
 use std::path::Path as FsPath;
 
-/// Manifest magic prefix ("CINCTS" as bytes, low 16 bits = format version).
-const MANIFEST_PREFIX: u64 = 0x4349_4e43_5453_0000;
-/// Manifest format version, the only one this build reads or writes
-/// (4 = every checksum, and so every shard file name, is [`checksum64`];
-/// 3 added per-shard pruning blocks, 2 the absorbed-WAL-position stamp).
-const MANIFEST_VERSION: u64 = 4;
+pub use crate::format::checksum64;
+
 /// The manifest file inside a sharded-index directory.
 pub const MANIFEST_FILE: &str = "manifest.cinct";
-/// Snapshot-stream magic prefix ("CINCSN" as bytes, low 16 bits = version).
-const SNAPSHOT_PREFIX: u64 = 0x4349_4e43_534e_0000;
-/// Snapshot-stream format version, the only one this build reads or
-/// writes (2 = [`checksum64`] trailer).
-const SNAPSHOT_VERSION: u64 = 2;
 
 /// File name of shard `s` inside the directory. **Content-addressed**:
 /// the name embeds the file's own checksum, so a re-save (after
@@ -130,97 +128,116 @@ pub(crate) fn fsync_err(path: &FsPath, e: std::io::Error) -> QueryError {
     QueryError::Io(format!("fsync {}: {e}", path.display()))
 }
 
-const P1: u64 = 0x9e37_79b1_85eb_ca87;
-const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
-const P3: u64 = 0x1656_67b1_9e37_79f9;
-const P4: u64 = 0x85eb_ca77_c2b2_ae63;
-const P5: u64 = 0x27d4_eb2f_1656_67c5;
-
-/// One XXH64-style round: a bijection in `w` for a fixed `acc`, and in
-/// `acc` for a fixed `w` (odd multipliers, rotation and addition all are).
-fn round(acc: u64, w: u64) -> u64 {
-    acc.wrapping_add(w.wrapping_mul(P2))
-        .rotate_left(31)
-        .wrapping_mul(P1)
-}
-
-/// The store's integrity checksum, over the manifest, every shard file,
-/// the snapshot stream and each WAL record. Not cryptographic; it guards
-/// against truncation, bit rot and mixed-up files, which is the failure
-/// model for a local index directory.
-///
-/// Four independent 64-bit lanes consume 32-byte stripes, so the loop is
-/// bound by multiply throughput, not by one multiply's latency per byte.
-/// The byte length seeds the fold; the lanes, the 8-byte words of the
-/// < 32-byte tail and its last bytes follow in order, then an avalanche.
-/// Every step is a bijection in the input it changes, so damage confined
-/// to one aligned 8-byte word, or to one tail byte, always changes the
-/// digest.
-pub fn checksum64(bytes: &[u8]) -> u64 {
-    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte word"));
-    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
-    let mut stripes = bytes.chunks_exact(32);
-    for stripe in &mut stripes {
-        for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-            *lane = round(*lane, word(w));
-        }
-    }
-    let mut h = (bytes.len() as u64).wrapping_add(P5);
-    for lane in lanes {
-        h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
-    }
-    let mut words = stripes.remainder().chunks_exact(8);
-    for w in &mut words {
-        h = (h ^ round(0, word(w))).rotate_left(27);
-        h = h.wrapping_mul(P1).wrapping_add(P4);
-    }
-    for &b in words.remainder() {
-        h = (h ^ (b as u64).wrapping_mul(P5))
-            .rotate_left(11)
-            .wrapping_mul(P1);
-    }
-    h = (h ^ (h >> 33)).wrapping_mul(P2);
-    h = (h ^ (h >> 29)).wrapping_mul(P3);
-    h ^ (h >> 32)
-}
-
 pub(crate) fn io_err(path: &FsPath, e: std::io::Error) -> QueryError {
     QueryError::Io(format!("{}: {:?}: {e}", path.display(), e.kind()))
 }
 
-fn corrupt(msg: impl Into<String>) -> QueryError {
-    QueryError::CorruptIndex(msg.into())
+/// A decoded manifest: what [`ShardedCinct::open_dir_with`],
+/// [`ShardedCinct::install_snapshot`] and [`manifest_wal_position`] read.
+struct Manifest {
+    /// The absorbed WAL position ([`ShardedCinct::save_dir_at`]).
+    wal_position: u64,
+    n_edges: usize,
+    /// The construction configuration as [`config_words`] stores it.
+    config: [u64; 6],
+    shards: Vec<ManifestShard>,
 }
 
-/// Serialize the labeling strategy as `(tag, seed)`.
-fn labeling_to_raw(l: LabelingStrategy) -> (u64, u64) {
-    match l {
+/// One shard as the manifest vouches for it.
+struct ManifestShard {
+    /// Byte length of the shard's file.
+    len: usize,
+    /// [`checksum64`] of the shard's file, which also names it.
+    checksum: u64,
+    /// `globals[local] = global`: the shard's ID column.
+    globals: Vec<u32>,
+    pruning: ShardPruning,
+}
+
+/// The construction configuration as six manifest words: block size,
+/// locate sampling rate (0 = off), labeling tag and seed, partition tag,
+/// threads.
+fn config_words(config: &ShardedBuilder) -> [u64; 6] {
+    let b = config.index_builder_config();
+    let (ltag, lseed) = match b.configured_labeling() {
         LabelingStrategy::BigramSorted => (0, 0),
         LabelingStrategy::Random { seed } => (1, seed),
-    }
-}
-
-fn labeling_from_raw(tag: u64, seed: u64) -> Result<LabelingStrategy, QueryError> {
-    match tag {
-        0 => Ok(LabelingStrategy::BigramSorted),
-        1 => Ok(LabelingStrategy::Random { seed }),
-        t => Err(corrupt(format!("unknown labeling strategy tag {t}"))),
-    }
-}
-
-fn partition_to_raw(p: ShardPartition) -> u64 {
-    match p {
+    };
+    let partition = match config.configured_partition() {
         ShardPartition::RoundRobin => 0,
         ShardPartition::SizeBalanced => 1,
+    };
+    let block = b.configured_block_size() as u64;
+    let locate = b.configured_locate_sampling().unwrap_or(0) as u64;
+    let threads = config.configured_threads() as u64;
+    [block, locate, ltag, lseed, partition, threads]
+}
+
+impl Manifest {
+    /// The fields behind the header word, up to the seal. Nothing reads
+    /// a count without reading what it counts: every collection grows
+    /// only as its bytes arrive.
+    fn read(r: &mut dyn std::io::Read) -> std::io::Result<Manifest> {
+        let mut m = Manifest {
+            wal_position: read_u64(r)?,
+            n_edges: read_usize(r)?,
+            config: [0; 6],
+            shards: Vec::new(),
+        };
+        for word in &mut m.config {
+            *word = read_u64(r)?;
+        }
+        for _ in 0..read_u64(r)? {
+            m.shards.push(ManifestShard {
+                len: read_usize(r)?,
+                checksum: read_u64(r)?,
+                globals: Persist::restore(r)?,
+                pruning: ShardPruning::restore(r)?,
+            });
+        }
+        Ok(m)
+    }
+
+    /// The builder the manifest's configuration words describe.
+    fn builder(&self) -> Result<ShardedBuilder, QueryError> {
+        let [block, locate, ltag, lseed, partition, threads] = self.config;
+        let size = |w| usize::try_from(w).map_err(|_| corrupt("manifest size overflows usize"));
+        let labeling = match ltag {
+            0 => LabelingStrategy::BigramSorted,
+            1 => LabelingStrategy::Random { seed: lseed },
+            t => return Err(corrupt(format!("unknown labeling strategy tag {t}"))),
+        };
+        let partition = match partition {
+            0 => ShardPartition::RoundRobin,
+            1 => ShardPartition::SizeBalanced,
+            t => return Err(corrupt(format!("unknown partition strategy tag {t}"))),
+        };
+        let mut index_builder = CinctBuilder::new()
+            .block_size(size(block)?)
+            .labeling(labeling);
+        if locate > 0 {
+            index_builder = index_builder.locate_sampling(size(locate)?);
+        }
+        Ok(ShardedBuilder::new()
+            .shards(self.shards.len().max(1))
+            .partition(partition)
+            .threads(size(threads)?)
+            .index_builder(index_builder))
     }
 }
 
-fn partition_from_raw(tag: u64) -> Result<ShardPartition, QueryError> {
-    match tag {
-        0 => Ok(ShardPartition::RoundRobin),
-        1 => Ok(ShardPartition::SizeBalanced),
-        t => Err(corrupt(format!("unknown partition strategy tag {t}"))),
-    }
+/// Decode the sealed manifest at the front of `bytes`, returning it and
+/// the bytes behind its seal. The header is checked first, so another
+/// version is refused by number; the seal sits where the fields end, so
+/// damage to a count or length word, which moves that point or runs the
+/// fields past the bytes, fails it like any other rot.
+fn decode_manifest(bytes: &[u8]) -> Result<(Manifest, &[u8]), QueryError> {
+    let mut fields = Cursor::new(format::MANIFEST.strip(bytes)?);
+    let manifest = Manifest::read(&mut fields);
+    let end = 8 + fields.position() as usize + 8;
+    let sealed = bytes.get(..end).filter(|_| manifest.is_ok());
+    format::unseal(sealed.unwrap_or_default(), "shard manifest")?;
+    Ok((manifest?, &bytes[end..]))
 }
 
 /// How [`ShardedCinct::open_dir_with`] reacts to a damaged shard.
@@ -289,16 +306,10 @@ impl ShardedCinct {
         wal_position: u64,
     ) -> Result<(), QueryError> {
         let _span = cinct_obs::Span::enter(&crate::metrics::store().save_ns);
-        if self.is_degraded() {
-            return Err(QueryError::InvalidInput(format!(
-                "refusing to save a degraded corpus ({} quarantined shard(s) would be dropped)",
-                self.quarantined().len()
-            )));
-        }
+        let shards = self.serialize_shards("save")?;
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        // Shard files first, collecting names + checksums for the manifest.
-        let shards = self.serialize_shards()?;
+        // Shard files first, the manifest that names them last.
         for (name, bytes, _) in &shards {
             write_content_addressed(&dir.join(name), bytes, durability)?;
         }
@@ -324,8 +335,16 @@ impl ShardedCinct {
 
     /// Serialize every shard, returning `(file name, bytes, checksum)`
     /// per shard — the common front half of [`ShardedCinct::save_dir`]
-    /// and [`ShardedCinct::snapshot_to_vec`].
-    fn serialize_shards(&self) -> Result<Vec<(String, Vec<u8>, u64)>, QueryError> {
+    /// and [`ShardedCinct::snapshot_to_vec`], which both refuse a
+    /// degraded corpus: what they write would quietly turn quarantine
+    /// into deletion, on disk or on every follower that bootstraps.
+    fn serialize_shards(&self, verb: &str) -> Result<Vec<(String, Vec<u8>, u64)>, QueryError> {
+        if self.is_degraded() {
+            return Err(QueryError::InvalidInput(format!(
+                "refusing to {verb} a degraded corpus ({} quarantined shard(s) would be dropped)",
+                self.quarantined().len()
+            )));
+        }
         let mut out = Vec::with_capacity(self.num_shards());
         for s in 0..self.num_shards() {
             let mut bytes = Vec::new();
@@ -338,11 +357,8 @@ impl ShardedCinct {
         Ok(out)
     }
 
-    /// Build the manifest byte stream (header, absorbed WAL position,
-    /// config, per-shard directory, trailing self-checksum) over the
-    /// serialized shards. `wal_position` sits at a fixed offset right
-    /// after the magic word so [`manifest_wal_position`] can read it
-    /// without parsing the whole directory.
+    /// The sealed manifest over the serialized shards, stamped with the
+    /// absorbed `wal_position` (the layout is in the [module docs](self)).
     fn manifest_bytes(
         &self,
         shards: &[(String, Vec<u8>, u64)],
@@ -350,128 +366,80 @@ impl ShardedCinct {
     ) -> Result<Vec<u8>, QueryError> {
         let mut m: Vec<u8> = Vec::new();
         let w = &mut m as &mut dyn std::io::Write;
-        write_u64(w, MANIFEST_PREFIX | MANIFEST_VERSION)?;
+        write_u64(w, format::MANIFEST.header())?;
         write_u64(w, wal_position)?;
         write_usize(w, self.network_edges())?;
-        let b = self.config().index_builder_config();
-        write_usize(w, b.configured_block_size())?;
-        write_usize(w, b.configured_locate_sampling().unwrap_or(0))?;
-        let (ltag, lseed) = labeling_to_raw(b.configured_labeling());
-        write_u64(w, ltag)?;
-        write_u64(w, lseed)?;
-        write_u64(w, partition_to_raw(self.config().configured_partition()))?;
-        write_usize(w, self.config().configured_threads())?;
-        write_usize(w, self.num_trajectories())?;
+        for word in config_words(self.config()) {
+            write_u64(w, word)?;
+        }
         write_usize(w, self.num_shards())?;
-        for (s, (name, _, checksum)) in shards.iter().enumerate() {
-            name.as_bytes().to_vec().persist(w)?;
-            write_usize(w, self.shard_index(s).num_trajectories())?;
+        for (s, (_, bytes, checksum)) in shards.iter().enumerate() {
+            write_usize(w, bytes.len())?;
             write_u64(w, *checksum)?;
             self.shard_globals(s).to_vec().persist(w)?;
             self.shard_pruning(s).persist(w)?;
         }
-        let digest = checksum64(&m);
-        write_u64(&mut m, digest)?;
-        Ok(m)
+        Ok(format::seal(m))
     }
 
-    /// Serialize the whole corpus as one self-describing **snapshot
-    /// stream** — the follower-bootstrap payload behind the primary's
-    /// `/repl/snapshot` endpoint. The stream carries the manifest, every
-    /// shard file, and `absorbed_seq`: the WAL position this snapshot
-    /// absorbs (every record below it is already folded in, so a
-    /// follower installing the snapshot resumes pulling from exactly
-    /// `absorbed_seq`). A trailing [`checksum64`] over the whole stream
-    /// catches truncation in transit before any field is trusted.
-    ///
-    /// Refuses a degraded corpus for the same reason `save_dir` does:
-    /// the snapshot would quietly turn quarantine into deletion on
-    /// every follower that bootstraps from it.
+    /// Serialize the whole corpus as one **snapshot stream** — the
+    /// follower-bootstrap payload behind the primary's `/repl/snapshot`
+    /// endpoint: the snapshot header word, a manifest stamped with
+    /// `absorbed_seq`, then every shard file in manifest order.
+    /// `absorbed_seq` is the WAL position the snapshot absorbs (every
+    /// record below it is already folded in, so a follower installing
+    /// the snapshot resumes pulling from exactly `absorbed_seq`).
+    /// Refuses a degraded corpus, as `save_dir` does.
     pub fn snapshot_to_vec(&self, absorbed_seq: u64) -> Result<Vec<u8>, QueryError> {
-        if self.is_degraded() {
-            return Err(QueryError::InvalidInput(format!(
-                "refusing to snapshot a degraded corpus ({} quarantined shard(s) would be dropped)",
-                self.quarantined().len()
-            )));
+        let shards = self.serialize_shards("snapshot")?;
+        let mut out = format::SNAPSHOT.header().to_le_bytes().to_vec();
+        out.extend(self.manifest_bytes(&shards, absorbed_seq)?);
+        for (_, bytes, _) in &shards {
+            out.extend_from_slice(bytes);
         }
-        let shards = self.serialize_shards()?;
-        let manifest = self.manifest_bytes(&shards, absorbed_seq)?;
-        let mut out: Vec<u8> = Vec::new();
-        let w = &mut out as &mut dyn std::io::Write;
-        write_u64(w, SNAPSHOT_PREFIX | SNAPSHOT_VERSION)?;
-        write_u64(w, absorbed_seq)?;
-        manifest.persist(w)?;
-        write_usize(w, shards.len())?;
-        for (name, bytes, _) in shards {
-            name.into_bytes().persist(w)?;
-            bytes.persist(w)?;
-        }
-        let digest = checksum64(&out);
-        write_u64(&mut out, digest)?;
         Ok(out)
     }
 
     /// Install a [`ShardedCinct::snapshot_to_vec`] stream into `dir` and
     /// open it, returning the corpus and the WAL position the snapshot
-    /// absorbs. Files land through the same atomic temp-file + rename
-    /// discipline as `save_dir`, manifest last, so a crash mid-install
-    /// leaves either the previous corpus or the new one — never a mix.
-    /// Shards are restored through [`CinctIndex::read_from`] by the closing
-    /// `open_dir`, so a stream from a build with another index format
-    /// version is refused with the same typed error as a saved directory.
-    /// The caller owns re-basing its WAL at the returned position (see
-    /// `Wal::create_at`).
+    /// absorbs. The manifest is decoded and every file checked against
+    /// its checksum before anything is written, so a damaged stream
+    /// leaves `dir` untouched. Files land through the same atomic
+    /// temp-file + rename discipline as `save_dir`, manifest last, so a
+    /// crash mid-install leaves either the previous corpus or the new
+    /// one — never a mix. Shards are restored through
+    /// [`CinctIndex::read_from`] by the closing `open_dir`, so a stream
+    /// from a build with another index format version is refused with
+    /// the same typed error as a saved directory. The caller owns
+    /// re-basing its WAL at the returned position (see `Wal::create_at`).
     pub fn install_snapshot(
         dir: impl AsRef<FsPath>,
         stream: &[u8],
         durability: Durability,
     ) -> Result<(ShardedCinct, u64), QueryError> {
         let dir = dir.as_ref();
-        if stream.len() < 24 {
-            return Err(corrupt("snapshot stream too short to hold a header"));
+        let stream = format::SNAPSHOT.strip(stream)?;
+        let (manifest, mut rest) = decode_manifest(stream)?;
+        let sealed = &stream[..stream.len() - rest.len()];
+        let mut files = Vec::new();
+        for (s, m) in manifest.shards.iter().enumerate() {
+            let (bytes, tail) = rest.split_at(m.len.min(rest.len()));
+            format::vouch(bytes, m.checksum, format_args!("snapshot shard file {s}"))?;
+            files.push((shard_file_name(s, m.checksum), bytes));
+            rest = tail;
         }
-        let magic = u64::from_le_bytes(stream[..8].try_into().expect("length checked"));
-        if magic & !0xffff != SNAPSHOT_PREFIX {
-            return Err(corrupt("not a CiNCT snapshot (bad magic)"));
+        if !rest.is_empty() {
+            return Err(corrupt("snapshot stream runs past its last shard file"));
         }
-        let version = magic & 0xffff;
-        if version != SNAPSHOT_VERSION {
-            return Err(corrupt(format!(
-                "unsupported snapshot version {version} (this build reads {SNAPSHOT_VERSION})"
-            )));
-        }
-        let (body, tail) = stream.split_at(stream.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if checksum64(body) != stored {
-            crate::metrics::store().checksum_fail.inc();
-            return Err(corrupt(
-                "snapshot stream checksum mismatch (truncated or corrupted in transit)",
-            ));
-        }
-        crate::metrics::store().checksum_ok.inc();
-        let mut cur = Cursor::new(&body[8..]);
-        let r = &mut cur as &mut dyn std::io::Read;
-        let absorbed_seq = read_u64(r)?;
-        let manifest: Vec<u8> = Persist::restore(r)?;
-        let n_files = read_usize(r)?;
         std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        for i in 0..n_files {
-            let name_bytes: Vec<u8> = Persist::restore(r)?;
-            let name = String::from_utf8(name_bytes)
-                .map_err(|_| corrupt(format!("snapshot file {i}: name is not UTF-8")))?;
-            if name.contains(['/', '\\']) || name.contains("..") || name.is_empty() {
-                return Err(corrupt(format!(
-                    "snapshot file {i}: unsafe file name {name:?}"
-                )));
-            }
-            let bytes: Vec<u8> = Persist::restore(r)?;
-            write_content_addressed(&dir.join(&name), &bytes, durability)?;
+        for (name, bytes) in files {
+            write_content_addressed(&dir.join(name), bytes, durability)?;
         }
         // Manifest last: the rename is the commit point, exactly as in
         // `save_dir`. Only after it lands does the new corpus exist.
-        write_atomic(&dir.join(MANIFEST_FILE), &manifest, durability)?;
+        write_atomic(&dir.join(MANIFEST_FILE), sealed, durability)?;
         let corpus = ShardedCinct::open_dir(dir)?;
-        Ok((corpus, absorbed_seq))
+        Ok((corpus, manifest.wal_position))
     }
 
     /// Reopen a directory written by [`ShardedCinct::save_dir`]
@@ -499,85 +467,28 @@ impl ShardedCinct {
         let dir = dir.as_ref();
         let mpath = dir.join(MANIFEST_FILE);
         let bytes = faultio::read(&mpath).map_err(|e| io_err(&mpath, e))?;
-        if bytes.len() < 16 {
-            return Err(corrupt("shard manifest too short to hold a header"));
+        let (manifest, rest) = decode_manifest(&bytes)?;
+        if !rest.is_empty() {
+            return Err(corrupt("shard manifest runs past its checksum"));
         }
-        // Header sanity precedes everything: a wrong-magic or other-
-        // version file should say so, not "checksum mismatch".
-        let magic = u64::from_le_bytes(bytes[..8].try_into().expect("length checked"));
-        if magic & !0xffff != MANIFEST_PREFIX {
-            return Err(corrupt("not a CiNCT shard manifest (bad magic)"));
-        }
-        let version = magic & 0xffff;
-        if version != MANIFEST_VERSION {
-            return Err(corrupt(format!(
-                "unsupported shard manifest version {version} \
-                 (this build reads {MANIFEST_VERSION})"
-            )));
-        }
-        // Integrity: trailing checksum over the whole body. Catches truncation
-        // and bit rot before any field is parsed.
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if checksum64(body) != stored {
-            crate::metrics::store().checksum_fail.inc();
-            return Err(corrupt(
-                "shard manifest checksum mismatch (truncated or corrupted)",
-            ));
-        }
-        crate::metrics::store().checksum_ok.inc();
-        let mut cur = Cursor::new(&body[8..]);
-        let r = &mut cur as &mut dyn std::io::Read;
-        // The absorbed WAL position: consumed here to keep the cursor
-        // aligned, read directly by `manifest_wal_position` (the WAL's
-        // replay filter), irrelevant to the corpus itself.
-        let _wal_position = read_u64(r)?;
-        let n_edges = read_usize(r)?;
-        let block_size = read_usize(r)?;
-        let locate = read_usize(r)?;
-        let ltag = read_u64(r)?;
-        let lseed = read_u64(r)?;
-        let labeling = labeling_from_raw(ltag, lseed)?;
-        let partition = partition_from_raw(read_u64(r)?)?;
-        let threads = read_usize(r)?;
-        let n_trajs = read_usize(r)?;
-        let n_shards = read_usize(r)?;
-        let mut index_builder = CinctBuilder::new()
-            .block_size(block_size)
-            .labeling(labeling);
-        if locate > 0 {
-            index_builder = index_builder.locate_sampling(locate);
-        }
-        let config = ShardedBuilder::new()
-            .shards(n_shards.max(1))
-            .partition(partition)
-            .threads(threads)
-            .index_builder(index_builder);
-
-        let mut shards = Vec::with_capacity(n_shards);
-        let mut quarantined: Vec<QuarantinedShard> = Vec::new();
-        // Which global IDs the accepted shards claim — resilient mode
-        // must reject a duplicate claim per shard, not per corpus.
+        let (config, n_edges) = (manifest.builder()?, manifest.n_edges);
+        // The corpus holds exactly the IDs its shards list, so `seen` is
+        // sized by ID columns actually read, never by a stored count.
+        let n_trajs = manifest.shards.iter().map(|m| m.globals.len()).sum();
         let mut seen = vec![false; n_trajs];
-        for s in 0..n_shards {
-            // Manifest fields always parse (the stream has one layout);
-            // only the shard *file* and its cross-checks can quarantine.
-            let name_bytes: Vec<u8> = Persist::restore(r)?;
-            let name = String::from_utf8_lossy(&name_bytes).into_owned();
-            let n_local = read_usize(r)?;
-            let checksum = read_u64(r)?;
-            let globals: Vec<u32> = Persist::restore(r)?;
-            let pruning = crate::prune::ShardPruning::restore(r)?;
-            match load_shard(
-                dir, s, &name, n_local, checksum, &globals, pruning, n_edges, &mut seen,
-            ) {
+        let mut shards = Vec::new();
+        let mut quarantined: Vec<QuarantinedShard> = Vec::new();
+        for (s, entry) in manifest.shards.into_iter().enumerate() {
+            let file = shard_file_name(s, entry.checksum);
+            let trajectories = entry.globals.len();
+            match load_shard(dir, s, &file, entry, n_edges, &mut seen) {
                 Ok(shard) => shards.push(shard),
                 Err(e) if mode == OpenMode::Resilient => {
                     crate::metrics::store().quarantined.inc();
                     quarantined.push(QuarantinedShard {
                         slot: s,
-                        file: name,
-                        trajectories: n_local,
+                        file,
+                        trajectories,
                         reason: e.to_string(),
                     });
                 }
@@ -586,12 +497,6 @@ impl ShardedCinct {
         }
         let loaded =
             ShardedCinct::assemble_with_holes(shards, n_trajs, n_edges, config, quarantined)?;
-        if loaded.num_trajectories() != n_trajs {
-            return Err(corrupt(format!(
-                "manifest declares {n_trajs} trajectories, shards hold {}",
-                loaded.num_trajectories()
-            )));
-        }
         // A crashed save can strand `*.tmp` siblings forever (save_dir's
         // GC only runs on the next save). Sweep them now that the open
         // proved the directory coherent. Best effort.
@@ -607,38 +512,23 @@ impl ShardedCinct {
     }
 }
 
-/// Load + fully validate one shard: manifest cross-checks (safe file
-/// name, ID-column arity, namespace claims against `seen`), then the
-/// file itself (checksum before parse). Marks `seen` only on success so
-/// a rejected shard leaves no namespace footprint.
+/// Load + fully validate one shard: namespace claims against `seen`,
+/// then its file `file` (checksum before parse). Marks `seen` only on
+/// success so a rejected shard leaves no namespace footprint.
 ///
-/// `pruning` is the manifest's block; it is trusted only after a shape +
-/// ID-span sanity check, and re-derived from the loaded index otherwise
+/// The manifest's pruning block is trusted only after a shape + ID-span
+/// sanity check, and re-derived from the loaded index otherwise
 /// (derivation is exact, so a mismatched block costs O(σ) per shard,
 /// never correctness).
-#[allow(clippy::too_many_arguments)]
 fn load_shard(
     dir: &FsPath,
     s: usize,
-    name: &str,
-    n_local: usize,
-    checksum: u64,
-    globals: &[u32],
-    pruning: crate::prune::ShardPruning,
+    file: &str,
+    entry: ManifestShard,
     n_edges: usize,
     seen: &mut [bool],
 ) -> Result<Shard, QueryError> {
-    if name.contains(['/', '\\']) || name.contains("..") || name.is_empty() {
-        return Err(corrupt(format!(
-            "shard {s}: unsafe file name {name:?} in manifest"
-        )));
-    }
-    if globals.len() != n_local {
-        return Err(corrupt(format!(
-            "shard {s}: manifest declares {n_local} trajectories but lists {} IDs",
-            globals.len()
-        )));
-    }
+    let globals = entry.globals;
     // Claim the shard's IDs up front (so a duplicate inside the shard is
     // caught too), rolling every claim back if anything later fails —
     // a quarantined shard must leave no namespace footprint.
@@ -664,29 +554,26 @@ fn load_shard(
         }
         seen[gi] = true;
     }
-    let spath = dir.join(name);
+    let spath = dir.join(file);
     let loaded = (|| {
         let sbytes = faultio::read(&spath).map_err(|e| io_err(&spath, e))?;
-        if checksum64(&sbytes) != checksum {
-            crate::metrics::store().checksum_fail.inc();
-            return Err(corrupt(format!(
-                "shard file {} checksum mismatch (truncated or corrupted)",
-                spath.display()
-            )));
-        }
-        crate::metrics::store().checksum_ok.inc();
+        format::vouch(
+            &sbytes,
+            entry.checksum,
+            format_args!("shard file {}", spath.display()),
+        )?;
         CinctIndex::read_from(&mut Cursor::new(sbytes))
     })();
     match loaded {
         Ok(index) => {
-            let pruning = if pruning.matches(n_edges, globals) {
-                pruning
+            let pruning = if entry.pruning.matches(n_edges, &globals) {
+                entry.pruning
             } else {
-                crate::prune::ShardPruning::derive(&index, n_edges, globals)
+                ShardPruning::derive(&index, n_edges, &globals)
             };
             Ok(Shard {
                 index,
-                globals: globals.to_vec(),
+                globals,
                 pruning,
             })
         }
@@ -700,25 +587,13 @@ fn load_shard(
 /// The WAL position stamped into `dir`'s manifest by
 /// [`ShardedCinct::save_dir_at`] — every journaled record below it is
 /// already folded into the saved corpus. `None` when there is no
-/// manifest, or it fails its magic/version/checksum checks (the full
-/// open will report that damage properly; the WAL replay filter just
-/// falls back to replaying everything). Reads through `std::fs`, not
-/// [`faultio`], so consulting it never perturbs an armed fault plan's
-/// operation counts.
+/// manifest, or it does not decode (the full open will report that
+/// damage properly; the WAL replay filter just falls back to replaying
+/// everything). Reads through `std::fs`, not [`faultio`], so consulting
+/// it never perturbs an armed fault plan's operation counts.
 pub(crate) fn manifest_wal_position(dir: &FsPath) -> Option<u64> {
     let bytes = std::fs::read(dir.join(MANIFEST_FILE)).ok()?;
-    if bytes.len() < 24 {
-        return None;
-    }
-    let magic = u64::from_le_bytes(bytes[..8].try_into().ok()?);
-    if magic != MANIFEST_PREFIX | MANIFEST_VERSION {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    if checksum64(body) != u64::from_le_bytes(tail.try_into().ok()?) {
-        return None;
-    }
-    Some(u64::from_le_bytes(bytes[8..16].try_into().ok()?))
+    Some(decode_manifest(&bytes).ok()?.0.wal_position)
 }
 
 #[cfg(test)]
@@ -905,7 +780,7 @@ mod tests {
 
         // Right magic, future version.
         let mut future = original.clone();
-        future[..8].copy_from_slice(&(MANIFEST_PREFIX | 999).to_le_bytes());
+        future[..8].copy_from_slice(&(format::MANIFEST.prefix | 999).to_le_bytes());
         std::fs::write(&mpath, &future).unwrap();
         match ShardedCinct::open_dir(&dir) {
             Err(QueryError::CorruptIndex(msg)) => {
@@ -981,12 +856,15 @@ mod tests {
         build_sharded().save_dir(&dir).unwrap();
         let mpath = dir.join(MANIFEST_FILE);
         let mut bytes = std::fs::read(&mpath).unwrap();
-        bytes[..8].copy_from_slice(&(MANIFEST_PREFIX | version).to_le_bytes());
+        bytes[..8].copy_from_slice(&(format::MANIFEST.prefix | version).to_le_bytes());
         std::fs::write(&mpath, &bytes).unwrap();
         match ShardedCinct::open_dir(&dir) {
             Err(QueryError::CorruptIndex(msg)) => {
                 assert!(msg.contains(&format!("version {version}")), "{msg}");
-                assert!(msg.contains(&format!("reads {MANIFEST_VERSION}")), "{msg}");
+                assert!(
+                    msg.contains(&format!("reads {}", format::MANIFEST.version)),
+                    "{msg}"
+                );
             }
             other => panic!("expected CorruptIndex, got {other:?}"),
         }
@@ -1012,8 +890,15 @@ mod tests {
     }
 
     #[test]
+    fn v4_manifest_of_the_previous_build_is_rejected_typed() {
+        // v4 stored each shard's file name and trajectory count and the
+        // corpus total; v5 derives them. Refused by number, not misread.
+        assert_manifest_version_rejected("v4-rejected", 4);
+    }
+
+    #[test]
     fn future_manifest_version_is_rejected_typed() {
-        assert_manifest_version_rejected("v5-future", MANIFEST_VERSION + 1);
+        assert_manifest_version_rejected("v6-future", format::MANIFEST.version + 1);
     }
 
     #[test]
@@ -1027,15 +912,17 @@ mod tests {
         let spath = shard_files(&dir).remove(0);
         let mut sbytes = std::fs::read(&spath).unwrap();
         let old_sum = checksum64(&sbytes);
-        sbytes[..8].copy_from_slice(&0x4349_4e43_5431_0003u64.to_le_bytes());
-        std::fs::write(&spath, &sbytes).unwrap();
+        sbytes[..8].copy_from_slice(&(format::INDEX.prefix | 3).to_le_bytes());
+        std::fs::remove_file(&spath).unwrap();
+        let new_sum = checksum64(&sbytes);
+        std::fs::write(dir.join(shard_file_name(0, new_sum)), &sbytes).unwrap();
         let mpath = dir.join(MANIFEST_FILE);
         let mut manifest = std::fs::read(&mpath).unwrap();
         let body = manifest.len() - 8;
         let at = (0..body - 8)
             .find(|&i| manifest[i..i + 8] == old_sum.to_le_bytes())
             .expect("manifest records the shard checksum");
-        manifest[at..at + 8].copy_from_slice(&checksum64(&sbytes).to_le_bytes());
+        manifest[at..at + 8].copy_from_slice(&new_sum.to_le_bytes());
         let digest = checksum64(&manifest[..body]);
         manifest[body..].copy_from_slice(&digest.to_le_bytes());
         std::fs::write(&mpath, &manifest).unwrap();
@@ -1050,6 +937,41 @@ mod tests {
         assert_eq!(degraded.quarantined().len(), 1);
         assert!(degraded.quarantined()[0].reason.contains("index version 3"));
         assert_eq!(degraded.num_shards(), build_sharded().num_shards() - 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn hostile_counts_in_a_resealed_manifest_are_typed_errors() {
+        // The checksum is not cryptographic, so a forged manifest can
+        // carry any count under a valid seal. Neither a huge shard count
+        // nor a huge ID column may size an allocation before bytes back
+        // it: both are typed errors in either mode, never a panic.
+        let dir = scratch("hostile-counts");
+        let sharded = build_sharded();
+        sharded.save_dir(&dir).unwrap();
+        let mpath = dir.join(MANIFEST_FILE);
+        let good = std::fs::read(&mpath).unwrap();
+        // The shard count follows the header, the absorbed position, the
+        // network size and six configuration words; shard 0's ID count
+        // follows its file's length and checksum.
+        let (n_shards_at, ids_at) = (72, 96);
+        let word = |at: usize| u64::from_le_bytes(good[at..at + 8].try_into().unwrap());
+        assert_eq!(word(n_shards_at), sharded.num_shards() as u64);
+        assert_eq!(word(ids_at), sharded.shard_globals(0).len() as u64);
+        for (at, count) in [(n_shards_at, 1u64 << 62), (ids_at, 1 << 40)] {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            let body = bytes.len() - 8;
+            let digest = checksum64(&bytes[..body]);
+            bytes[body..].copy_from_slice(&digest.to_le_bytes());
+            std::fs::write(&mpath, &bytes).unwrap();
+            for mode in [OpenMode::Strict, OpenMode::Resilient] {
+                match ShardedCinct::open_dir_with(&dir, mode) {
+                    Err(QueryError::CorruptIndex(_)) => {}
+                    other => panic!("offset {at}, {mode:?}: expected CorruptIndex, got {other:?}"),
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1155,17 +1077,21 @@ mod tests {
 
     #[test]
     fn v1_snapshot_stream_is_rejected_before_touching_the_directory() {
+        // v2, the previous build's, framed its own names, lengths and
+        // trailer around the manifest; v3 has no field of its own.
         let dir = scratch("snapshot-v1");
         let mut stream = build_sharded().snapshot_to_vec(0).unwrap();
-        stream[..8].copy_from_slice(&(SNAPSHOT_PREFIX | 1).to_le_bytes());
-        match ShardedCinct::install_snapshot(&dir, &stream, Durability::Fast) {
-            Err(QueryError::CorruptIndex(msg)) => {
-                assert!(msg.contains("version 1"), "{msg}");
-                assert!(msg.contains(&format!("reads {SNAPSHOT_VERSION}")), "{msg}");
+        for version in [1, 2] {
+            stream[..8].copy_from_slice(&(format::SNAPSHOT.prefix | version).to_le_bytes());
+            match ShardedCinct::install_snapshot(&dir, &stream, Durability::Fast) {
+                Err(QueryError::CorruptIndex(msg)) => {
+                    assert!(msg.contains(&format!("version {version}")), "{msg}");
+                    assert!(msg.contains("reads 3"), "{msg}");
+                }
+                other => panic!("expected CorruptIndex, got {other:?}"),
             }
-            other => panic!("expected CorruptIndex, got {other:?}"),
+            assert!(!dir.exists(), "a refused stream created the directory");
         }
-        assert!(!dir.exists(), "a refused stream created the directory");
     }
 
     /// Flip one bit in the middle of the file at `path`.
@@ -1239,131 +1165,57 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// `n` bytes of a fixed pattern: the top byte of `i · φ·2⁶⁴`.
-    fn pattern(n: usize) -> Vec<u8> {
-        (0..n as u64)
-            .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8)
-            .collect()
+    #[test]
+    fn every_bit_flip_and_truncation_of_a_manifest_is_refused() {
+        // Manifest damage is fatal in both modes: strict says
+        // CorruptIndex, resilient errs too, and neither panics.
+        let dir = scratch("manifest-sweep");
+        build_sharded().save_dir(&dir).unwrap();
+        let mpath = dir.join(MANIFEST_FILE);
+        let good = std::fs::read(&mpath).unwrap();
+        let refused = |bytes: &[u8], case: String| {
+            std::fs::write(&mpath, bytes).unwrap();
+            match ShardedCinct::open_dir(&dir) {
+                Err(QueryError::CorruptIndex(_)) => {}
+                other => panic!("{case}: expected CorruptIndex, got {other:?}"),
+            }
+            let resilient = ShardedCinct::open_dir_with(&dir, OpenMode::Resilient);
+            assert!(resilient.is_err(), "{case}: resilient open accepted it");
+        };
+        for bit in 0..good.len() * 8 {
+            let mut bytes = good.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            refused(&bytes, format!("bit {bit}"));
+        }
+        for len in 0..good.len() {
+            refused(&good[..len], format!("length {len}"));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn checksum64_known_answers() {
-        // `checksum64(&pattern(len))` for every length 0..=70: each tail
-        // length on both sides of the 32- and 64-byte stripe boundaries.
-        // Pinned literally so any change to the function — and so to the
-        // manifest, snapshot and WAL formats — fails here.
-        const KNOWN: [u64; 71] = [
-            0xc1620d0a2dcaa9d2,
-            0x2ccc2711faa975c3,
-            0x18161ed80b3a5d48,
-            0x346079dc583ee432,
-            0x13869fe8635be6b3,
-            0x561f1dd813e4fe1b,
-            0xcda4acb5100fbfc2,
-            0xaebc793044debb8d,
-            0xbe4049df5f472187,
-            0xed35e6a30273b822,
-            0xe5ec625b79afc6e1,
-            0x31d16ef464b60d47,
-            0x6e27300112a54c47,
-            0x5acc42c406049fe4,
-            0x7b05d72aa777b9ad,
-            0x0cb0b93e46717b55,
-            0xe3de18a1f5ee617b,
-            0xfae327b9af564dd4,
-            0x5745f9e421ce0517,
-            0x17b3ffe4cbb663f2,
-            0x469b45db6c452214,
-            0x90d6296c893a6b20,
-            0xbff2942ea31b446d,
-            0x225aee47f334bc9d,
-            0x94969aedd92de47a,
-            0x95c601cd5976d8de,
-            0x171928d207a405f0,
-            0x9ef8f4a43776afd0,
-            0x69a573ed78efba33,
-            0x39b96f2741c1f77e,
-            0x082b58d69a5910d3,
-            0xdcf423542b25c69d,
-            0x4f27aab714cad2aa,
-            0xdd555f6c5e503aae,
-            0x3ffcb38520e906f9,
-            0x20d872c2e30804cf,
-            0xc7408be61afaae5c,
-            0x140fdb0f1bbfa603,
-            0xd62a7317ab85c3de,
-            0x0a9d3a7db8506ef9,
-            0x2c6109c40e46c8ad,
-            0xccd03f934596cc90,
-            0x0a6b144d0185b26f,
-            0x7766a794a1f255e6,
-            0xd498de37b7f81bbf,
-            0x390cd7255aac25d9,
-            0xac6a5e241116c088,
-            0xdd19aa73ca1b3acf,
-            0x5e50aea33bfb54af,
-            0xc992a8228ecf7605,
-            0x80a8ca396474a1c2,
-            0xd07436934735edb8,
-            0xb1d106b6a385b17c,
-            0xef0a61dbe88ea2fa,
-            0xd0e7e9ce717ea31d,
-            0x498332e81d349e7d,
-            0xd169ca70c47ec52e,
-            0xdb743cbbcb5254df,
-            0x0871e0e6ac0edfd2,
-            0x1cf24189f8cf979c,
-            0xc9fe1ebd815f9393,
-            0x5e73eb4dde0a9f62,
-            0x5a5d14e2bca7ac92,
-            0x67052da5d9b8c0bc,
-            0x06d82dd87f96b29a,
-            0xfb4af93647dd78c7,
-            0x3b5c41cb5da79404,
-            0x7fdbef64ce03666b,
-            0x681f333fbb6bac3e,
-            0xa612804ba25157e0,
-            0x9c4e332561493320,
-        ];
-        for (len, &want) in KNOWN.iter().enumerate() {
-            assert_eq!(checksum64(&pattern(len)), want, "len {len}");
+    fn every_bit_flip_and_truncation_of_a_snapshot_is_refused_untouched() {
+        // Every byte of the stream is covered: a damaged one is refused
+        // with CorruptIndex before the target directory exists.
+        let dir = scratch("snapshot-sweep");
+        let good = build_sharded().snapshot_to_vec(9).unwrap();
+        let refused = |bytes: &[u8], case: String| {
+            match ShardedCinct::install_snapshot(&dir, bytes, Durability::Fast) {
+                Err(QueryError::CorruptIndex(_)) => {}
+                other => panic!("{case}: expected CorruptIndex, got {other:?}"),
+            }
+            assert!(
+                !dir.exists(),
+                "{case}: a refused stream created the directory"
+            );
+        };
+        for bit in 0..good.len() * 8 {
+            let mut bytes = good.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            refused(&bytes, format!("bit {bit}"));
         }
-        assert_eq!(checksum64(&pattern(1 << 20)), 0x3a3215eb656bd509, "1 MiB");
-    }
-
-    /// 4 KiB from a 64-bit LCG: no two 8-byte words alike.
-    fn noise() -> Vec<u8> {
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        (0..4096)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (x >> 56) as u8
-            })
-            .collect()
-    }
-
-    #[test]
-    fn checksum64_catches_bit_flips_word_swaps_and_appended_zeros() {
-        let buf = noise();
-        let base = checksum64(&buf);
-        for bit in 0..buf.len() * 8 {
-            let mut b = buf.clone();
-            b[bit / 8] ^= 1 << (bit % 8);
-            assert_ne!(checksum64(&b), base, "bit {bit}");
-        }
-        for w in 0..buf.len() / 8 - 1 {
-            let mut b = buf.clone();
-            b[w * 8..w * 8 + 16].rotate_left(8);
-            assert_ne!(b, buf);
-            assert_ne!(checksum64(&b), base, "swap words {w}, {}", w + 1);
-        }
-        for len in (0..=70).chain([buf.len()]) {
-            let mut b = buf[..len].to_vec();
-            let before = checksum64(&b);
-            b.push(0);
-            assert_ne!(checksum64(&b), before, "len {len}");
+        for len in 0..good.len() {
+            refused(&good[..len], format!("length {len}"));
         }
     }
 }

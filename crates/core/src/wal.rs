@@ -30,7 +30,8 @@
 //! ...
 //! ```
 //!
-//! `checksum64` is [`crate::store::checksum64`]. A segment of any other
+//! The header word and `checksum64` follow the one rule every CiNCT
+//! stream does (the `format` module owns both). A segment of any other
 //! version (v2, whose record checksums were FNV-1a, included) fails the
 //! header check before a frame is read, so [`Wal::open`] refuses it
 //! without truncating anything.
@@ -72,7 +73,8 @@
 //! [`ShardedCinct::save_dir`]: crate::shard::ShardedCinct::save_dir
 
 use crate::faultio;
-use crate::store::{checksum64, fsync_err, io_err, Durability};
+use crate::format::{self, checksum64};
+use crate::store::{fsync_err, io_err, Durability};
 use cinct_fmindex::QueryError;
 use cinct_succinct::serial::{read_usize, write_usize, Persist};
 use std::fs::{File, OpenOptions};
@@ -88,12 +90,6 @@ pub const WAL_FILE: &str = "wal.cinct";
 /// prefix can never drive a multi-gigabyte allocation.
 pub const MAX_RECORD_BYTES: usize = 64 << 20;
 
-/// WAL magic prefix ("CINCWL" as bytes, low 16 bits = format version).
-const WAL_PREFIX: u64 = 0x4349_4e43_574c_0000;
-/// WAL format version, the only one this build reads or writes
-/// (3 = [`checksum64`] record checksums; 2 made segments
-/// position-addressed).
-const WAL_VERSION: u64 = 3;
 /// Bytes of header before the first record: magic|version, base_seq.
 const HEADER_LEN: u64 = 16;
 /// Bytes of frame header before the payload: seq, len, checksum.
@@ -185,24 +181,9 @@ struct SegmentScan {
 /// [`SegmentScan::defect`] — the *caller* decides whether a defect is a
 /// droppable torn tail (active segment) or fatal rot (sealed segment).
 fn walk_segment(bytes: &[u8]) -> Result<SegmentScan, QueryError> {
-    if bytes.len() < HEADER_LEN as usize {
-        return Err(QueryError::CorruptIndex(
-            "WAL segment shorter than its header".into(),
-        ));
-    }
-    let magic = u64::from_le_bytes(bytes[..8].try_into().expect("length checked"));
-    if magic & !0xffff != WAL_PREFIX {
-        return Err(QueryError::CorruptIndex(
-            "not a CiNCT WAL (bad magic)".into(),
-        ));
-    }
-    if magic & 0xffff != WAL_VERSION {
-        return Err(QueryError::CorruptIndex(format!(
-            "unsupported WAL version {} (this build reads {WAL_VERSION})",
-            magic & 0xffff
-        )));
-    }
-    let base = u64::from_le_bytes(bytes[8..16].try_into().expect("length checked"));
+    let Some(base) = format::first_word(format::WAL.strip(bytes)?) else {
+        return Err(format::corrupt("WAL segment shorter than its header"));
+    };
     let mut records = Vec::new();
     let mut off = HEADER_LEN as usize;
     let mut defect = None;
@@ -257,6 +238,18 @@ fn walk_segment(bytes: &[u8]) -> Result<SegmentScan, QueryError> {
     })
 }
 
+/// Open the active segment at `path` for read and write, creating it if
+/// missing and emptying it if `truncate`.
+fn open_segment(path: &FsPath, truncate: bool) -> Result<File, QueryError> {
+    OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(truncate)
+        .open(path)
+        .map_err(|e| io_err(path, e))
+}
+
 /// Sealed segments in `dir`, as `(base_seq, path)` sorted by position.
 fn sealed_segments(dir: &FsPath) -> Result<Vec<(u64, PathBuf)>, QueryError> {
     let mut out = Vec::new();
@@ -294,13 +287,7 @@ impl Wal {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
         let path = dir.join(WAL_FILE);
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)
-            .map_err(|e| io_err(&path, e))?;
+        let file = open_segment(&path, false)?;
         // The manifest's absorbed-position stamp (written by
         // `ShardedCinct::save_dir_at`) closes two crash windows no
         // segment-local information can: a crash *between* the manifest
@@ -405,13 +392,7 @@ impl Wal {
             std::fs::remove_file(&sealed).map_err(|e| io_err(&sealed, e))?;
         }
         let path = dir.join(WAL_FILE);
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| io_err(&path, e))?;
+        let file = open_segment(&path, true)?;
         let mut wal = Wal {
             file,
             path,
@@ -433,14 +414,12 @@ impl Wal {
         self.file
             .seek(SeekFrom::Start(0))
             .map_err(|e| io_err(&self.path, e))?;
-        let mut header = Vec::with_capacity(HEADER_LEN as usize);
-        header.extend_from_slice(&(WAL_PREFIX | WAL_VERSION).to_le_bytes());
-        header.extend_from_slice(&base.to_le_bytes());
+        let header = [format::WAL.header(), base].map(u64::to_le_bytes).concat();
         // Header now, so recovery can always tell "new journal" from
         // "damaged journal"; durably, so the file itself survives.
         faultio::append_file(&mut self.file, &header).map_err(|e| io_err(&self.path, e))?;
+        self.sync()?;
         if self.durability == Durability::Durable {
-            faultio::sync_file(&self.file).map_err(|e| fsync_err(&self.path, e))?;
             faultio::sync_path(&self.dir).map_err(|e| fsync_err(&self.dir, e))?;
         }
         self.pending = 0;
@@ -470,12 +449,7 @@ impl Wal {
         batch: &[Vec<u32>],
     ) -> Result<u64, QueryError> {
         let _span = cinct_obs::Span::enter(&crate::metrics::store().wal_append_ns);
-        if self.poisoned {
-            return Err(QueryError::Io(format!(
-                "{}: WAL poisoned by an earlier write failure; reopen to recover",
-                self.path.display()
-            )));
-        }
+        self.usable()?;
         if seq != self.next_seq {
             return Err(QueryError::InvalidInput(format!(
                 "WAL append at sequence {seq} would tear the stream (next is {})",
@@ -500,16 +474,11 @@ impl Wal {
         frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         frame.extend_from_slice(&checksum64(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
-        if let Err(e) = faultio::append_file(&mut self.file, &frame) {
-            self.poisoned = true;
-            return Err(io_err(&self.path, e));
-        }
-        if self.durability == Durability::Durable {
-            if let Err(e) = faultio::sync_file(&self.file) {
-                self.poisoned = true;
-                return Err(fsync_err(&self.path, e));
-            }
-        }
+        let written = faultio::append_file(&mut self.file, &frame)
+            .map_err(|e| io_err(&self.path, e))
+            .and_then(|()| self.sync());
+        self.poisoned = written.is_err();
+        written?;
         self.pending += 1;
         self.next_seq = seq + 1;
         crate::metrics::store().wal_appends.inc();
@@ -523,58 +492,52 @@ impl Wal {
     /// lagging followers until [`Wal::reclaim`] decides they are safe to
     /// drop. A no-op when nothing is pending. Errors poison the writer.
     pub fn retire(&mut self) -> Result<(), QueryError> {
-        if self.poisoned {
-            return Err(QueryError::Io(format!(
-                "{}: WAL poisoned by an earlier write failure; reopen to recover",
-                self.path.display()
-            )));
-        }
+        self.usable()?;
         if self.pending == 0 {
             return Ok(());
         }
+        let sealed = self.seal_active();
+        self.poisoned = sealed.is_err();
+        sealed
+    }
+
+    /// [`Wal::retire`]'s work; any failure in it poisons the writer.
+    fn seal_active(&mut self) -> Result<(), QueryError> {
         // Seal order: make the content durable, publish it under the
         // sealed name, make the rename durable, then build the fresh
         // active segment. A crash anywhere in between leaves either the
         // old active segment (records replay: harmless, they are
         // idempotent-keyed) or sealed history + a missing/short active
         // file, which `open` rebuilds at the right base.
-        if self.durability == Durability::Durable {
-            if let Err(e) = faultio::sync_file(&self.file) {
-                self.poisoned = true;
-                return Err(fsync_err(&self.path, e));
-            }
-        }
+        self.sync()?;
         let sealed = self.dir.join(segment_file_name(self.base_seq));
-        if let Err(e) = faultio::rename(&self.path, &sealed) {
-            self.poisoned = true;
-            return Err(io_err(&self.path, e));
-        }
+        faultio::rename(&self.path, &sealed).map_err(|e| io_err(&self.path, e))?;
         if self.durability == Durability::Durable {
-            if let Err(e) = faultio::sync_path(&self.dir) {
-                self.poisoned = true;
-                return Err(fsync_err(&self.dir, e));
-            }
+            faultio::sync_path(&self.dir).map_err(|e| fsync_err(&self.dir, e))?;
         }
-        let file = match OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&self.path)
-        {
-            Ok(f) => f,
-            Err(e) => {
-                self.poisoned = true;
-                return Err(io_err(&self.path, e));
-            }
-        };
-        self.file = file;
-        let base = self.next_seq;
-        if let Err(e) = self.write_fresh_header(base) {
-            self.poisoned = true;
-            return Err(e);
-        }
+        self.file = open_segment(&self.path, true)?;
+        self.write_fresh_header(self.next_seq)?;
         crate::metrics::store().wal_truncations.inc();
+        Ok(())
+    }
+
+    /// Refuse to write after a failed append or retire: the file tail is
+    /// no longer trusted until a reopen re-walks the frames.
+    fn usable(&self) -> Result<(), QueryError> {
+        if self.poisoned {
+            return Err(QueryError::Io(format!(
+                "{}: WAL poisoned by an earlier write failure; reopen to recover",
+                self.path.display()
+            )));
+        }
+        Ok(())
+    }
+
+    /// fsync the active segment under [`Durability::Durable`].
+    fn sync(&self) -> Result<(), QueryError> {
+        if self.durability == Durability::Durable {
+            faultio::sync_file(&self.file).map_err(|e| fsync_err(&self.path, e))?;
+        }
         Ok(())
     }
 
@@ -830,12 +793,12 @@ mod tests {
         drop(wal);
         let path = dir.join(WAL_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[..8].copy_from_slice(&(WAL_PREFIX | 2).to_le_bytes());
+        bytes[..8].copy_from_slice(&(format::WAL.prefix | 2).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         match Wal::open(&dir, Durability::Fast) {
             Err(QueryError::CorruptIndex(msg)) => {
                 assert!(msg.contains("version 2"), "{msg}");
-                assert!(msg.contains(&format!("reads {WAL_VERSION}")), "{msg}");
+                assert!(msg.contains("reads 3"), "{msg}");
             }
             other => panic!("expected CorruptIndex, got {other:?}"),
         }
