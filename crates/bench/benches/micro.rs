@@ -2,7 +2,8 @@
 //! (plain vs RRR at the paper's block sizes), symbol rank (HWT vs WM),
 //! and PseudoRank vs true rank — the operations whose costs drive every
 //! figure in the paper — plus the store's integrity checksum, which every
-//! open, save, snapshot install and WAL record pays per byte.
+//! open, save, snapshot install and WAL record pays per byte, and the
+//! dataset generators, whose cost is most of every corpus set-up.
 
 use cinct::{CinctBuilder, LabelingStrategy};
 use cinct_bwt::TrajectoryString;
@@ -199,9 +200,25 @@ fn bench_store_checksum(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_datasets(c: &mut Criterion) {
+    // Each paper generator at scale 0.25; RandWalk at a comparable size.
+    use cinct_datasets::{chess, mo_gen, randwalk, roma, singapore, singapore2};
+    let mut group = c.benchmark_group("datasets");
+    group.bench_function("singapore", |bch| bch.iter(|| singapore(0.25)));
+    group.bench_function("singapore2", |bch| bch.iter(|| singapore2(0.25)));
+    group.bench_function("roma", |bch| bch.iter(|| roma(0.25)));
+    group.bench_function("mo_gen", |bch| bch.iter(|| mo_gen(0.25)));
+    group.bench_function("chess", |bch| bch.iter(|| chess(0.25)));
+    group.bench_function("randwalk", |bch| {
+        bch.iter(|| randwalk(16_384, 4.0, 250_000, 3))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_bit_rank, bench_symbol_rank, bench_pseudo_rank, bench_store_checksum
+    targets = bench_bit_rank, bench_symbol_rank, bench_pseudo_rank, bench_store_checksum,
+        bench_datasets
 }
 criterion_main!(benches);

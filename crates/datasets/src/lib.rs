@@ -129,10 +129,14 @@ pub fn mo_gen(scale: f64) -> Dataset {
     }
 }
 
+/// Plies per Chess game: every game runs the whole depth of the DAG.
+const CHESS_PLIES: usize = 10;
+
 /// **Chess**: opening prefixes (10 plies) over a sparse game DAG with a
 /// huge alphabet and d̄ ≈ 1.6 (each position has few popular continuations).
 pub fn chess(scale: f64) -> Dataset {
-    let net = layered_dag(10, 2_000, 10, 13);
+    let net = layered_dag(CHESS_PLIES, 2_000, 10, 13);
+    let zipf = Zipf::up_to(net.max_out_degree());
     let mut rng = StdRng::seed_from_u64(401);
     let n_games = scaled(100_000, scale);
     let mut trajs = Vec::with_capacity(n_games);
@@ -141,15 +145,16 @@ pub fn chess(scale: f64) -> Dataset {
         // first (most popular) continuation — Zipf-like opening theory.
         let mut cur = {
             let first = net.out_edges(0);
-            first[zipf_pick(&mut rng, first.len())]
+            first[zipf.pick(&mut rng, first.len())]
         };
-        let mut game = vec![cur];
+        let mut game = Vec::with_capacity(CHESS_PLIES);
+        game.push(cur);
         loop {
             let succ = net.successors(cur);
             if succ.is_empty() {
                 break;
             }
-            cur = succ[zipf_pick(&mut rng, succ.len())];
+            cur = succ[zipf.pick(&mut rng, succ.len())];
             game.push(cur);
         }
         trajs.push(game);
@@ -161,18 +166,34 @@ pub fn chess(scale: f64) -> Dataset {
     }
 }
 
-/// Zipf(1) pick over `0..k`.
-fn zipf_pick(rng: &mut StdRng, k: usize) -> usize {
-    debug_assert!(k >= 1);
-    let harmonic: f64 = (1..=k).map(|i| 1.0 / i as f64).sum();
-    let mut u = rng.gen::<f64>() * harmonic;
-    for i in 0..k {
-        u -= 1.0 / (i + 1) as f64;
-        if u <= 0.0 {
-            return i;
+/// Zipf(1) picks over `0..k` for every `k` up to a bound, with the
+/// harmonic sums `H_k` tabulated once.
+struct Zipf {
+    harmonic: Vec<f64>,
+}
+
+impl Zipf {
+    fn up_to(max_k: usize) -> Self {
+        let mut harmonic = Vec::with_capacity(max_k + 1);
+        harmonic.push(0.0);
+        for i in 1..=max_k {
+            harmonic.push(harmonic[i - 1] + 1.0 / i as f64);
         }
+        Self { harmonic }
     }
-    k - 1
+
+    /// Zipf(1) pick over `0..k` (one draw).
+    fn pick(&self, rng: &mut StdRng, k: usize) -> usize {
+        debug_assert!(k >= 1);
+        let mut u = rng.gen::<f64>() * self.harmonic[k];
+        for i in 0..k {
+            u -= 1.0 / (i + 1) as f64;
+            if u <= 0.0 {
+                return i;
+            }
+        }
+        k - 1
+    }
 }
 
 /// **RandWalk** (Figs. 12–13): uniform random walks on a Poisson random

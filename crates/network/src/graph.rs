@@ -297,15 +297,58 @@ impl ShortestPaths {
         if !self.dist[target as usize].is_finite() {
             return None;
         }
-        let mut path = Vec::new();
-        let mut v = target;
-        while self.parent_edge[v as usize] != u32::MAX {
-            let e = self.parent_edge[v as usize];
-            path.push(e);
-            v = net.edge(e).from;
+        Some(tree_path(net, &self.parent_edge, target))
+    }
+}
+
+/// The edge path from a shortest-path tree's root to `target`, read off
+/// the tree's parent-edge array (`target` must be reachable).
+fn tree_path(net: &RoadNetwork, parent_edge: &[u32], target: NodeId) -> Vec<EdgeId> {
+    let mut path = Vec::new();
+    let mut v = target;
+    while parent_edge[v as usize] != u32::MAX {
+        let e = parent_edge[v as usize];
+        path.push(e);
+        v = net.edge(e).from;
+    }
+    path.reverse();
+    path
+}
+
+/// Shortest-path trees memoised per source node: the first path asked
+/// from a source runs its Dijkstra, and the tree is kept as its
+/// parent-edge array for every later path from that source. Serving any
+/// number of paths costs at most |V| Dijkstras and |V|² words.
+#[derive(Debug)]
+pub struct ShortestPathTrees<'a> {
+    net: &'a RoadNetwork,
+    /// Parent-edge array per source node; empty until first used.
+    parent_edges: Vec<Vec<u32>>,
+}
+
+impl<'a> ShortestPathTrees<'a> {
+    /// An empty memo over `net`.
+    pub fn new(net: &'a RoadNetwork) -> Self {
+        Self {
+            net,
+            parent_edges: vec![Vec::new(); net.num_nodes()],
         }
-        path.reverse();
-        Some(path)
+    }
+
+    /// Shortest path between two nodes, as an edge sequence (the same
+    /// path [`RoadNetwork::shortest_path_edges`] returns). `None` if
+    /// unreachable.
+    pub fn path(&mut self, from: NodeId, to: NodeId) -> Option<Vec<EdgeId>> {
+        let net = self.net;
+        let tree = &mut self.parent_edges[from as usize];
+        if tree.is_empty() {
+            *tree = net.dijkstra(from).parent_edge;
+        }
+        // With non-negative edge weights only the root has no parent edge.
+        if to != from && tree[to as usize] == u32::MAX {
+            return None;
+        }
+        Some(tree_path(net, tree, to))
     }
 }
 

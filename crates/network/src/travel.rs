@@ -12,9 +12,21 @@
 //! * [`GapNoise`] — random "gapped" transitions emulating map-matching
 //!   noise in the Singapore dataset, plus [`interpolate_gaps`] which fills
 //!   gaps with shortest paths, exactly the Singapore → Singapore-2
-//!   preprocessing of §VI-A4.
+//!   preprocessing of §VI-A4. Gap noise needs a network without dead
+//!   ends (every edge has a successor) and panics on one.
+//!
+//! **Cost.** Every generator is linear in the size of its output, plus
+//! one-off work per network: a walk reads its turn weights from a table
+//! built once per [`WalkConfig::generate`] call (O(|E|·δ)); a gap's
+//! re-walk is written only up to the next gap, the draws it would make
+//! past that being skipped as raw `next_u64` calls; and trips and gap
+//! fills read their paths from one memoised shortest-path tree per
+//! distinct source node ([`ShortestPathTrees`]), so at most |V|
+//! Dijkstras per call. None of this changes the sequence of random draws
+//! or the values computed from them, so a seed fixes its corpus
+//! (`cinct_datasets`' golden corpus table pins them).
 
-use crate::graph::{EdgeId, RoadNetwork};
+use crate::graph::{EdgeId, RoadNetwork, ShortestPathTrees};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,60 +54,79 @@ impl Default for WalkConfig {
 }
 
 impl WalkConfig {
-    /// Generate `count` trajectories by turn-biased random walks.
+    /// Generate `count` trajectories by turn-biased random walks, each
+    /// starting from a uniformly random edge.
     pub fn generate(&self, net: &RoadNetwork, count: usize, seed: u64) -> Vec<Vec<EdgeId>> {
+        let turns = TurnWeights::new(self.straight_bias, net);
         let mut rng = StdRng::seed_from_u64(seed);
         (0..count)
-            .map(|_| self.walk(net, &mut rng))
+            .map(|_| self.walk(net, &turns, &mut rng))
             .filter(|t| !t.is_empty())
             .collect()
     }
 
-    /// One walk starting from a uniformly random edge.
-    pub fn walk(&self, net: &RoadNetwork, rng: &mut StdRng) -> Vec<EdgeId> {
+    fn walk(&self, net: &RoadNetwork, turns: &TurnWeights, rng: &mut StdRng) -> Vec<EdgeId> {
         let len = rng.gen_range(self.min_len..=self.max_len);
         let mut cur = rng.gen_range(0..net.num_edges()) as EdgeId;
         let mut out = Vec::with_capacity(len);
         out.push(cur);
         for _ in 1..len {
             let succ = net.successors(cur);
-            if succ.is_empty() {
-                break;
-            }
-            cur = self.pick_successor(net, cur, succ, rng);
+            cur = match succ {
+                [] => break,
+                [only] => *only,
+                _ => turns.pick(cur, succ, rng),
+            };
             out.push(cur);
         }
         out
     }
+}
 
-    /// Weighted choice over successors: weight = `straight_bias^(1 - |angle|/π)`,
-    /// and U-turns (|angle| ≈ π) are further damped.
-    fn pick_successor(
-        &self,
-        net: &RoadNetwork,
-        cur: EdgeId,
-        succ: &[EdgeId],
-        rng: &mut StdRng,
-    ) -> EdgeId {
-        if succ.len() == 1 {
-            return succ[0];
-        }
-        let weights: Vec<f64> = succ
-            .iter()
-            .map(|&s| {
-                let a = net.turn_angle(cur, s).abs() / std::f64::consts::PI;
-                let mut w = self.straight_bias.powf(1.0 - a);
+/// The weight of every turn in a network, tabulated once: turning from
+/// `e` onto its `i`-th successor weighs `weights[offsets[e] + i]`, where
+/// weight = `straight_bias^(1 - |angle|/π)` and U-turns (|angle| > 0.9π)
+/// are further damped; `totals[e]` is the sum of `e`'s turn weights.
+struct TurnWeights {
+    offsets: Vec<usize>,
+    weights: Vec<f64>,
+    totals: Vec<f64>,
+}
+
+impl TurnWeights {
+    fn new(straight_bias: f64, net: &RoadNetwork) -> Self {
+        let mut offsets = Vec::with_capacity(net.num_edges() + 1);
+        let mut weights = Vec::new();
+        let mut totals = Vec::with_capacity(net.num_edges());
+        offsets.push(0);
+        for e in 0..net.num_edges() as EdgeId {
+            let lo = weights.len();
+            weights.extend(net.successors(e).iter().map(|&s| {
+                let a = net.turn_angle(e, s).abs() / std::f64::consts::PI;
+                let mut w = straight_bias.powf(1.0 - a);
                 if a > 0.9 {
                     w *= 0.05; // U-turns are rare in traffic
                 }
                 w
-            })
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut u = rng.gen::<f64>() * total;
-        for (i, &w) in weights.iter().enumerate() {
+            }));
+            totals.push(weights[lo..].iter().sum());
+            offsets.push(weights.len());
+        }
+        Self {
+            offsets,
+            weights,
+            totals,
+        }
+    }
+
+    /// Weighted choice over `succ`, the successors of `cur` (one draw).
+    fn pick(&self, cur: EdgeId, succ: &[EdgeId], rng: &mut StdRng) -> EdgeId {
+        let e = cur as usize;
+        let weights = &self.weights[self.offsets[e]..self.offsets[e + 1]];
+        let mut u = rng.gen::<f64>() * self.totals[e];
+        for (&s, &w) in succ.iter().zip(weights) {
             if u <= w {
-                return succ[i];
+                return s;
             }
             u -= w;
         }
@@ -104,6 +135,10 @@ impl WalkConfig {
 }
 
 /// Shortest-path trips between random origin/destination node pairs.
+///
+/// Paths come from one shortest-path tree per distinct origin, computed
+/// on first use and kept for the call, so a call costs at most |V|
+/// Dijkstras plus the length of the trips it returns.
 #[derive(Clone, Copy, Debug)]
 pub struct TripGenerator {
     /// Trips shorter than this many edges are rejected and resampled.
@@ -121,35 +156,40 @@ impl Default for TripGenerator {
     }
 }
 
+/// Destinations drawn per origin before a new origin is drawn.
+const TRIPS_PER_ORIGIN: usize = 4;
+
+/// Consecutive origins yielding no trip after which a network is taken to
+/// hold no (more) trips of `min_edges` edges.
+const BARREN_ORIGIN_LIMIT: usize = 1_000;
+
 impl TripGenerator {
-    /// Generate `count` shortest-path trips.
+    /// Generate up to `count` shortest-path trips.
     ///
-    /// One Dijkstra per origin; destinations falling on the same shortest-
-    /// path tree reuse it, so cost is O(count · Dijkstra).
+    /// Returns fewer than `count` trips — possibly none — once 1 000
+    /// origins in a row yield no trip of at least `min_edges` edges, as on
+    /// a network whose diameter is below `min_edges`.
     pub fn generate(&self, net: &RoadNetwork, count: usize, seed: u64) -> Vec<Vec<EdgeId>> {
         let mut rng = StdRng::seed_from_u64(seed);
+        let mut trees = ShortestPathTrees::new(net);
         let mut out = Vec::with_capacity(count);
-        while out.len() < count {
+        let mut barren = 0;
+        while out.len() < count && barren < BARREN_ORIGIN_LIMIT {
             let from = rng.gen_range(0..net.num_nodes()) as u32;
-            let sp = net.dijkstra(from);
-            // Draw several destinations per tree to amortise the Dijkstra.
-            let per_tree = 4usize;
             let mut produced = 0usize;
-            for _ in 0..self.max_attempts * per_tree {
-                if produced == per_tree || out.len() == count {
+            for _ in 0..self.max_attempts * TRIPS_PER_ORIGIN {
+                if produced == TRIPS_PER_ORIGIN || out.len() == count {
                     break;
                 }
                 let to = rng.gen_range(0..net.num_nodes()) as u32;
-                if let Some(path) = sp.path_to(net, to) {
+                if let Some(path) = trees.path(from, to) {
                     if path.len() >= self.min_edges {
                         out.push(path);
                         produced += 1;
                     }
                 }
             }
-            if produced == 0 && net.num_nodes() < 4 {
-                break; // degenerate network; avoid infinite loop
-            }
+            barren = if produced == 0 { barren + 1 } else { 0 };
         }
         out
     }
@@ -166,26 +206,54 @@ pub struct GapNoise {
 }
 
 impl GapNoise {
-    /// Corrupt trajectories in place.
+    /// Corrupt trajectories in place. After a gap, the rest of the
+    /// trajectory is re-walked uniformly from the teleported edge so it
+    /// stays connected; a later gap replaces that re-walk from its own
+    /// position on.
+    ///
+    /// Each re-walk takes one draw per remaining position, but only the
+    /// part up to the next gap is built, from a copy of the generator
+    /// taken at the gap, so the cost is linear in the trajectory plus one
+    /// raw draw per skipped position.
+    ///
+    /// # Panics
+    ///
+    /// If an edge of `net` has no successor: a re-walk must be able to
+    /// continue from any edge.
     pub fn apply(&self, net: &RoadNetwork, trajs: &mut [Vec<EdgeId>], seed: u64) {
+        if let Some(e) = (0..net.num_edges() as EdgeId).find(|&e| net.successors(e).is_empty()) {
+            panic!("gap noise needs every edge to have a successor; edge {e} is a dead end");
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         for t in trajs.iter_mut() {
+            // The latest gap's re-walk, not yet written: the generator as
+            // it stood after the teleport, and the first position it writes.
+            let mut pending: Option<(StdRng, usize)> = None;
             for i in 1..t.len() {
                 if rng.gen::<f64>() < self.gap_prob {
+                    if let Some((walk_rng, from)) = pending.take() {
+                        rewalk(net, &mut t[..i], from, walk_rng);
+                    }
                     t[i] = rng.gen_range(0..net.num_edges()) as EdgeId;
-                    // Re-walk the remainder from the teleported edge so the
-                    // rest of the trajectory stays connected.
-                    for j in i + 1..t.len() {
-                        let succ = net.successors(t[j - 1]);
-                        if succ.is_empty() {
-                            t.truncate(j);
-                            break;
-                        }
-                        t[j] = succ[rng.gen_range(0..succ.len())];
+                    pending = Some((rng.clone(), i + 1));
+                    for _ in i + 1..t.len() {
+                        rng.next_u64();
                     }
                 }
             }
+            if let Some((walk_rng, from)) = pending {
+                rewalk(net, t, from, walk_rng);
+            }
         }
+    }
+}
+
+/// Uniform walk over `t[from..]`, each step continuing from the one
+/// before it, one draw per step.
+fn rewalk(net: &RoadNetwork, t: &mut [EdgeId], from: usize, mut rng: StdRng) {
+    for j in from..t.len() {
+        let succ = net.successors(t[j - 1]);
+        t[j] = succ[rng.gen_range(0..succ.len())];
     }
 }
 
@@ -193,7 +261,12 @@ impl GapNoise {
 /// `a → shortest_path(head(a), tail(b)) → b` (the Singapore-2
 /// preprocessing). Transitions with no connecting path split the
 /// trajectory.
+///
+/// Fills come from one shortest-path tree per distinct gap source node,
+/// computed on first use, so a call costs at most |V| Dijkstras plus the
+/// length of its output.
 pub fn interpolate_gaps(net: &RoadNetwork, trajs: &[Vec<EdgeId>]) -> Vec<Vec<EdgeId>> {
+    let mut trees = ShortestPathTrees::new(net);
     let mut out = Vec::with_capacity(trajs.len());
     for t in trajs {
         let mut cur: Vec<EdgeId> = Vec::with_capacity(t.len());
@@ -208,7 +281,7 @@ pub fn interpolate_gaps(net: &RoadNetwork, trajs: &[Vec<EdgeId>]) -> Vec<Vec<Edg
             } else {
                 let from = net.edge(prev).to;
                 let to = net.edge(e).from;
-                match net.shortest_path_edges(from, to) {
+                match trees.path(from, to) {
                     Some(mut fill) => {
                         cur.append(&mut fill);
                         cur.push(e);
@@ -242,6 +315,7 @@ pub fn is_connected_path(net: &RoadNetwork, t: &[EdgeId]) -> bool {
 mod tests {
     use super::*;
     use crate::generators::grid_city;
+    use crate::graph::Edge;
 
     #[test]
     fn walks_are_connected_paths() {
@@ -299,6 +373,53 @@ mod tests {
             let w: f64 = t.iter().map(|&e| net.edge(e).weight).sum();
             assert!((w - sp.dist[to as usize]).abs() < 1e-9);
         }
+    }
+
+    /// Nodes `0..n` on a line, with a segment each way between neighbours.
+    fn line(n: u32) -> RoadNetwork {
+        let coords = (0..n).map(|i| (f64::from(i), 0.0)).collect();
+        let edges = (0..n - 1)
+            .flat_map(|i| [(i, i + 1), (i + 1, i)])
+            .map(|(from, to)| Edge {
+                from,
+                to,
+                weight: 1.0,
+            })
+            .collect();
+        RoadNetwork::new(coords, edges)
+    }
+
+    #[test]
+    fn trips_stop_on_a_network_too_small_for_them() {
+        // Diameter 4 edges, so no trip reaches `min_edges`.
+        let net = line(5);
+        let gen = TripGenerator {
+            min_edges: 5,
+            max_attempts: 8,
+        };
+        assert!(gen.generate(&net, 10, 1).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "edge 1 is a dead end")]
+    fn gap_noise_rejects_a_network_with_a_dead_end() {
+        // 0 → 1 → 2: edge 1 ends where nothing leaves.
+        let coords = vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)];
+        let edges = vec![
+            Edge {
+                from: 0,
+                to: 1,
+                weight: 1.0,
+            },
+            Edge {
+                from: 1,
+                to: 2,
+                weight: 1.0,
+            },
+        ];
+        let net = RoadNetwork::new(coords, edges);
+        let mut trajs = vec![vec![0, 1]; 8];
+        GapNoise { gap_prob: 1.0 }.apply(&net, &mut trajs, 3);
     }
 
     #[test]

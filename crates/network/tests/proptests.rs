@@ -3,7 +3,7 @@
 //! guarantees on arbitrary networks.
 
 use cinct_network::generators::{grid_city, poisson_digraph};
-use cinct_network::graph::Edge;
+use cinct_network::graph::{Edge, ShortestPathTrees};
 use cinct_network::travel::{interpolate_gaps, is_connected_path};
 use cinct_network::{RoadNetwork, WalkConfig};
 use proptest::prelude::*;
@@ -83,6 +83,11 @@ proptest! {
     fn shortest_path_edges_have_matching_weight(net in network_strategy(), sels in (any::<u32>(), any::<u32>())) {
         let from = sels.0 % net.num_nodes() as u32;
         let to = sels.1 % net.num_nodes() as u32;
+        // The memo's first answer runs a Dijkstra, its second reads the tree.
+        let mut trees = ShortestPathTrees::new(&net);
+        for _ in 0..2 {
+            prop_assert_eq!(trees.path(from, to), net.shortest_path_edges(from, to));
+        }
         if let Some(path) = net.shortest_path_edges(from, to) {
             prop_assert!(is_connected_path(&net, &path));
             if !path.is_empty() {
