@@ -18,14 +18,14 @@
 //!    rewrites the BWT buffer into `φ(T_bwt)` while accumulating every
 //!    correction term `Z_{w′w}` (paper Eq. (7)) — the seed wrote a fresh
 //!    labeled copy and then re-scanned both arrays;
-//! 5. **wavelet tree** over the (now labeled) buffer, optionally
-//!    multi-threaded via [`CinctBuilder::threads`] — parallel builds are
-//!    byte-identical to sequential ones (see `cinct_succinct::parbuild`).
+//! 5. **wavelet tree** over the (now labeled) buffer, built sequentially:
+//!    one index is one pipeline, and the parallelism lives one level up,
+//!    where [`crate::ShardedBuilder::threads`] builds shards concurrently.
 //!
 //! The serialized index is pinned byte for byte: a table-driven test holds
 //! the length and `store::checksum64` of `write_to`'s output for fixed
 //! corpora at every paper block size (recorded from the seed pipeline,
-//! which this one replaced), and every thread count must reproduce them.
+//! which this one replaced).
 
 use crate::index::{CinctIndex, SaSamples};
 use crate::rml::{LabelingStrategy, Rml};
@@ -69,21 +69,6 @@ impl ConstructionTimings {
     pub fn sa_plus_bwt(&self) -> Duration {
         self.sa + self.bwt
     }
-
-    /// Render the per-stage breakdown as one human-readable line (the CLI
-    /// `build` path prints this).
-    pub fn breakdown(&self) -> String {
-        format!(
-            "ingest {:.3}s, SA {:.3}s, BWT {:.3}s, ET-graph/labeling {:.3}s, \
-             succinct structures {:.3}s, directory {:.3}s",
-            self.ingest.as_secs_f64(),
-            self.sa.as_secs_f64(),
-            self.bwt.as_secs_f64(),
-            self.et_graph_build.as_secs_f64(),
-            self.wt_build.as_secs_f64(),
-            self.directory.as_secs_f64(),
-        )
-    }
 }
 
 /// Configurable CiNCT construction.
@@ -92,7 +77,6 @@ pub struct CinctBuilder {
     labeling: LabelingStrategy,
     block_size: usize,
     locate_sampling: Option<usize>,
-    threads: usize,
 }
 
 impl Default for CinctBuilder {
@@ -101,14 +85,12 @@ impl Default for CinctBuilder {
             labeling: LabelingStrategy::BigramSorted,
             block_size: 63,
             locate_sampling: None,
-            threads: 1,
         }
     }
 }
 
 impl CinctBuilder {
-    /// Default configuration: bigram-sorted RML, `b = 63`, no locate,
-    /// single-threaded construction.
+    /// Default configuration: bigram-sorted RML, `b = 63`, no locate.
     pub fn new() -> Self {
         Self::default()
     }
@@ -134,17 +116,6 @@ impl CinctBuilder {
         self
     }
 
-    /// Build the succinct structures with up to `n` worker threads (`0` =
-    /// "auto", the machine's available parallelism — the workspace-wide
-    /// convention shared with `QueryEngine::parallel`, see
-    /// `rayon::resolve_threads`; `1` = sequential, the default). Any
-    /// thread count produces a **byte-identical** serialized index; only
-    /// wall-clock differs.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-
     /// The configured RRR block size (see [`CinctBuilder::block_size`]).
     pub fn configured_block_size(&self) -> usize {
         self.block_size
@@ -159,11 +130,6 @@ impl CinctBuilder {
     /// The configured labeling strategy (see [`CinctBuilder::labeling`]).
     pub fn configured_labeling(&self) -> LabelingStrategy {
         self.labeling
-    }
-
-    /// The configured thread knob, unresolved (`0` = auto).
-    pub fn configured_threads(&self) -> usize {
-        self.threads
     }
 
     /// Build from raw trajectories.
@@ -311,13 +277,9 @@ impl CinctBuilder {
         label_and_z_in_place(&mut rml, &mut labeled, &c);
         timings.et_graph_build = t0.elapsed();
 
-        // Step 5: compressed wavelet tree (optionally multi-threaded).
+        // Step 5: compressed wavelet tree.
         let t0 = Instant::now();
-        let wt = HuffmanWaveletTree::<RrrBitVec>::with_params_mt(
-            &labeled,
-            self.block_size,
-            self.threads,
-        );
+        let wt = HuffmanWaveletTree::<RrrBitVec>::with_params(&labeled, self.block_size);
         timings.wt_build = t0.elapsed();
 
         let index = CinctIndex {
@@ -486,11 +448,6 @@ mod tests {
             t.total(),
             t.ingest + t.sa_plus_bwt() + t.et_graph_build + t.wt_build + t.directory
         );
-        // Every stage appears in the human-readable breakdown.
-        let line = t.breakdown();
-        for key in ["ingest", "SA", "BWT", "ET-graph", "succinct", "directory"] {
-            assert!(line.contains(key), "breakdown missing {key}: {line}");
-        }
     }
 
     #[test]
@@ -543,11 +500,11 @@ mod tests {
         (Corpus::Synthetic, 63, Some(8), 12429, 0xb28c55d5de20c45e),
     ];
 
-    /// Build every golden row with `threads` and compare length + digest.
-    fn assert_golden(threads: usize) {
+    #[test]
+    fn serialized_index_matches_golden_digests() {
         for (corpus, b, locate, len, digest) in GOLDEN {
             let (trajs, n_edges) = corpus.trajs();
-            let mut builder = CinctBuilder::new().block_size(b).threads(threads);
+            let mut builder = CinctBuilder::new().block_size(b);
             if let Some(rate) = locate {
                 builder = builder.locate_sampling(rate);
             }
@@ -555,22 +512,8 @@ mod tests {
             assert_eq!(
                 (bytes.len(), crate::store::checksum64(&bytes)),
                 (len, digest),
-                "{corpus:?} b={b} locate={locate:?} threads={threads}"
+                "{corpus:?} b={b} locate={locate:?}"
             );
-        }
-    }
-
-    #[test]
-    fn serialized_index_matches_golden_digests() {
-        assert_golden(1);
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical_across_block_sizes() {
-        // Determinism gate: a parallel-built CinctIndex serializes to the
-        // golden bytes of the sequential build for b ∈ {15, 31, 63}.
-        for threads in [2usize, 4, 8, 0] {
-            assert_golden(threads);
         }
     }
 

@@ -217,7 +217,7 @@ impl<'a> QueryEngine<'a> {
 
     /// Evaluate batches on up to `n_threads` threads. **`0` means "auto"**
     /// (the machine's available parallelism) — the same convention as
-    /// `CinctBuilder::threads` and every other thread knob in the
+    /// `ShardedBuilder::threads` and every other thread knob in the
     /// workspace ([`rayon::resolve_threads`]); `1` restores the
     /// deterministic sequential path. The knob is stored raw and resolved
     /// at each [`QueryEngine::run`], so an engine configured with `0`
@@ -412,7 +412,7 @@ mod tests {
         assert_eq!(QueryEngine::new(&idx).n_threads(), 1);
         assert_eq!(QueryEngine::new(&idx).parallel(4).n_threads(), 4);
         // 0 means "auto" — stored raw, resolved at run time, matching
-        // CinctBuilder::threads(0).
+        // ShardedBuilder::threads(0).
         let auto = QueryEngine::new(&idx).parallel(0);
         assert_eq!(auto.n_threads(), 0);
         assert_eq!(auto.effective_threads(), rayon::current_num_threads());

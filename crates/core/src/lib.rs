@@ -103,10 +103,10 @@
 //! ```
 //!
 //! The `cinct` CLI drives the same layer: `cinct build trips.txt out.d
-//! --shards 8` builds a sharded directory, `cinct append out.d more.txt`
-//! seals new batches into fresh shards, `cinct compact out.d 8`
-//! re-balances, and `count`/`locate`/`get`/`stats` accept a sharded
-//! directory anywhere they accept a single-file index.
+//! --shards 8` builds a sharded directory (one shard without
+//! `--shards`), `cinct append out.d more.txt` seals new batches into
+//! fresh shards, `cinct compact out.d 8` re-balances, and
+//! `count`/`locate`/`get`/`stats` query the directory.
 //!
 //! The query hot path (RRR rank directory, fused wavelet descents, O(1)
 //! LF context) and the sharded serving cost model are described in the

@@ -141,9 +141,13 @@ impl EdgeMembership {
         }
     }
 
-    /// Whether `other` has the same shape (domain size + probe count).
+    /// Whether `other` has the same shape (domain size, probe count and
+    /// word count — a loaded block with fewer words than its domain
+    /// needs would index past its end on the first probe).
     pub fn same_shape(&self, other: &Self) -> bool {
-        self.n_bits == other.n_bits && self.hashes == other.hashes
+        self.n_bits == other.n_bits
+            && self.hashes == other.hashes
+            && self.words.len() == other.words.len()
     }
 
     /// Heap bytes of the bit array.
@@ -172,7 +176,7 @@ impl EdgeMembership {
 /// One shard's pruning metadata: the edge-membership structure plus the
 /// first/last global trajectory IDs the shard owns. Derived at every
 /// point a shard materializes ([`ShardPruning::derive`]); persisted in
-/// manifest format v3 (see [`crate::store`]) so it ships inside snapshot
+/// manifest format v5 (see [`crate::store`]) so it ships inside snapshot
 /// bootstraps unchanged.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardPruning {
@@ -249,7 +253,8 @@ impl ShardPruning {
 
     /// Sanity-check loaded metadata against the shard it claims to
     /// describe: the membership must be shaped for this corpus's alphabet
-    /// and the ID span must match the shard's manifest column. A loader
+    /// (word count included) and the ID span must match the shard's
+    /// manifest column. A loader
     /// that finds a mismatch re-derives instead of trusting the block.
     pub fn matches(&self, n_edges: usize, globals: &[u32]) -> bool {
         let expect = EdgeMembership::for_alphabet(n_edges);

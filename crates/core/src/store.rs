@@ -10,7 +10,7 @@
 //!     [shard count], then per shard:
 //!     [file length][file checksum64][global-ID column][pruning block]
 //!     [checksum64 of everything above]
-//!   shard-00000-<checksum>.cinct   CinctIndex (the single-file format of write_to)
+//!   shard-00000-<checksum>.cinct   CinctIndex (the format of write_to)
 //!   shard-00001-<checksum>.cinct
 //!   ...
 //! snapshot stream                  format v3:
@@ -1010,6 +1010,34 @@ mod tests {
         // byte of `max_global` and recompute the trailing checksum.
         let body = bytes.len() - 8;
         bytes[body - 8] ^= 0x20;
+        let digest = checksum64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&digest.to_le_bytes());
+        std::fs::write(&mpath, &bytes).unwrap();
+        let back = ShardedCinct::open_dir(&dir).unwrap();
+        for s in 0..back.num_shards() {
+            assert_eq!(back.shard_pruning(s), sharded.shard_pruning(s), "shard {s}");
+        }
+        assert_eq!(back.count(Path::new(&[0, 1])), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn short_pruning_words_are_rederived_on_open() {
+        // A resealed block whose word vector is shorter than its declared
+        // domain is not trusted either: a query would index past its end.
+        let dir = scratch("prune-short-words");
+        let sharded = build_sharded();
+        sharded.save_dir(&dir).unwrap();
+        let mpath = dir.join(MANIFEST_FILE);
+        let mut bytes = std::fs::read(&mpath).unwrap();
+        // The last shard's block ends `words len, word, min, max`, then
+        // the manifest checksum: drop the one word and zero its length.
+        let body = bytes.len() - 8;
+        let word = body - 24;
+        assert_eq!(bytes[word - 8..word], 1u64.to_le_bytes());
+        bytes.drain(word..word + 8);
+        bytes[word - 8..word].copy_from_slice(&0u64.to_le_bytes());
+        let body = bytes.len() - 8;
         let digest = checksum64(&bytes[..body]);
         bytes[body..].copy_from_slice(&digest.to_le_bytes());
         std::fs::write(&mpath, &bytes).unwrap();

@@ -19,8 +19,8 @@
 //!    walk whose local hits are remapped into the global trajectory-ID
 //!    namespace.
 //!
-//! A monolithic index traces as a single shard; a [`ShardedCinct`]
-//! produces one [`ShardTrace`] per shard, making short-circuiting
+//! A [`ShardedCinct`] produces one [`ShardTrace`] per shard (a one-shard
+//! corpus, the CLI's default, has exactly one), making short-circuiting
 //! shards (backward search emptied early) directly visible.
 
 use crate::shard::ShardedCinct;
@@ -53,7 +53,7 @@ pub struct LocateTrace {
 /// One shard's per-stage breakdown.
 #[derive(Clone, Debug)]
 pub struct ShardTrace {
-    /// Shard number (0 for a monolithic index).
+    /// Shard number.
     pub shard: usize,
     /// Backward-search steps, in order; stops at the emptying step.
     pub steps: Vec<TraceStep>,
@@ -138,8 +138,7 @@ impl ShardTrace {
 }
 
 /// A complete explain-mode trace of one query. Build with
-/// [`QueryTrace::monolithic`] or [`QueryTrace::sharded`]; render with
-/// [`QueryTrace::render`].
+/// [`QueryTrace::sharded`]; render with [`QueryTrace::render`].
 #[derive(Clone, Debug)]
 pub struct QueryTrace {
     /// The traced path (travel order).
@@ -149,45 +148,21 @@ pub struct QueryTrace {
     /// The first out-of-alphabet edge, if validation failed (no search
     /// stages run in that case).
     pub invalid_edge: Option<u32>,
-    /// Per-shard breakdowns (one entry for a monolithic index).
+    /// Per-shard breakdowns, in shard order.
     pub shards: Vec<ShardTrace>,
     /// Wall-clock for the whole trace.
     pub elapsed: Duration,
 }
 
 impl QueryTrace {
-    /// Stage 1: validate the pattern against the backend's alphabet,
-    /// timed. Returns the offending edge on failure.
-    fn preprocess(backend: &dyn PathQuery, path: &[u32]) -> (Duration, Option<u32>) {
-        let t0 = Instant::now();
-        let n_edges = backend.sigma().saturating_sub(SYMBOL_OFFSET as usize);
-        let bad = path.iter().find(|&&e| e as usize >= n_edges).copied();
-        (t0.elapsed(), bad)
-    }
-
-    /// Trace `path` against a monolithic index (one shard entry). Set
+    /// Trace `path` against every shard of a sharded corpus. Set
     /// `locate` to include the occurrence-walk stage.
-    pub fn monolithic(backend: &dyn PathQuery, path: &[u32], locate: bool) -> QueryTrace {
-        let t0 = Instant::now();
-        let (preprocess, invalid_edge) = Self::preprocess(backend, path);
-        let shards = if invalid_edge.is_some() || path.is_empty() {
-            Vec::new()
-        } else {
-            vec![ShardTrace::run(0, backend, path, locate)]
-        };
-        QueryTrace {
-            path: path.to_vec(),
-            preprocess,
-            invalid_edge,
-            shards,
-            elapsed: t0.elapsed(),
-        }
-    }
-
-    /// Trace `path` against every shard of a sharded corpus.
     pub fn sharded(index: &ShardedCinct, path: &[u32], locate: bool) -> QueryTrace {
         let t0 = Instant::now();
-        let (preprocess, invalid_edge) = Self::preprocess(index, path);
+        // Stage 1: validate the pattern against the network alphabet.
+        let n_edges = index.sigma().saturating_sub(SYMBOL_OFFSET as usize);
+        let invalid_edge = path.iter().find(|&&e| e as usize >= n_edges).copied();
+        let preprocess = t0.elapsed();
         let shards = if invalid_edge.is_some() || path.is_empty() {
             Vec::new()
         } else {
@@ -324,13 +299,22 @@ mod tests {
         vec![vec![0, 1, 4, 5], vec![0, 1, 2], vec![1, 2], vec![0, 3]]
     }
 
+    /// A one-shard corpus over the paper's trajectories.
+    fn one_shard(builder: CinctBuilder) -> ShardedCinct {
+        ShardedBuilder::new()
+            .shards(1)
+            .index_builder(builder)
+            .build(&paper_trajs(), 6)
+    }
+
     #[test]
-    fn monolithic_trace_ranges_match_direct_queries() {
-        let idx = CinctBuilder::new()
-            .locate_sampling(2)
-            .build(&paper_trajs(), 6);
+    fn one_shard_trace_ranges_match_direct_queries() {
+        let builder = CinctBuilder::new().locate_sampling(2);
+        // A one-shard corpus's trace must read the same ranges as the
+        // CinctIndex built directly from the same trajectories.
+        let idx = builder.build(&paper_trajs(), 6);
         let path = [0u32, 1, 2];
-        let tr = QueryTrace::monolithic(&idx, &path, true);
+        let tr = QueryTrace::sharded(&one_shard(builder), &path, true);
         assert_eq!(tr.shards.len(), 1);
         let sh = &tr.shards[0];
         // Every intermediate range equals the prefix's direct range.
@@ -346,9 +330,9 @@ mod tests {
 
     #[test]
     fn short_circuit_is_reported() {
-        let idx = CinctBuilder::new().build(&paper_trajs(), 6);
+        let sharded = one_shard(CinctBuilder::new());
         // Edge 3 only follows 0; [1, 3] empties at step 2 of 3.
-        let tr = QueryTrace::monolithic(&idx, &[1, 3, 0], false);
+        let tr = QueryTrace::sharded(&sharded, &[1, 3, 0], false);
         let sh = &tr.shards[0];
         assert!(sh.short_circuited);
         assert_eq!(sh.steps.len(), 2);
@@ -358,8 +342,8 @@ mod tests {
 
     #[test]
     fn invalid_edge_aborts_before_search() {
-        let idx = CinctBuilder::new().build(&paper_trajs(), 6);
-        let tr = QueryTrace::monolithic(&idx, &[0, 99], false);
+        let sharded = one_shard(CinctBuilder::new());
+        let tr = QueryTrace::sharded(&sharded, &[0, 99], false);
         assert_eq!(tr.invalid_edge, Some(99));
         assert!(tr.shards.is_empty());
         assert!(tr.render().contains("edge 99 is outside"));

@@ -1,31 +1,23 @@
 //! `cinct` — command-line interface to the CiNCT trajectory index.
 //!
 //! Trajectory files are plain text: one trajectory per line, comma- or
-//! whitespace-separated edge IDs. Typical session:
+//! whitespace-separated edge IDs. An index is always a *directory*: one
+//! index file per shard plus a checksummed manifest (one shard unless
+//! `--shards K` asks for more). It can grow without a rebuild. Typical
+//! session:
 //!
 //! ```text
-//! cinct build  trips.txt  trips.cinct          # build + save an index
-//! cinct stats  trips.cinct                     # size breakdown
-//! cinct count  trips.cinct  12,13,14           # how many travel 12→13→14?
-//! cinct locate trips.cinct  12,13,14           # who, and where (needs --locate at build)
-//! cinct get    trips.cinct  7                  # decompress trajectory #7
+//! cinct build   trips.txt  trips.d             # build + save a one-shard index
+//! cinct stats   trips.d                        # size breakdown, per shard
+//! cinct count   trips.d    12,13,14            # how many travel 12→13→14?
+//! cinct locate  trips.d    12,13,14            # who, and where (needs --locate at build)
+//! cinct get     trips.d    7                   # decompress trajectory #7
+//! cinct build   trips.txt  trips8.d --shards 8 --locate 32
+//! cinct append  trips8.d   more_trips.txt      # new batch → one fresh shard
+//! cinct compact trips8.d   8                   # re-balance small shards away
 //! ```
 //!
-//! Sharded session — `--shards K` makes the output a *directory* (one
-//! index file per shard plus a checksummed manifest), which every query
-//! verb accepts wherever a single-file index is accepted, and which can
-//! grow without a rebuild:
-//!
-//! ```text
-//! cinct build   trips.txt  trips.d  --shards 8 --locate 32
-//! cinct append  trips.d    more_trips.txt      # new batch → one fresh shard
-//! cinct compact trips.d    8                   # re-balance small shards away
-//! cinct count   trips.d    12,13,14            # fan-out over all shards
-//! cinct locate  trips.d    12,13,14            # global trajectory IDs
-//! ```
-
-//!
-//! Serving session — `cinct serve` exposes a sharded directory over
+//! Serving session — `cinct serve` exposes an index directory over
 //! HTTP/1.1 + JSON (see the `cinct_serve` crate docs for the protocol):
 //!
 //! ```text
@@ -39,8 +31,7 @@
 
 use cinct::text_io::{format_trajectory, parse_path, parse_trajectories};
 use cinct::{
-    CinctBuilder, CinctIndex, Path, PathQuery, QueryTrace, ShardPartition, ShardedBuilder,
-    ShardedCinct,
+    CinctBuilder, Path, PathQuery, QueryTrace, ShardPartition, ShardedBuilder, ShardedCinct,
 };
 use cinct_serve::{ServeConfig, Server};
 use std::process::ExitCode;
@@ -48,27 +39,27 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:
-  cinct build <trajectories.txt> <index.cinct> [--block-size 15|31|63] [--locate RATE]
+  cinct build <trajectories.txt> <index-dir> [--block-size 15|31|63] [--locate RATE]
               [--threads N] [--shards K] [--balance size|rr]
-                                            N = 0 uses all cores; output is
-                                            identical at any thread count.
-                                            --shards K writes a sharded index
-                                            *directory* (K per-shard indexes +
-                                            manifest); --balance picks the
-                                            partition (size-balanced default,
-                                            rr = round-robin)
+                                            writes an index directory of K
+                                            per-shard indexes (default 1) +
+                                            manifest; up to N shards build
+                                            concurrently (default 0 = all
+                                            cores; output is identical at any
+                                            N); --balance picks the partition
+                                            (size-balanced default, rr =
+                                            round-robin)
   cinct append <index-dir> <trajectories.txt>   seal a new batch into a fresh
                                             shard (no rebuild of old shards)
   cinct compact <index-dir> <K>             re-balance the corpus into K shards
-  cinct stats <index> [--metrics[=prometheus|json]]
-                                            index = file or sharded directory;
+  cinct stats <index-dir> [--metrics[=prometheus|json]]
                                             --metrics dumps the process metric
                                             registry after loading the index
-  cinct count <index> <path> [--trace]      path = comma-separated edge IDs;
+  cinct count <index-dir> <path> [--trace]  path = comma-separated edge IDs;
                                             --trace explains the query: per-
                                             shard, per-stage breakdown
-  cinct locate <index> <path> [--trace]
-  cinct get <index> <trajectory-id>
+  cinct locate <index-dir> <path> [--trace]
+  cinct get <index-dir> <trajectory-id>
   cinct serve <index-dir> [--addr HOST:PORT] [--workers N] [--queue N]
               [--deadline-ms MS] [--cache N] [--max-body BYTES]
               [--no-save] [--resilient]
@@ -124,63 +115,15 @@ fn read_trajectories(path: &str) -> Result<(Vec<Vec<u32>>, usize), String> {
     parse_trajectories(std::io::BufReader::new(f)).map_err(|e| format!("{path}: {e}"))
 }
 
-/// A loaded index, either flavor; queried through `&dyn PathQuery`.
-/// (Both variants are boxed: each handle is hundreds of bytes — the
-/// sharded one now carries the corpus-union edge membership — and
-/// clippy's large-enum-variant lint is right that the enum should not
-/// carry that inline.)
-enum Backend {
-    Mono(Box<CinctIndex>),
-    Sharded(Box<ShardedCinct>),
-}
-
-impl Backend {
-    fn as_query(&self) -> &dyn PathQuery {
-        match self {
-            Backend::Mono(i) => i.as_ref(),
-            Backend::Sharded(s) => s.as_ref(),
-        }
-    }
-
-    fn num_trajectories(&self) -> usize {
-        match self {
-            Backend::Mono(i) => i.num_trajectories(),
-            Backend::Sharded(s) => s.num_trajectories(),
-        }
-    }
-
-    fn trajectory(&self, id: usize) -> Vec<u32> {
-        match self {
-            Backend::Mono(i) => i.trajectory(id),
-            Backend::Sharded(s) => s.trajectory(id),
-        }
-    }
-}
-
-/// Load a single-file index or a sharded index directory, inferred from
-/// what `path` points at.
-fn load_any(path: &str) -> Result<Backend, String> {
-    if std::path::Path::new(path).is_dir() {
-        ShardedCinct::open_dir(path)
-            .map(|s| Backend::Sharded(Box::new(s)))
-            .map_err(|e| format!("load {path}: {e}"))
-    } else {
-        let mut f = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-        CinctIndex::read_from(&mut f)
-            .map(|i| Backend::Mono(Box::new(i)))
-            .map_err(|e| format!("load {path}: {e}"))
-    }
-}
-
-fn load_sharded(path: &str) -> Result<ShardedCinct, String> {
+fn load(path: &str) -> Result<ShardedCinct, String> {
     ShardedCinct::open_dir(path).map_err(|e| format!("load {path}: {e}"))
 }
 
 fn cmd_build(input: &str, output: &str, flags: &[String]) -> Result<(), String> {
     let mut builder = CinctBuilder::new();
-    let mut shards: Option<usize> = None;
+    let mut shards = 1;
     let mut partition = ShardPartition::SizeBalanced;
-    let mut threads: Option<usize> = None;
+    let mut threads = 0;
     let mut i = 0;
     while i < flags.len() {
         match flags[i].as_str() {
@@ -208,8 +151,7 @@ fn cmd_build(input: &str, output: &str, flags: &[String]) -> Result<(), String> 
                     .ok_or("--threads needs a count (0 = all cores)")?
                     .parse()
                     .map_err(|_| "bad --threads count")?;
-                threads = Some(n);
-                builder = builder.threads(n);
+                threads = n;
                 i += 2;
             }
             "--shards" => {
@@ -221,7 +163,7 @@ fn cmd_build(input: &str, output: &str, flags: &[String]) -> Result<(), String> 
                 if k == 0 {
                     return Err("--shards must be >= 1".into());
                 }
-                shards = Some(k);
+                shards = k;
                 i += 2;
             }
             "--balance" => {
@@ -236,56 +178,30 @@ fn cmd_build(input: &str, output: &str, flags: &[String]) -> Result<(), String> 
         }
     }
     let (trajs, n_edges) = read_trajectories(input)?;
-    match shards {
-        None => {
-            let t0 = std::time::Instant::now();
-            let (index, timings) = builder.build_timed(&trajs, n_edges);
-            eprintln!(
-                "built in {:.2}s: {} trajectories, {} edges, {:.2} bits/symbol",
-                t0.elapsed().as_secs_f64(),
-                index.num_trajectories(),
-                n_edges,
-                index.bits_per_symbol()
-            );
-            eprintln!("stages: {}", timings.breakdown());
-            let mut f =
-                std::fs::File::create(output).map_err(|e| format!("create {output}: {e}"))?;
-            index
-                .write_to(&mut f)
-                .map_err(|e| format!("write {output}: {e}"))?;
-            eprintln!("saved to {output}");
-        }
-        Some(k) => {
-            let t0 = std::time::Instant::now();
-            // For sharded builds --threads governs how many *shards*
-            // build concurrently (each shard's own pipeline stays
-            // sequential — fanning both levels would multiply threads);
-            // without the flag, shard builds use all cores.
-            let sharded = ShardedBuilder::new()
-                .shards(k)
-                .partition(partition)
-                .threads(threads.unwrap_or(0))
-                .index_builder(builder.threads(1))
-                .try_build(&trajs, n_edges)
-                .map_err(|e| e.to_string())?;
-            eprintln!(
-                "built in {:.2}s: {} trajectories across {} shards, {} edges, \
-                 {:.2} bits/symbol",
-                t0.elapsed().as_secs_f64(),
-                sharded.num_trajectories(),
-                sharded.num_shards(),
-                n_edges,
-                sharded.bits_per_symbol()
-            );
-            sharded.save_dir(output).map_err(|e| e.to_string())?;
-            eprintln!("saved sharded index directory to {output}");
-        }
-    }
+    let t0 = std::time::Instant::now();
+    let sharded = ShardedBuilder::new()
+        .shards(shards)
+        .partition(partition)
+        .threads(threads)
+        .index_builder(builder)
+        .try_build(&trajs, n_edges)
+        .map_err(|e| e.to_string())?;
+    eprintln!(
+        "built in {:.2}s: {} trajectories across {} shard(s), {} edges, \
+         {:.2} bits/symbol",
+        t0.elapsed().as_secs_f64(),
+        sharded.num_trajectories(),
+        sharded.num_shards(),
+        n_edges,
+        sharded.bits_per_symbol()
+    );
+    sharded.save_dir(output).map_err(|e| e.to_string())?;
+    eprintln!("saved index directory to {output}");
     Ok(())
 }
 
 fn cmd_append(index_dir: &str, input: &str) -> Result<(), String> {
-    let mut sharded = load_sharded(index_dir)?;
+    let mut sharded = load(index_dir)?;
     let (batch, batch_edges) = read_trajectories(input)?;
     if batch_edges > sharded.network_edges() {
         return Err(format!(
@@ -312,7 +228,7 @@ fn cmd_append(index_dir: &str, input: &str) -> Result<(), String> {
 }
 
 fn cmd_compact(index_dir: &str, k_spec: &str) -> Result<(), String> {
-    let mut sharded = load_sharded(index_dir)?;
+    let mut sharded = load(index_dir)?;
     let k: usize = k_spec.parse().map_err(|_| "bad shard count")?;
     let before = sharded.num_shards();
     let t0 = std::time::Instant::now();
@@ -347,11 +263,11 @@ fn cmd_stats(path: &str, flags: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown flag {other}")),
         });
     }
-    let backend = load_any(path)?;
+    let s = load(path)?;
     // The metrics dump reflects this process's work so far — for the CLI
     // that is the index load itself (open timings, checksum verifies).
     if let Some(format) = metrics {
-        drop(backend);
+        drop(s);
         cinct::metrics::register_all();
         let registry = cinct_obs::global();
         print!(
@@ -364,124 +280,95 @@ fn cmd_stats(path: &str, flags: &[String]) -> Result<(), String> {
         );
         return Ok(());
     }
-    match &backend {
-        Backend::Mono(idx) => {
-            println!("kind:             monolithic (single file)");
-            println!("trajectories:     {}", idx.num_trajectories());
-            println!("indexed symbols:  {}", idx.text_len());
-            println!("network edges:    {}", idx.network_edges());
-            println!("sigma:            {}", idx.sigma());
-            println!("ET-graph edges:   {}", idx.rml().graph().num_edges());
-            println!("max out-degree:   {}", idx.rml().graph().max_out_degree());
-            println!(
-                "core size:        {} bytes ({:.2} bits/symbol)",
-                idx.core_size_in_bytes(),
-                idx.bits_per_symbol()
-            );
-            println!("  labeled BWT:    {} bytes", idx.size_without_et_graph());
-            println!("directory extras: {} bytes", idx.directory_size_in_bytes());
-            match idx.locate_sampling_rate() {
-                Some(r) => println!("locate support:   yes (SA sampling 1/{r})"),
-                None => println!("locate support:   no (rebuild with --locate)"),
-            }
+    println!("kind:             sharded ({} shards)", s.num_shards());
+    println!("trajectories:     {}", s.num_trajectories());
+    println!("indexed symbols:  {}", s.text_len());
+    println!("network edges:    {}", s.network_edges());
+    println!("sigma:            {}", s.sigma());
+    println!(
+        "core size:        {} bytes ({:.2} bits/symbol)",
+        s.core_size_in_bytes(),
+        s.bits_per_symbol()
+    );
+    match s
+        .config()
+        .index_builder_config()
+        .configured_locate_sampling()
+    {
+        Some(r) if s.locate_supported() => {
+            println!("locate support:   yes (SA sampling 1/{r})")
         }
-        Backend::Sharded(s) => {
-            println!("kind:             sharded ({} shards)", s.num_shards());
-            println!("trajectories:     {}", s.num_trajectories());
-            println!("indexed symbols:  {}", s.text_len());
-            println!("network edges:    {}", s.network_edges());
-            println!("sigma:            {}", s.sigma());
-            println!(
-                "core size:        {} bytes ({:.2} bits/symbol)",
-                s.core_size_in_bytes(),
-                s.bits_per_symbol()
-            );
-            println!(
-                "locate support:   {}",
-                if s.locate_supported() { "yes" } else { "no" }
-            );
-            println!("per shard:        id  trajectories  symbols  core bytes");
-            for i in 0..s.num_shards() {
-                let idx = s.shard_index(i);
-                println!(
-                    "                  {:>2}  {:>12}  {:>7}  {:>10}",
-                    i,
-                    idx.num_trajectories(),
-                    idx.text_len(),
-                    idx.core_size_in_bytes()
-                );
-            }
-        }
+        _ => println!("locate support:   no (rebuild with --locate)"),
+    }
+    println!(
+        "per shard:        id  trajectories  symbols  core bytes  labeled-BWT bytes  \
+         directory bytes  ET-graph edges  max out-degree"
+    );
+    for i in 0..s.num_shards() {
+        let idx = s.shard_index(i);
+        let graph = idx.rml().graph();
+        println!(
+            "                  {:>2}  {:>12}  {:>7}  {:>10}  {:>17}  {:>15}  {:>14}  {:>14}",
+            i,
+            idx.num_trajectories(),
+            idx.text_len(),
+            idx.core_size_in_bytes(),
+            idx.size_without_et_graph(),
+            idx.directory_size_in_bytes(),
+            graph.num_edges(),
+            graph.max_out_degree()
+        );
     }
     Ok(())
 }
 
 fn cmd_count(path: &str, spec: &str, flags: &[String]) -> Result<(), String> {
     let trace = parse_trace_flag(flags)?;
-    let backend = load_any(path)?;
+    let s = load(path)?;
     let p = parse_path(spec).map_err(|e| e.to_string())?;
-    let path = Path::new(&p);
     if trace {
-        let tr = match &backend {
-            Backend::Mono(idx) => QueryTrace::monolithic(idx.as_ref(), &p, false),
-            Backend::Sharded(s) => QueryTrace::sharded(s, &p, false),
-        };
-        print!("{}", tr.render());
+        print!("{}", QueryTrace::sharded(&s, &p, false).render());
         return Ok(());
     }
-    match &backend {
-        Backend::Mono(idx) => match idx.try_range(path).map_err(|e| e.to_string())? {
-            Some(r) => println!("{} (suffix range {}..{})", r.len(), r.start, r.end),
-            None => println!("0"),
-        },
-        // A sharded range is virtual (multiplicity only) — fan out once
-        // and print the real per-shard suffix ranges instead of fake
-        // global endpoints.
-        Backend::Sharded(s) => {
-            s.validate_path(path).map_err(|e| e.to_string())?;
-            let ranges = s.shard_ranges(path);
-            let total: usize = ranges
-                .iter()
-                .map(|r| r.as_ref().map_or(0, |r| r.len()))
-                .sum();
-            if total == 0 {
-                println!("0");
-            } else {
-                let per: Vec<String> = ranges
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, r)| {
-                        r.as_ref()
-                            .map(|r| format!("shard {i}: {}..{}", r.start, r.end))
-                    })
-                    .collect();
-                println!("{total} ({})", per.join(", "));
-            }
-        }
+    // A sharded range is virtual (multiplicity only) — fan out once and
+    // print the real per-shard suffix ranges instead of fake global
+    // endpoints.
+    let path = Path::new(&p);
+    s.validate_path(path).map_err(|e| e.to_string())?;
+    let ranges = s.shard_ranges(path);
+    let total: usize = ranges
+        .iter()
+        .map(|r| r.as_ref().map_or(0, |r| r.len()))
+        .sum();
+    if total == 0 {
+        println!("0");
+    } else {
+        let per: Vec<String> = ranges
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| {
+                r.as_ref()
+                    .map(|r| format!("shard {i}: {}..{}", r.start, r.end))
+            })
+            .collect();
+        println!("{total} ({})", per.join(", "));
     }
     Ok(())
 }
 
 fn cmd_locate(path: &str, spec: &str, flags: &[String]) -> Result<(), String> {
     let trace = parse_trace_flag(flags)?;
-    let backend = load_any(path)?;
+    let s = load(path)?;
     let p = parse_path(spec).map_err(|e| e.to_string())?;
     if trace {
-        let tr = match &backend {
-            Backend::Mono(idx) => QueryTrace::monolithic(idx.as_ref(), &p, true),
-            Backend::Sharded(s) => QueryTrace::sharded(s, &p, true),
-        };
-        print!("{}", tr.render());
+        print!("{}", QueryTrace::sharded(&s, &p, true).render());
         return Ok(());
     }
-    let occ = backend
-        .as_query()
-        .occurrences(Path::new(&p))
-        .map_err(|e| e.to_string())?;
+    let occ = s.occurrences(Path::new(&p)).map_err(|e| e.to_string())?;
     println!("{} occurrence(s)", occ.remaining());
     // Sorted (trajectory, offset) — the order scripts relied on before the
     // streaming API; the iterator itself yields suffix-range order. IDs
-    // are corpus-global for both backends.
+    // are corpus-global.
     for (traj, offset) in occ.collect_sorted() {
         println!("trajectory {traj} @ edge offset {offset}");
     }
@@ -489,15 +376,15 @@ fn cmd_locate(path: &str, spec: &str, flags: &[String]) -> Result<(), String> {
 }
 
 fn cmd_get(path: &str, id_spec: &str) -> Result<(), String> {
-    let backend = load_any(path)?;
+    let s = load(path)?;
     let id: usize = id_spec.parse().map_err(|_| "bad trajectory id")?;
-    if id >= backend.num_trajectories() {
+    if id >= s.num_trajectories() {
         return Err(format!(
             "trajectory {id} out of range (have {})",
-            backend.num_trajectories()
+            s.num_trajectories()
         ));
     }
-    println!("{}", format_trajectory(&backend.trajectory(id)));
+    println!("{}", format_trajectory(&s.trajectory(id)));
     Ok(())
 }
 

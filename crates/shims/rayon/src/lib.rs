@@ -86,10 +86,9 @@ pub fn current_num_threads() -> usize {
 /// Resolve a user-facing thread-count knob under the workspace's shared
 /// convention: **`0` means "auto"** (the machine's available parallelism,
 /// [`current_num_threads`]); any other value is taken literally. Every
-/// thread knob in the workspace — `CinctBuilder::threads`,
-/// `QueryEngine::parallel`, `ShardedBuilder::threads`, the succinct
-/// parallel builders — routes through this so the convention cannot
-/// drift between layers.
+/// thread knob in the workspace — `QueryEngine::parallel`,
+/// `ShardedBuilder::threads`, the server's worker count — routes through
+/// this so the convention cannot drift between layers.
 pub fn resolve_threads(n: usize) -> usize {
     if n == 0 {
         current_num_threads()

@@ -25,7 +25,6 @@
 pub mod bits;
 pub mod huffman;
 pub mod int_vec;
-mod parbuild;
 pub mod rank_bits;
 pub mod rrr;
 pub mod serial;

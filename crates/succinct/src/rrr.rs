@@ -494,27 +494,21 @@ pub struct RrrBitVec {
     ones: usize,
 }
 
-/// Below this many blocks a sharded build costs more in thread spawns than
-/// the encode saves.
-const PAR_BUILD_MIN_BLOCKS: usize = 1 << 13;
-
-/// Encode blocks `[start_blk, end_blk)` of `bits` into packed classes +
-/// offsets; the shard kernel of both the sequential and the parallel build
-/// (identical output streams by construction). Returns the shard's ones.
+/// Encode every block of `bits` into packed classes + offsets. Returns
+/// the streams and the total number of ones.
 fn encode_blocks(
     bits: &BitBuf,
     b: usize,
     class_width: usize,
-    start_blk: usize,
-    end_blk: usize,
     binom: &BinomialTable,
 ) -> (BitBuf, BitBuf, u64) {
     let len = bits.len();
-    let mut classes = BitBuf::with_capacity((end_blk - start_blk) * class_width);
+    let n_blocks = len.div_ceil(b);
+    let mut classes = BitBuf::with_capacity(n_blocks * class_width);
     let mut offsets = BitBuf::new();
     let mut ones = 0u64;
     let plan = plan(b);
-    for blk in start_blk..end_blk {
+    for blk in 0..n_blocks {
         let start = blk * b;
         let width = b.min(len - start);
         // Bits beyond `len` in the last block are implicit zeros.
@@ -533,76 +527,12 @@ impl RrrBitVec {
     /// Compress `bits` with block size `b` (clamped to `1..=63`).
     pub fn new(bits: &BitBuf, b: usize) -> Self {
         let b = b.clamp(1, 63);
-        Self::build_with(bits, b, binom())
-    }
-
-    /// [`RrrBitVec::new`] with block classification + enumerative encoding
-    /// sharded across up to `threads` workers (`0` = available
-    /// parallelism). Shards are contiguous block ranges stitched back in
-    /// block order, so the packed class/offset streams — and therefore the
-    /// serialized bytes — are **identical** to a sequential build's at any
-    /// thread count (pinned by tests).
-    pub fn with_threads(bits: &BitBuf, b: usize, threads: usize) -> Self {
-        let b = b.clamp(1, 63);
-        let threads = crate::parbuild::effective_threads(threads);
-        let n_blocks = bits.len().div_ceil(b);
-        if threads <= 1 || n_blocks < PAR_BUILD_MIN_BLOCKS {
-            return Self::build_with(bits, b, binom());
-        }
-        let binom = binom();
-        let per = n_blocks.div_ceil(threads);
-        let n_shards = n_blocks.div_ceil(per);
+        let len = bits.len();
         let class_width = (64 - (b as u64).leading_zeros() as usize).max(1);
-        let mut shards: Vec<Option<(BitBuf, BitBuf, u64)>> = vec![None; n_shards];
-        rayon::scope(|s| {
-            for (k, slot) in shards.iter_mut().enumerate() {
-                s.spawn(move |_| {
-                    let start_blk = k * per;
-                    let end_blk = ((k + 1) * per).min(n_blocks);
-                    *slot = Some(encode_blocks(
-                        bits,
-                        b,
-                        class_width,
-                        start_blk,
-                        end_blk,
-                        binom,
-                    ));
-                });
-            }
-        });
-        let mut classes = BitBuf::with_capacity(n_blocks * class_width);
-        let mut offsets = BitBuf::new();
-        let mut ones = 0u64;
-        for shard in shards {
-            let (c, o, n1) = shard.expect("every shard spawned");
-            classes.append(&c);
-            offsets.append(&o);
-            ones += n1;
-        }
-        Self::assemble(bits.len(), b, class_width, classes, offsets, ones)
-    }
-
-    fn build_with(bits: &BitBuf, b: usize, binom: &BinomialTable) -> Self {
-        let n_blocks = bits.len().div_ceil(b);
-        let class_width = (64 - (b as u64).leading_zeros() as usize).max(1);
-        let (classes, offsets, ones) = encode_blocks(bits, b, class_width, 0, n_blocks, binom);
-        Self::assemble(bits.len(), b, class_width, classes, offsets, ones)
-    }
-
-    /// Final assembly shared by the sequential and sharded builds: shrink
-    /// the streams, derive the rank directory, cross-check totals.
-    fn assemble(
-        len: usize,
-        b: usize,
-        class_width: usize,
-        mut classes: BitBuf,
-        mut offsets: BitBuf,
-        ones: u64,
-    ) -> Self {
-        let n_blocks = len.div_ceil(b);
+        let (mut classes, mut offsets, ones) = encode_blocks(bits, b, class_width, binom());
         classes.shrink_to_fit();
         offsets.shrink_to_fit();
-        let (dir, dir_ones, dir_ptr) = build_directory(b, n_blocks, &classes, class_width)
+        let (dir, dir_ones, dir_ptr) = build_directory(b, len.div_ceil(b), &classes, class_width)
             .expect("the encoder emits classes <= b");
         debug_assert_eq!(ones, dir_ones);
         debug_assert_eq!(offsets.len() as u64, dir_ptr);
@@ -805,10 +735,6 @@ impl BitVecBuild for RrrBitVec {
     fn build(bits: &BitBuf, params: Self::Params) -> Self {
         Self::new(bits, params)
     }
-
-    fn build_mt(bits: &BitBuf, params: Self::Params, threads: usize) -> Self {
-        Self::with_threads(bits, params, threads)
-    }
 }
 
 #[cfg(test)]
@@ -916,30 +842,6 @@ mod tests {
         // ... and so is a truncated offsets stream.
         let truncated = BitBuf::from_bools(offsets.iter().take(offsets.len() - 1));
         assert!(RrrBitVec::from_raw_parts(b, len, classes.clone(), truncated, ones).is_none());
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical() {
-        use crate::serial::Persist;
-        // Long enough to clear PAR_BUILD_MIN_BLOCKS at every block size,
-        // with an odd tail block.
-        let bits = pseudo_bits(63 * (1 << 13) + 41, 37, 9);
-        for &b in &[15usize, 31, 63] {
-            let seq = RrrBitVec::new(&bits, b);
-            let mut seq_bytes = Vec::new();
-            seq.persist(&mut seq_bytes).unwrap();
-            for threads in [2usize, 3, 4, 8] {
-                let par = RrrBitVec::with_threads(&bits, b, threads);
-                let mut par_bytes = Vec::new();
-                par.persist(&mut par_bytes).unwrap();
-                assert_eq!(par_bytes, seq_bytes, "b={b} threads={threads}");
-            }
-            // Answers agree too (spot check across directory strata).
-            let par = RrrBitVec::with_threads(&bits, b, 4);
-            for i in (0..bits.len()).step_by(997) {
-                assert_eq!(par.rank1(i), seq.rank1(i), "rank1({i}) b={b}");
-            }
-        }
     }
 
     #[test]

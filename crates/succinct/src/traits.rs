@@ -91,16 +91,6 @@ pub trait BitVecBuild: BitRank + Sized {
 
     /// Build from a finished [`crate::BitBuf`].
     fn build(bits: &crate::BitBuf, params: Self::Params) -> Self;
-
-    /// Build with up to `threads` worker threads (`0` = the machine's
-    /// available parallelism). Implementations must produce a structure
-    /// **identical** to [`BitVecBuild::build`] — same serialized bytes —
-    /// regardless of thread count; backends with no parallel path keep
-    /// this default, which ignores the hint.
-    fn build_mt(bits: &crate::BitBuf, params: Self::Params, threads: usize) -> Self {
-        let _ = threads;
-        Self::build(bits, params)
-    }
 }
 
 /// Symbol-level sequence interface: the operations an FM-index needs from the

@@ -36,15 +36,6 @@ impl<B: BitVecBuild> WaveletMatrix<B> {
 
     /// Build from a sequence; `params` configures the backend.
     pub fn with_params(seq: &[Symbol], params: B::Params) -> Self {
-        Self::with_params_mt(seq, params, 1)
-    }
-
-    /// [`Self::with_params`] with up to `threads` workers (`0` =
-    /// available parallelism). Each level's bit-partitioning is sharded
-    /// into contiguous chunks stitched back in order and the backend
-    /// builds through [`BitVecBuild::build_mt`], so the finished matrix is
-    /// **identical** to a sequential build at any thread count.
-    pub fn with_params_mt(seq: &[Symbol], params: B::Params, threads: usize) -> Self {
         assert!(!seq.is_empty(), "wavelet matrix over empty sequence");
         let alphabet_size = seq.iter().copied().max().unwrap() as usize + 1;
         let bits_per_symbol = if alphabet_size <= 2 {
@@ -52,58 +43,33 @@ impl<B: BitVecBuild> WaveletMatrix<B> {
         } else {
             usize::BITS as usize - (alphabet_size - 1).leading_zeros() as usize
         };
-        let threads = crate::parbuild::effective_threads(threads);
         let mut levels = Vec::with_capacity(bits_per_symbol);
         let mut zeros = Vec::with_capacity(bits_per_symbol);
         let mut cur: Vec<Symbol> = seq.to_vec();
-        // Buffers for the sequential path, sized lazily on first use —
-        // parallel levels replace `next` wholesale with the stitched zero
-        // bucket and never touch `ones_bucket`, so eager n-word
-        // allocations would be dead weight there. The ones-bucket is
-        // reused across levels: the seed allocated (and grew) a fresh Vec
-        // per level, a measurable slice of UFMI/ICB-WM build time at
-        // log σ levels over multi-million-symbol sequences.
-        let mut next: Vec<Symbol> = Vec::new();
-        let mut ones_bucket: Vec<Symbol> = Vec::new();
+        // The next level and the ones-bucket are reused across levels: a
+        // fresh Vec per level is a measurable slice of UFMI/ICB-WM build
+        // time at log σ levels over multi-million-symbol sequences.
+        let mut next: Vec<Symbol> = Vec::with_capacity(seq.len());
+        let mut ones_bucket: Vec<Symbol> = Vec::with_capacity(seq.len() / 2);
         for level in 0..bits_per_symbol {
             let shift = bits_per_symbol - 1 - level;
-            let bits = if threads > 1 && cur.len() >= crate::parbuild::PAR_MIN_ITEMS {
-                // Shard-parallel partition: zero/one buckets concatenate in
-                // shard order — the same stable partition as the loop below.
-                // The stitched zero bucket *becomes* the next level (one
-                // copy for the one-run, none for the zero-run).
-                let (bits, zs, os) = crate::parbuild::partition_by(
-                    &cur,
-                    |s| (s >> shift) & 1 == 1,
-                    true,
-                    true,
-                    threads,
-                );
-                next = zs;
-                zeros.push(next.len());
-                next.extend_from_slice(&os);
-                bits
-            } else {
-                let mut bits = BitBuf::with_capacity(cur.len());
-                ones_bucket.clear();
-                ones_bucket.reserve(cur.len() / 2);
-                next.clear();
-                next.reserve(cur.len());
-                for &s in &cur {
-                    let bit = (s >> shift) & 1 == 1;
-                    bits.push(bit);
-                    if bit {
-                        ones_bucket.push(s);
-                    } else {
-                        next.push(s);
-                    }
+            let mut bits = BitBuf::with_capacity(cur.len());
+            ones_bucket.clear();
+            next.clear();
+            // A stable partition: zeros first, then ones, each in order.
+            for &s in &cur {
+                let bit = (s >> shift) & 1 == 1;
+                bits.push(bit);
+                if bit {
+                    ones_bucket.push(s);
+                } else {
+                    next.push(s);
                 }
-                zeros.push(next.len());
-                next.extend_from_slice(&ones_bucket);
-                bits
-            };
+            }
+            zeros.push(next.len());
+            next.extend_from_slice(&ones_bucket);
             std::mem::swap(&mut cur, &mut next);
-            levels.push(B::build_mt(&bits, params, threads));
+            levels.push(B::build(&bits, params));
         }
         Self {
             levels,
@@ -315,25 +281,6 @@ mod tests {
         let wm = WaveletMatrix::<RankBitVec>::new(&seq);
         assert_eq!(wm.levels(), 10); // ceil(log2(1000))
         assert_eq!(wm.alphabet_size(), 1000);
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let seq = pseudo_seq(150_000, 300, 7);
-        let wm_seq = WaveletMatrix::<RankBitVec>::with_params(&seq, ());
-        for threads in [2usize, 4] {
-            let wm_par = WaveletMatrix::<RankBitVec>::with_params_mt(&seq, (), threads);
-            assert_eq!(wm_par.zeros, wm_seq.zeros, "{threads} threads");
-            assert_eq!(wm_par.size_in_bytes(), wm_seq.size_in_bytes());
-            for i in (0..seq.len()).step_by(619) {
-                assert_eq!(wm_par.access(i), wm_seq.access(i), "access({i})");
-                assert_eq!(
-                    wm_par.rank(seq[i], i + 1),
-                    wm_seq.rank(seq[i], i + 1),
-                    "rank at {i}"
-                );
-            }
-        }
     }
 
     #[test]

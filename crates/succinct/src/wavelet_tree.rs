@@ -69,6 +69,48 @@ impl NodeTable {
     }
 }
 
+/// Partition one node's symbols: emit `pred(s)` per symbol into a bit
+/// buffer and route symbols to the zero/one bucket (each left empty when
+/// `keep_zeros`/`keep_ones` is false, i.e. that child is a leaf).
+fn partition<F: Fn(Symbol) -> bool>(
+    seq: &[Symbol],
+    pred: F,
+    keep_zeros: bool,
+    keep_ones: bool,
+) -> (BitBuf, Vec<Symbol>, Vec<Symbol>) {
+    let mut bits = BitBuf::with_capacity(seq.len());
+    // A kept bucket holds at most the whole node and typically about
+    // half; seeding half the capacity keeps realloc churn to one final
+    // doubling in the worst case instead of a full geometric climb.
+    let mut zeros = Vec::with_capacity(if keep_zeros { seq.len() / 2 + 1 } else { 0 });
+    let mut ones = Vec::with_capacity(if keep_ones { seq.len() / 2 + 1 } else { 0 });
+    // Emitted bits accumulate in a register and land 64 at a time — no
+    // per-bit word indexing or grow checks.
+    let mut word = 0u64;
+    let mut fill = 0usize;
+    for &s in seq {
+        let bit = pred(s);
+        word |= (bit as u64) << fill;
+        fill += 1;
+        if fill == 64 {
+            bits.push_bits(word, 64);
+            word = 0;
+            fill = 0;
+        }
+        if bit {
+            if keep_ones {
+                ones.push(s);
+            }
+        } else if keep_zeros {
+            zeros.push(s);
+        }
+    }
+    if fill > 0 {
+        bits.push_bits(word, fill);
+    }
+    (bits, zeros, ones)
+}
+
 /// A Huffman-shaped wavelet tree over a `u32` alphabet.
 #[derive(Clone, Debug)]
 pub struct HuffmanWaveletTree<B: BitVecBuild> {
@@ -90,19 +132,7 @@ impl<B: BitVecBuild> HuffmanWaveletTree<B> {
     /// Build from a sequence; `params` configures the backend bit vector
     /// (for RRR this is the block size `b`).
     pub fn with_params(seq: &[Symbol], params: B::Params) -> Self {
-        Self::with_params_mt(seq, params, 1)
-    }
-
-    /// [`Self::with_params`] with up to `threads` workers (`0` = available
-    /// parallelism). Each node's bit-partitioning is sharded into
-    /// contiguous chunks stitched back in order, and the backend builds
-    /// through [`BitVecBuild::build_mt`] — so the finished tree (and its
-    /// serialized bytes) is **identical** to a sequential build at any
-    /// thread count; only wall-clock differs.
-    pub fn with_params_mt(seq: &[Symbol], params: B::Params, threads: usize) -> Self {
         assert!(!seq.is_empty(), "wavelet tree over empty sequence");
-        // Resolve the `0 = all cores` knob once, not per Huffman node.
-        let threads = crate::parbuild::effective_threads(threads);
         let alphabet_size = seq.iter().copied().max().unwrap() as usize + 1;
         let mut freqs = vec![0u64; alphabet_size];
         for &s in seq {
@@ -124,10 +154,7 @@ impl<B: BitVecBuild> HuffmanWaveletTree<B> {
         }
 
         // Build per-node raw bitmaps top-down; each node owns the
-        // subsequence of symbols whose codes pass through it. Partitioning
-        // a node is shard-parallel (the work per depth sums to ~n, so big
-        // nodes dominate and shard well; small ones run sequentially under
-        // the partition helper's threshold).
+        // subsequence of symbols whose codes pass through it.
         let mut raw: Vec<BitBuf> = (0..n_nodes).map(|_| BitBuf::new()).collect();
         let mut owned: Vec<Vec<Symbol>> = vec![Vec::new(); n_nodes];
         {
@@ -146,7 +173,7 @@ impl<B: BitVecBuild> HuffmanWaveletTree<B> {
             let fill_node = |node: usize, node_seq: &[Symbol]| {
                 let (l, r) = tree.nodes[node];
                 let depth = depths[node];
-                crate::parbuild::partition_by(
+                partition(
                     node_seq,
                     // Bit `depth` of the root-to-leaf path (Codeword::path_bit,
                     // unpacked): only symbols with codes reach any node.
@@ -157,7 +184,6 @@ impl<B: BitVecBuild> HuffmanWaveletTree<B> {
                     },
                     matches!(l, Child::Node(_)),
                     matches!(r, Child::Node(_)),
-                    threads,
                 )
             };
             let mut install = |node: usize,
@@ -201,7 +227,7 @@ impl<B: BitVecBuild> HuffmanWaveletTree<B> {
             global.append(nb);
             ones += nb.count_ones() as u64;
         }
-        let bits = B::build_mt(&global, params, threads);
+        let bits = B::build(&global, params);
 
         Self {
             bits,
@@ -472,24 +498,6 @@ mod tests {
         }
         let w = seq[1234];
         assert_eq!(wt.rank(w, 200_000), naive_rank(&seq, w, 200_000));
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical() {
-        // Large enough that node partitions and the RRR backend both cross
-        // their parallel thresholds; skewed so node sizes vary.
-        let seq = pseudo_seq(200_000, 50, 31);
-        for &b in &[15usize, 63] {
-            let seq_wt = HuffmanWaveletTree::<RrrBitVec>::with_params(&seq, b);
-            let mut seq_bytes = Vec::new();
-            seq_wt.persist(&mut seq_bytes).unwrap();
-            for threads in [2usize, 4, 0] {
-                let par_wt = HuffmanWaveletTree::<RrrBitVec>::with_params_mt(&seq, b, threads);
-                let mut par_bytes = Vec::new();
-                par_wt.persist(&mut par_bytes).unwrap();
-                assert_eq!(par_bytes, seq_bytes, "b={b} threads={threads}");
-            }
-        }
     }
 
     #[test]
