@@ -521,6 +521,73 @@ mod tests {
     }
 
     #[test]
+    fn label_and_z_golden_table() {
+        // (w′, w, label, Z) for every ET-graph edge of the Fig. 1 corpus,
+        // pinned literally: none depends on how the bitmaps are encoded.
+        const GOLDEN: [(u32, u32, u32, i64); 11] = [
+            (0, 1, 1, 0),
+            (1, 2, 1, 1),
+            (1, 3, 2, 0),
+            (2, 3, 1, 3),
+            (2, 5, 2, 1),
+            (3, 4, 1, 6),
+            (3, 6, 2, 2),
+            (4, 1, 1, 7),
+            (5, 1, 1, 7),
+            (6, 7, 1, 11),
+            (7, 0, 1, 12),
+        ];
+        let idx = CinctIndex::build(&paper_trajs(), 6);
+        let edges: Vec<(u32, u32)> = (0..idx.sigma() as u32)
+            .flat_map(|w_prime| {
+                let out = idx.rml.graph().out(w_prime);
+                out.into_iter().map(move |w| (w_prime, w))
+            })
+            .collect();
+        assert_eq!(edges, GOLDEN.map(|(wp, w, _, _)| (wp, w)).to_vec());
+        for (w_prime, w, label, z) in GOLDEN {
+            assert_eq!(
+                idx.rml.label_and_z(w, w_prime),
+                Some((label, z)),
+                "w={w} w'={w_prime}"
+            );
+        }
+    }
+
+    #[test]
+    fn pseudo_rank_golden_table() {
+        // (w′, w, C[w′], PseudoRank at j = C[w′] ..= C[w′ + 1]) over exactly
+        // the triples `pseudo_rank_equals_true_rank` enumerates.
+        const GOLDEN: [(u32, u32, usize, &[usize]); 11] = [
+            (0, 1, 0, &[0, 1]),
+            (1, 2, 1, &[0, 1, 2, 3, 3]),
+            (1, 3, 1, &[0, 0, 0, 0, 1]),
+            (2, 3, 5, &[1, 1, 2, 3]),
+            (2, 5, 5, &[0, 1, 1, 1]),
+            (3, 4, 8, &[0, 1, 2, 2]),
+            (3, 6, 8, &[0, 0, 0, 1]),
+            (4, 1, 11, &[1, 2, 3]),
+            (5, 1, 13, &[3, 4]),
+            (6, 7, 14, &[0, 1]),
+            (7, 0, 15, &[0, 1]),
+        ];
+        let idx = CinctIndex::build(&paper_trajs(), 6);
+        let mut rows = GOLDEN.iter();
+        for w_prime in 0..idx.sigma() as u32 {
+            let range = idx.c.symbol_range(w_prime);
+            for w in idx.rml.graph().out(w_prime) {
+                let &(gp, gw, start, ranks) = rows.next().expect("table covers every edge");
+                assert_eq!((gp, gw, start), (w_prime, w, range.start));
+                let got: Vec<usize> = (range.start..=range.end)
+                    .map(|j| idx.pseudo_rank(j, w, w_prime).expect("edge exists"))
+                    .collect();
+                assert_eq!(got, ranks, "w={w} w'={w_prime}");
+            }
+        }
+        assert!(rows.next().is_none(), "table lists an edge the graph lacks");
+    }
+
+    #[test]
     fn random_labeling_still_correct() {
         // Fig. 14's random strategy changes size/speed, never answers.
         let trajs = paper_trajs();
