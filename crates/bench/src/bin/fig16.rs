@@ -20,7 +20,9 @@ fn main() {
     // stage outside the ET-graph and WT builds (SA, BWT derivation, and
     // the SA-byproduct trajectory directory), so the three columns sum to
     // the total.
-    let (_, timings) = CinctBuilder::new().build_from_trajectory_string(&ts, ds.n_edges());
+    let (_, timings) = CinctBuilder::new()
+        .pure_rrr()
+        .build_from_trajectory_string(&ts, ds.n_edges());
     let bwt_col = timings.total() - timings.et_graph_build - timings.wt_build;
     let mut table = Table::new(&["Method", "BWT s", "ET-graph s", "WT-build s", "total s"]);
     table.row(vec![

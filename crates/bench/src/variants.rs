@@ -10,9 +10,16 @@ use std::time::Instant;
 /// The methods compared in the paper (Table II) plus the Fig. 14 ablation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Variant {
-    /// CiNCT with bigram-sorted RML; `b` = RRR block size.
+    /// CiNCT with bigram-sorted RML over pure RRR, as in the paper; `b` =
+    /// RRR block size.
     Cinct {
         /// RRR block size (paper: 15, 31, 63).
+        b: usize,
+    },
+    /// This repository's CiNCT: as [`Variant::Cinct`], but each group of
+    /// the labeled tree's RRR is stored raw where that is smaller.
+    CinctHybrid {
+        /// RRR block size.
         b: usize,
     },
     /// CiNCT with randomly permuted labels (Fig. 14 strawman).
@@ -45,6 +52,7 @@ impl Variant {
     pub fn name(&self) -> String {
         match self {
             Variant::Cinct { .. } => "CiNCT".into(),
+            Variant::CinctHybrid { .. } => "CiNCT (hybrid)".into(),
             Variant::CinctRandomLabels { .. } => "CiNCT-rand".into(),
             Variant::Ufmi => "UFMI".into(),
             Variant::IcbWm { .. } => "ICB-WM".into(),
@@ -92,6 +100,11 @@ pub fn build_variant(variant: Variant, ts: &TrajectoryString, n_edges: usize) ->
     let t0 = Instant::now();
     let (index, without_et): (Box<dyn PathQuery>, Option<usize>) = match variant {
         Variant::Cinct { b } => {
+            let idx = build_cinct(ts, n_edges, b);
+            let w = idx.size_without_et_graph();
+            (Box::new(idx), Some(w))
+        }
+        Variant::CinctHybrid { b } => {
             let (idx, _) = CinctBuilder::new()
                 .block_size(b)
                 .build_from_trajectory_string(ts, n_edges);
@@ -101,6 +114,7 @@ pub fn build_variant(variant: Variant, ts: &TrajectoryString, n_edges: usize) ->
         Variant::CinctRandomLabels { b, seed } => {
             let (idx, _) = CinctBuilder::new()
                 .block_size(b)
+                .pure_rrr()
                 .labeling(LabelingStrategy::Random { seed })
                 .build_from_trajectory_string(ts, n_edges);
             let w = idx.size_without_et_graph();
@@ -130,10 +144,12 @@ pub fn build_variant(variant: Variant, ts: &TrajectoryString, n_edges: usize) ->
     }
 }
 
-/// Reference to the concrete CiNCT index when timing its internals.
+/// The paper's CiNCT (pure RRR) as a concrete index, for timing its
+/// internals.
 pub fn build_cinct(ts: &TrajectoryString, n_edges: usize, b: usize) -> CinctIndex {
     CinctBuilder::new()
         .block_size(b)
+        .pure_rrr()
         .build_from_trajectory_string(ts, n_edges)
         .0
 }
@@ -163,6 +179,17 @@ mod tests {
             assert_eq!(built.index.count(path), 2, "{} miscounts", built.name);
             assert!(built.bits_per_symbol() > 0.0);
         }
+    }
+
+    #[test]
+    fn hybrid_cinct_agrees_and_is_never_larger() {
+        let ts = tiny_ts();
+        let path = cinct_fmindex::Path::new(&[0, 1]);
+        let pure = build_variant(Variant::Cinct { b: 63 }, &ts, 6);
+        let hybrid = build_variant(Variant::CinctHybrid { b: 63 }, &ts, 6);
+        assert_eq!(hybrid.name, "CiNCT (hybrid)");
+        assert_eq!(hybrid.index.range(path), pure.index.range(path));
+        assert!(hybrid.bits_per_symbol() <= pure.bits_per_symbol());
     }
 
     #[test]

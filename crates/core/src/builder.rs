@@ -77,6 +77,7 @@ pub struct CinctBuilder {
     labeling: LabelingStrategy,
     block_size: usize,
     locate_sampling: Option<usize>,
+    pure_rrr: bool,
 }
 
 impl Default for CinctBuilder {
@@ -85,14 +86,33 @@ impl Default for CinctBuilder {
             labeling: LabelingStrategy::BigramSorted,
             block_size: 63,
             locate_sampling: None,
+            pure_rrr: false,
         }
     }
 }
 
 impl CinctBuilder {
-    /// Default configuration: bigram-sorted RML, `b = 63`, no locate.
+    /// Default configuration: bigram-sorted RML, `b = 63`, no locate, the
+    /// labeled wavelet tree over hybrid RRR ([`RrrBitVec::hybrid`]).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Store every group of the labeled wavelet tree enumeratively, as
+    /// the paper's CiNCT does ([`RrrBitVec::new`]), instead of raw where
+    /// RRR saves nothing. For the paper-fidelity experiments: same answers,
+    /// never smaller. Not persisted, so a sharded corpus ignores it (every
+    /// shard it builds, saves or compacts is hybrid).
+    pub fn pure_rrr(mut self) -> Self {
+        self.pure_rrr = true;
+        self
+    }
+
+    /// This configuration with hybrid RRR, whatever
+    /// [`CinctBuilder::pure_rrr`] said.
+    pub(crate) fn hybrid(mut self) -> Self {
+        self.pure_rrr = false;
+        self
     }
 
     /// Labeling strategy (Fig. 14 ablation).
@@ -279,7 +299,12 @@ impl CinctBuilder {
 
         // Step 5: compressed wavelet tree.
         let t0 = Instant::now();
-        let wt = HuffmanWaveletTree::<RrrBitVec>::with_params(&labeled, self.block_size);
+        let b = self.block_size;
+        let wt = if self.pure_rrr {
+            HuffmanWaveletTree::<RrrBitVec>::with_params(&labeled, b)
+        } else {
+            HuffmanWaveletTree::with_backend(&labeled, |bits| RrrBitVec::hybrid(bits, b))
+        };
         timings.wt_build = t0.elapsed();
 
         let index = CinctIndex {
@@ -476,42 +501,65 @@ mod tests {
         }
     }
 
-    /// `(corpus, block size, locate sampling, bytes, checksum64 of the
-    /// bytes)` of the serialized index: a row that moves means the on-disk
-    /// format or a numeric kernel changed. Re-pinned once for index format
-    /// 4, which drops the ET-graph's bigram counts and the labeling tag:
-    /// every length is the format-3 length minus 8·|E_T| + 24 bytes
-    /// (|E_T| = 11 on the paper corpus, 481 on the synthetic one), and that
-    /// column is the space claim in test form. The digest column was
-    /// re-pinned once more when `checksum64` replaced FNV-1a; the lengths
-    /// and the bytes behind them did not move.
-    const GOLDEN: [(Corpus, usize, Option<usize>, usize, u64); 12] = [
-        (Corpus::Paper, 15, None, 495, 0x977227dcf5d6e499),
-        (Corpus::Paper, 15, Some(8), 567, 0x85db4876a02c4e48),
-        (Corpus::Paper, 31, None, 495, 0x3484ac69e511a668),
-        (Corpus::Paper, 31, Some(8), 567, 0x8d38825bac0c45c1),
-        (Corpus::Paper, 63, None, 495, 0x619537f37db3f788),
-        (Corpus::Paper, 63, Some(8), 567, 0xbcf201bdae97f528),
-        (Corpus::Synthetic, 15, None, 9405, 0x867b5da75be756e7),
-        (Corpus::Synthetic, 15, Some(8), 12621, 0xfc95302a09b9f068),
-        (Corpus::Synthetic, 31, None, 9293, 0xfcffd81cddf26d44),
-        (Corpus::Synthetic, 31, Some(8), 12509, 0x68874b7f41134a11),
-        (Corpus::Synthetic, 63, None, 9213, 0xe4a93eb947444951),
-        (Corpus::Synthetic, 63, Some(8), 12429, 0xb28c55d5de20c45e),
+    /// `(corpus, block size, locate sampling, bytes built with
+    /// [`CinctBuilder::pure_rrr`], bytes, checksum64 of the bytes)` of the
+    /// serialized index: a row that moves means the on-disk format or a
+    /// numeric kernel changed. Re-pinned once for index format 5, which
+    /// adds one raw-or-RRR flag per group of the labeled tree's RRR: a
+    /// pure-RRR build is the format-4 bytes plus that field (24 bytes for
+    /// up to 64 groups), and the default hybrid build is never longer.
+    /// Format 4 dropped the ET-graph's bigram counts and the labeling tag
+    /// (8·|E_T| − 24 bytes off format 3), and the digests moved once more
+    /// when `checksum64` replaced FNV-1a.
+    const GOLDEN: [(Corpus, usize, Option<usize>, usize, usize, u64); 12] = [
+        (Corpus::Paper, 15, None, 519, 519, 0x18d8cc696e2e1e7b),
+        (Corpus::Paper, 15, Some(8), 591, 591, 0x9c3db35d4b486aab),
+        (Corpus::Paper, 31, None, 519, 519, 0xa982aec2054bed87),
+        (Corpus::Paper, 31, Some(8), 591, 591, 0xae57440049bddac1),
+        (Corpus::Paper, 63, None, 519, 519, 0x35ffcd5cc7918855),
+        (Corpus::Paper, 63, Some(8), 591, 591, 0x0c0037af33e0ad40),
+        (Corpus::Synthetic, 15, None, 9429, 9173, 0x7dd0e234b9d8f151),
+        (
+            Corpus::Synthetic,
+            15,
+            Some(8),
+            12645,
+            12389,
+            0x1d29b0832f40b496,
+        ),
+        (Corpus::Synthetic, 31, None, 9317, 9165, 0x33843e45965facf3),
+        (
+            Corpus::Synthetic,
+            31,
+            Some(8),
+            12533,
+            12381,
+            0x9d37a83b3a18ab06,
+        ),
+        (Corpus::Synthetic, 63, None, 9237, 9157, 0x02f7c2c8c27dab14),
+        (
+            Corpus::Synthetic,
+            63,
+            Some(8),
+            12453,
+            12373,
+            0xda2a30ec6ada3352,
+        ),
     ];
 
     #[test]
     fn serialized_index_matches_golden_digests() {
-        for (corpus, b, locate, len, digest) in GOLDEN {
+        for (corpus, b, locate, pure_len, len, digest) in GOLDEN {
             let (trajs, n_edges) = corpus.trajs();
             let mut builder = CinctBuilder::new().block_size(b);
             if let Some(rate) = locate {
                 builder = builder.locate_sampling(rate);
             }
             let bytes = serialize(&builder.build(&trajs, n_edges));
+            let pure = serialize(&builder.pure_rrr().build(&trajs, n_edges));
             assert_eq!(
-                (bytes.len(), crate::store::checksum64(&bytes)),
-                (len, digest),
+                (pure.len(), bytes.len(), crate::store::checksum64(&bytes)),
+                (pure_len, len, digest),
                 "{corpus:?} b={b} locate={locate:?}"
             );
         }

@@ -1,5 +1,5 @@
-//! The CiNCT index: labeled BWT in an HWT/RRR + ET-graph with correction
-//! terms (paper §III–§IV).
+//! The CiNCT index: labeled BWT in an HWT over hybrid RRR + ET-graph with
+//! correction terms (paper §III–§IV).
 
 use crate::builder::CinctBuilder;
 use crate::format;
@@ -28,11 +28,15 @@ pub(crate) struct SaSamples {
 /// The CiNCT compressed trajectory index.
 ///
 /// Built with [`CinctIndex::build`] (defaults: bigram-sorted RML, RRR block
-/// size `b = 63`) or via [`CinctBuilder`] for the ablation knobs.
+/// size `b = 63`, hybrid RRR) or via [`CinctBuilder`] for the ablation
+/// knobs.
 #[derive(Clone, Debug)]
 pub struct CinctIndex {
     pub(crate) c: CArray,
-    /// `φ(T_bwt)` in a Huffman-shaped wavelet tree over RRR bitmaps.
+    /// `φ(T_bwt)` in a Huffman-shaped wavelet tree over RRR bitmaps whose
+    /// 32-block groups are stored raw where RRR saves nothing
+    /// ([`RrrBitVec::hybrid`]; [`CinctBuilder::pure_rrr`] builds the
+    /// paper's pure RRR).
     pub(crate) labeled: HuffmanWaveletTree<RrrBitVec>,
     /// The RML function + ET-graph with attached `Z` terms.
     pub(crate) rml: Rml,
@@ -75,7 +79,7 @@ impl CinctIndex {
         &self.rml
     }
 
-    /// The wavelet tree holding `φ(T_bwt)`.
+    /// The wavelet tree holding `φ(T_bwt)`, over (hybrid) RRR.
     pub fn labeled_bwt(&self) -> &HuffmanWaveletTree<RrrBitVec> {
         &self.labeled
     }
@@ -172,13 +176,10 @@ impl CinctIndex {
         let len = self.trajectory_len(id);
         let row = self.traj_rows[id] as usize;
         // Row `row` is the rotation starting at the `$` that terminates the
-        // reversed trajectory; extracting `len` symbols yields `T_k^r`.
-        let encoded = self.extract_encoded(row, len);
-        // Reversed trajectory, offset symbols → forward edges.
-        encoded
-            .iter()
-            .rev()
-            .map(|&s| s - cinct_bwt::SYMBOL_OFFSET)
+        // reversed trajectory: extracting `len` symbols yields `T_k^r`,
+        // which `extract_iter` streams in forward edge order.
+        self.extract_iter(row, len)
+            .map(|s| s - cinct_bwt::SYMBOL_OFFSET)
             .collect()
     }
 
@@ -195,20 +196,26 @@ impl CinctIndex {
     /// Locate: text position `SA[j]` for a BWT row, using the sampled
     /// suffix array. `None` if the index was built without locate support
     /// (`CinctBuilder::locate_sampling`).
+    ///
+    /// # Panics
+    ///
+    /// If no sampled row is met within `rate` LF steps, which a correct
+    /// index always meets: forged RRR offsets in an opened index can
+    /// still bend LF, and a walk past the bound would never end.
     pub fn locate(&self, j: usize) -> Option<usize> {
         let samples = self.samples.as_ref()?;
         let mut j = j;
-        let mut steps = 0usize;
-        loop {
+        for steps in 0..=samples.rate {
             if samples.marked.get(j) {
                 let k = samples.marked.rank1(j);
                 return Some(samples.values.get(k) as usize + steps);
             }
-            let (_, next) = self.lf_step(j);
-            j = next;
-            steps += 1;
-            debug_assert!(steps <= self.labeled.len(), "locate walk diverged");
+            j = self.lf_step(j).1;
         }
+        panic!(
+            "corrupt index: locate met no SA sample in {} LF steps",
+            samples.rate
+        );
     }
 
     /// Size of the queryable index as the paper accounts it: labeled
@@ -279,30 +286,56 @@ impl CinctIndex {
     pub fn read_from(r: &mut dyn Read) -> Result<Self, QueryError> {
         let bad = |msg: &str| QueryError::CorruptIndex(msg.to_string());
         format::INDEX.check(read_u64(r)?)?;
-        let cumulative: Vec<u64> = Persist::restore(r)?;
+        let cumulative: Vec<u64> = Persist::restore(r).map_err(shape)?;
         let c = CArray::from_raw_counts(cumulative).ok_or_else(|| bad("corrupt C array"))?;
-        let labeled = HuffmanWaveletTree::<RrrBitVec>::restore(r)?;
+        let labeled = HuffmanWaveletTree::<RrrBitVec>::restore(r).map_err(shape)?;
         if c.get(c.sigma() as u32) != labeled.len() {
             return Err(bad("C array and labeled BWT disagree on length"));
         }
-        let rml = Rml::restore(r)?;
+        let rml = Rml::restore(r).map_err(shape)?;
         if rml.graph().num_vertices() != c.sigma() {
             return Err(bad("ET-graph and C array disagree on sigma"));
         }
-        let traj_starts: Vec<u32> = Persist::restore(r)?;
-        let traj_rows: Vec<u32> = Persist::restore(r)?;
+        // What bounds a query's work is checked here, so a forged directory
+        // or sample set is refused on open instead of hanging a query or
+        // sizing an allocation: trajectory `k` spans `traj_starts[k] ..
+        // traj_starts[k + 1] − 1`, the last one ends before the text's
+        // final `$#`, and a locate walk needs one mark per sample.
+        let text_len = labeled.len();
+        let traj_starts: Vec<u32> = Persist::restore(r).map_err(shape)?;
+        let traj_rows: Vec<u32> = Persist::restore(r).map_err(shape)?;
         if traj_rows.len() != traj_starts.len() {
             return Err(bad("trajectory directory mismatch"));
+        }
+        let last_start = text_len
+            .checked_sub(2)
+            .ok_or_else(|| bad("text too short"))?;
+        if traj_starts.first().is_some_and(|&s| s != 0)
+            || traj_starts.windows(2).any(|w| w[0] >= w[1])
+            || traj_starts.last().is_some_and(|&s| s as usize > last_start)
+        {
+            return Err(bad(
+                "trajectory starts are not increasing from 0 inside the text",
+            ));
+        }
+        if traj_rows.iter().any(|&row| row as usize >= text_len) {
+            return Err(bad("trajectory row outside the BWT"));
         }
         let samples = match read_u64(r)? {
             0 => None,
             1 => Some(SaSamples {
-                marked: RankBitVec::restore(r)?,
-                values: IntVec::restore(r)?,
+                marked: RankBitVec::restore(r).map_err(shape)?,
+                values: IntVec::restore(r).map_err(shape)?,
                 rate: read_usize(r)?,
             }),
             _ => return Err(bad("bad samples tag")),
         };
+        if let Some(s) = &samples {
+            if s.marked.len() != text_len || s.marked.count_ones() != s.values.len() || s.rate == 0
+            {
+                return Err(bad("SA samples disagree with their marks"));
+            }
+        }
         let n_network_edges = read_usize(r)?;
         Ok(Self {
             c,
@@ -313,6 +346,16 @@ impl CinctIndex {
             samples,
             n_network_edges,
         })
+    }
+}
+
+/// A decoder's refusal of a field's shape is a corrupt index; a short or
+/// failing stream stays an I/O error.
+fn shape(e: std::io::Error) -> QueryError {
+    if e.kind() == std::io::ErrorKind::InvalidData {
+        QueryError::CorruptIndex(e.to_string())
+    } else {
+        e.into()
     }
 }
 

@@ -169,9 +169,10 @@ impl ShardedBuilder {
         self
     }
 
-    /// Replace the per-shard index configuration wholesale.
+    /// Replace the per-shard index configuration wholesale, except that
+    /// shards are always hybrid RRR (see [`CinctBuilder::pure_rrr`]).
     pub fn index_builder(mut self, b: CinctBuilder) -> Self {
-        self.index_builder = b;
+        self.index_builder = b.hybrid();
         self
     }
 

@@ -5,6 +5,7 @@
 //! buffer to [`crate::RankBitVec`] or [`crate::RrrBitVec`].
 
 use crate::traits::SpaceUsage;
+use std::ops::Range;
 
 /// An append-only, randomly readable vector of bits, stored LSB-first in
 /// `u64` words.
@@ -136,6 +137,29 @@ impl BitBuf {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Count of ones in bits `range`: one popcount per word it touches.
+    #[inline]
+    pub fn count_ones_in(&self, range: Range<usize>) -> usize {
+        let Range { start, end } = range;
+        debug_assert!(start <= end && end <= self.len);
+        if start == end {
+            return 0;
+        }
+        let (first, last) = (start / 64, (end - 1) / 64);
+        // The low `n ∈ 1 ..= 64` bits of a word.
+        let low = |word: u64, n: usize| word & (u64::MAX >> (64 - n));
+        let head = self.words[first] >> (start % 64);
+        if first == last {
+            return low(head, end - start).count_ones() as usize;
+        }
+        let middle: u32 = self.words[first + 1..last]
+            .iter()
+            .map(|w| w.count_ones())
+            .sum();
+        let tail = low(self.words[last], end - last * 64);
+        (head.count_ones() + middle + tail.count_ones()) as usize
+    }
+
     /// Iterator over all bits.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
@@ -156,19 +180,23 @@ impl BitBuf {
     }
 
     /// Append every bit of `other`, word-chunked (64 bits per step, not
-    /// bit-by-bit). This is the stitch primitive of the parallel builders:
-    /// per-shard buffers concatenate in shard order, so the combined
-    /// stream is identical to a sequential build's.
+    /// bit-by-bit).
     pub fn append(&mut self, other: &BitBuf) {
+        self.append_range(other, 0..other.len);
+    }
+
+    /// Append bits `range` of `other`, word-chunked.
+    pub fn append_range(&mut self, other: &BitBuf, range: Range<usize>) {
+        debug_assert!(range.start <= range.end && range.end <= other.len);
         self.words
-            .reserve((self.len + other.len).div_ceil(64) - self.words.len());
-        let mut i = 0usize;
-        while i + 64 <= other.len {
+            .reserve((self.len + range.len()).div_ceil(64) - self.words.len());
+        let mut i = range.start;
+        while i + 64 <= range.end {
             self.push_bits(other.get_bits(i, 64), 64);
             i += 64;
         }
-        if i < other.len {
-            self.push_bits(other.get_bits(i, other.len - i), other.len - i);
+        if i < range.end {
+            self.push_bits(other.get_bits(i, range.end - i), range.end - i);
         }
     }
 }
@@ -271,6 +299,24 @@ mod tests {
                 joined.append(&tail);
                 let expect = BitBuf::from_bools(head.iter().chain(tail.iter()));
                 assert_eq!(joined, expect, "head={head_len} tail={tail_len}");
+            }
+        }
+    }
+
+    #[test]
+    fn ranged_counts_and_appends_match_bitwise() {
+        let bits = BitBuf::from_bools((0..300).map(|i| (i * 7 + i / 5) % 3 == 0));
+        for start in [0usize, 1, 63, 64, 65, 127, 128, 200] {
+            for end in [start, start + 1, 64, 128, 129, 191, 256, 300] {
+                if end < start {
+                    continue;
+                }
+                let naive = (start..end).filter(|&i| bits.get(i)).count();
+                assert_eq!(bits.count_ones_in(start..end), naive, "{start}..{end}");
+                let mut copy = BitBuf::from_bools([true]);
+                copy.append_range(&bits, start..end);
+                let expect = [true].into_iter().chain((start..end).map(|i| bits.get(i)));
+                assert_eq!(copy, BitBuf::from_bools(expect), "{start}..{end}");
             }
         }
     }

@@ -11,6 +11,9 @@
 //! The supported block sizes are `1 ..= 63` — the paper evaluates
 //! `b ∈ {15, 31, 63}` (Fig. 10) and defaults to `b = 63`. Space per bit is
 //! `H0(B) + h(b)` with `h(b) = log2(b+1) / b` overhead (paper Eq. (11)).
+//! A vector built by [`RrrBitVec::hybrid`] stores each group of
+//! [`SAMPLE_RATE`] blocks raw where that is strictly smaller (layer 5), so
+//! its space is the per-group minimum of that bound and one bit per bit.
 //! The paper's in-block rank is an `O(b)` enumerative walk (Theorem 5
 //! footnote); the block code used here keeps the same classes and offset
 //! widths — hence the same bytes and the same space bound — and decodes in
@@ -47,6 +50,20 @@
 //!    halves of [`RrrBitVec::rank1_pair`] are a popcount or a bit test on
 //!    the decoded leaf; an `sp`/`ep` pair that narrows into one leaf takes
 //!    one seek and one decode.
+//! 5. **Raw groups** — on near-uniform bitmaps RRR saves nothing (a
+//!    class plus a ≈ `b − 3`-bit offset per block) and every rank still
+//!    pays a decode. [`RrrBitVec::hybrid`] stores a major group raw when
+//!    its raw bits are strictly fewer than its classes plus offsets,
+//!    after Kärkkäinen, Kempa & Puglisi's hybrid FM-index bitvectors (DCC
+//!    2014). A raw group's first bits fill its class slots and the rest
+//!    take the place of its offsets, so the class stream, the directory
+//!    and every enumerative block are laid out as in a pure vector; one
+//!    flag per group (persisted, and packed into the major entry on load)
+//!    tells them apart. In a raw group the minor entries hold ones only,
+//!    derived on load by a popcount pass, and every entry point is a
+//!    popcount of at most `MINOR_RATE · b` bits (≤ 8 words, two streams
+//!    only where the class slots end) or a bit test, after the same one
+//!    seek.
 //!
 //! The tables are process-wide [`OnceLock`] statics shared by builds and
 //! queries on every thread, outside any index's reported size: the binomial
@@ -55,21 +72,24 @@
 //! (≈ 35 KiB at `b = 63`, ≈ 9 KiB at 31, nothing at 15).
 //!
 //! Unit and property tests pin every entry point to a naive bit-by-bit count
-//! over the uncompressed input, and the block code to a literal table;
+//! over the uncompressed input, and the block code and the per-group
+//! raw-or-RRR choice to literal tables;
 //! `benchmark/` reports `succinct.rrr_rank1_ns` and
 //! `succinct.rrr_rank1_pair_ns` (see `PERFORMANCE.md`).
 
 use crate::bits::BitBuf;
 use crate::int_vec::IntVec;
 use crate::traits::{BitRank, BitVecBuild, SpaceUsage};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Super sample rate, in blocks: absolute 64-bit `(ones, offset-bits)`.
 const SUPER_RATE: usize = 128;
 
-/// Major sample rate, in blocks: 16+16-bit counters relative to the super
-/// sample, packed in one `u32`. `(SUPER_RATE − SAMPLE_RATE) · 63 < 2¹⁶`
-/// keeps the halves in range for every supported `b`.
+/// Major sample rate, in blocks: 16+15-bit counters relative to the super
+/// sample and a raw flag, packed in one `u32`. `(SUPER_RATE − SAMPLE_RATE)
+/// · 63 < 2¹⁵` keeps the counters in range for every supported `b`. Each
+/// major group is stored raw or enumeratively as a whole.
 const SAMPLE_RATE: usize = 32;
 
 /// Minor directory rate, in blocks. Must divide [`SAMPLE_RATE`]; entries
@@ -380,20 +400,73 @@ fn low_mask(p: usize) -> u64 {
     (1u64 << p) - 1
 }
 
-/// The derived rank directory over the packed classes; rebuilt on load,
-/// never persisted.
+/// Flag bit of a packed major entry: the group is stored raw. The ones
+/// half stays below it, since `(SUPER_RATE − SAMPLE_RATE) · 63 < 2¹⁵`.
+const RAW_FLAG: u32 = 1 << 15;
+
+/// The blocks of major group `g` (the last group may be partial).
+#[inline]
+fn group_blocks(g: usize, n_blocks: usize) -> Range<usize> {
+    let first = g * SAMPLE_RATE;
+    first..(first + SAMPLE_RATE).min(n_blocks)
+}
+
+/// Where a raw group's bits are stored: its first `head` bits in the
+/// group's class slots (from bit `cls` of the class stream), the rest in
+/// the offsets stream from bit `ptr`. `start` is the group's first bit in
+/// the vector.
+#[derive(Clone, Copy, Debug)]
+struct RawGroup {
+    start: usize,
+    cls: usize,
+    head: usize,
+    ptr: usize,
+}
+
+impl RawGroup {
+    /// Ones among vector bits `from .. to`, both inside the group: at most
+    /// two word-wise popcounts, one per stream.
+    #[inline]
+    fn ones(&self, classes: &BitBuf, offsets: &BitBuf, from: usize, to: usize) -> usize {
+        let (from, to) = (from - self.start, to - self.start);
+        let mut ones = 0;
+        if from < self.head {
+            ones += classes.count_ones_in(self.cls + from..self.cls + to.min(self.head));
+        }
+        if to > self.head {
+            let from = from.max(self.head) - self.head;
+            ones += offsets.count_ones_in(self.ptr + from..self.ptr + to - self.head);
+        }
+        ones
+    }
+
+    /// Vector bit `i`, inside the group.
+    #[inline]
+    fn bit(&self, classes: &BitBuf, offsets: &BitBuf, i: usize) -> bool {
+        let v = i - self.start;
+        if v < self.head {
+            classes.get(self.cls + v)
+        } else {
+            offsets.get(self.ptr + v - self.head)
+        }
+    }
+}
+
+/// The derived rank directory over the packed classes and raw groups;
+/// rebuilt on load, never persisted.
 #[derive(Clone, Debug)]
 struct Directory {
     /// Every SUPER_RATE blocks: absolute cumulative ones before the block.
     super_ranks: Vec<u64>,
     /// Every SUPER_RATE blocks: absolute bit position in `offsets`.
     super_ptrs: Vec<u64>,
-    /// Every SAMPLE_RATE blocks: `(offset_bits << 16) | ones`, relative to
-    /// the enclosing super sample.
+    /// Every SAMPLE_RATE blocks: `(offset_bits << 16) | raw | ones`,
+    /// relative to the enclosing super sample, with [`RAW_FLAG`] set when
+    /// the group is stored raw.
     majors: Vec<u32>,
     /// Every MINOR_RATE blocks not on a major boundary:
     /// `(offset_bits << minor_ones_bits) | ones`, relative to the
-    /// enclosing major sample.
+    /// enclosing major sample. A raw group's entries hold ones only.
     minors: IntVec,
     /// Low-bit width of the `ones` half of a packed minor entry.
     minor_ones_bits: usize,
@@ -411,19 +484,24 @@ fn minor_entry_shape(b: usize) -> (usize, usize) {
     (ones_bits, ones_bits + ptr_bits)
 }
 
-/// Build the three-level directory over packed `classes` (`n_blocks`
-/// entries of `class_width` bits). Also returns the totals the classes
-/// imply: `(ones, offset_bits)` — callers validate stored payloads
-/// against them. `None` when a class exceeds `b` (representable whenever
-/// `b + 1` is not a power of two, and no row of any table).
+/// Build the three-level directory of a `len`-bit vector: class scans for
+/// enumerative groups, a popcount pass over each raw group (`raw` holds
+/// one flag per group). Also returns the totals the streams imply:
+/// `(ones, offset_bits)` — callers validate stored payloads against them.
+/// `None` when a class exceeds `b` (representable whenever `b + 1` is not
+/// a power of two, and no row of any table) or a raw group runs past the
+/// offsets stream.
 fn build_directory(
     b: usize,
-    n_blocks: usize,
+    len: usize,
+    raw: &BitBuf,
     classes: &BitBuf,
     class_width: usize,
+    offsets: &BitBuf,
 ) -> Option<(Directory, u64, u64)> {
+    let n_blocks = len.div_ceil(b);
     let (ones_bits, entry_bits) = minor_entry_shape(b);
-    let widths = offset_width_table();
+    let widths = &offset_width_table()[b];
     let mut super_ranks = Vec::with_capacity(n_blocks / SUPER_RATE + 1);
     let mut super_ptrs = Vec::with_capacity(n_blocks / SUPER_RATE + 1);
     let mut majors = Vec::with_capacity(n_blocks / SAMPLE_RATE + 1);
@@ -433,28 +511,53 @@ fn build_directory(
     );
     let (mut ones, mut ptr) = (0u64, 0u64);
     let (mut sup_ones, mut sup_ptr) = (0u64, 0u64);
-    let (mut maj_ones, mut maj_ptr) = (0u64, 0u64);
-    for blk in 0..n_blocks {
-        if blk % SUPER_RATE == 0 {
+    for g in 0..n_blocks.div_ceil(SAMPLE_RATE) {
+        let blocks = group_blocks(g, n_blocks);
+        if blocks.start % SUPER_RATE == 0 {
             super_ranks.push(ones);
             super_ptrs.push(ptr);
             sup_ones = ones;
             sup_ptr = ptr;
         }
-        if blk % SAMPLE_RATE == 0 {
-            debug_assert!(ptr - sup_ptr < (1 << 16) && ones - sup_ones < (1 << 16));
-            majors.push((((ptr - sup_ptr) as u32) << 16) | (ones - sup_ones) as u32);
-            maj_ones = ones;
-            maj_ptr = ptr;
-        } else if blk % MINOR_RATE == 0 {
-            minors.push(((ptr - maj_ptr) << ones_bits) | (ones - maj_ones));
+        debug_assert!(ptr - sup_ptr < (1 << 16) && ones - sup_ones < RAW_FLAG as u64);
+        let is_raw = raw.get(g);
+        let flag = if is_raw { RAW_FLAG } else { 0 };
+        majors.push((((ptr - sup_ptr) as u32) << 16) | flag | (ones - sup_ones) as u32);
+        let (maj_ones, maj_ptr) = (ones, ptr);
+        if is_raw {
+            let (start, end) = (blocks.start * b, (blocks.end * b).min(len));
+            let group = RawGroup {
+                start,
+                cls: blocks.start * class_width,
+                head: blocks.len() * class_width,
+                ptr: ptr as usize,
+            };
+            let tail = (end - start).saturating_sub(group.head);
+            if group.ptr.checked_add(tail)? > offsets.len() {
+                return None;
+            }
+            // One popcount pass: each minor stretch is counted once.
+            let (mut at, mut group_ones) = (start, 0);
+            for blk in blocks.step_by(MINOR_RATE).skip(1) {
+                group_ones += group.ones(classes, offsets, at, blk * b);
+                at = blk * b;
+                minors.push(group_ones as u64);
+            }
+            ones += (group_ones + group.ones(classes, offsets, at, end)) as u64;
+            ptr += tail as u64;
+            continue;
         }
-        let c = classes.get_bits(blk * class_width, class_width) as usize;
-        if c > b {
-            return None;
+        for blk in blocks {
+            if blk % MINOR_RATE == 0 && blk % SAMPLE_RATE != 0 {
+                minors.push(((ptr - maj_ptr) << ones_bits) | (ones - maj_ones));
+            }
+            let c = classes.get_bits(blk * class_width, class_width) as usize;
+            if c > b {
+                return None;
+            }
+            ones += c as u64;
+            ptr += widths[c] as u64;
         }
-        ones += c as u64;
-        ptr += widths[b][c] as u64;
     }
     minors.shrink_to_fit();
     let dir = Directory {
@@ -476,7 +579,9 @@ impl SpaceUsage for Directory {
     }
 }
 
-/// RRR compressed bit vector with runtime block size `b ∈ 1..=63`.
+/// RRR compressed bit vector with runtime block size `b ∈ 1..=63`, whose
+/// groups of 32 blocks are each enumerative or, in a vector built by
+/// [`RrrBitVec::hybrid`], raw where that is strictly smaller.
 #[derive(Clone, Debug)]
 pub struct RrrBitVec {
     /// Block size in bits.
@@ -485,56 +590,95 @@ pub struct RrrBitVec {
     class_width: usize,
     /// Total bits represented.
     len: usize,
-    /// Packed classes, `class_width` bits each.
+    /// Packed classes, `class_width` bits each; a raw group's slots hold
+    /// its first bits instead.
     classes: BitBuf,
-    /// Concatenated variable-width offsets.
+    /// Concatenated variable-width offsets, and the rest of each raw
+    /// group's bits in its place.
     offsets: BitBuf,
     /// Derived rank directory (see [`Directory`]).
     dir: Directory,
     ones: usize,
 }
 
-/// Encode every block of `bits` into packed classes + offsets. Returns
-/// the streams and the total number of ones.
-fn encode_blocks(
-    bits: &BitBuf,
-    b: usize,
-    class_width: usize,
-    binom: &BinomialTable,
-) -> (BitBuf, BitBuf, u64) {
+/// Where a bit is stored, as one directory seek finds it.
+enum Site {
+    /// An enumerative block: `(ones before it, class, offset)`, the input
+    /// of [`decode_leaf`].
+    Block(usize, usize, u64),
+    /// A raw group, the first bit of the minor group holding the bit and
+    /// the ones before that.
+    Raw(RawGroup, usize, usize),
+}
+
+/// Encode `bits` group by group into packed classes, offsets and one raw
+/// flag per group; a group goes raw only when `hybrid` and strictly
+/// smaller. Returns `(classes, offsets, raw)`.
+fn encode(bits: &BitBuf, b: usize, class_width: usize, hybrid: bool) -> (BitBuf, BitBuf, BitBuf) {
     let len = bits.len();
     let n_blocks = len.div_ceil(b);
+    let widths = &offset_width_table()[b];
+    let plan = plan(b);
     let mut classes = BitBuf::with_capacity(n_blocks * class_width);
     let mut offsets = BitBuf::new();
-    let mut ones = 0u64;
-    let plan = plan(b);
-    for blk in 0..n_blocks {
-        let start = blk * b;
-        let width = b.min(len - start);
-        // Bits beyond `len` in the last block are implicit zeros.
-        let word = bits.get_bits(start, width);
-        let c = word.count_ones() as usize;
-        classes.push_bits(c as u64, class_width);
-        let ow = offset_width(b, c, binom);
-        let off = encode_block(plan, word, c);
-        offsets.push_bits(off, ow);
-        ones += c as u64;
+    let mut raw = BitBuf::with_capacity(n_blocks.div_ceil(SAMPLE_RATE));
+    // Bits beyond `len` in the last block are implicit zeros.
+    let word = |blk: usize| bits.get_bits(blk * b, b.min(len - blk * b));
+    for g in 0..n_blocks.div_ceil(SAMPLE_RATE) {
+        let blocks = group_blocks(g, n_blocks);
+        let (start, end) = (blocks.start * b, (blocks.end * b).min(len));
+        let head = blocks.len() * class_width;
+        let offset_bits: usize = blocks
+            .clone()
+            .map(|blk| widths[word(blk).count_ones() as usize] as usize)
+            .sum();
+        // A raw group's first `head` bits take its class slots, so it is
+        // strictly smaller exactly when the rest undercut its offsets.
+        let is_raw = hybrid && (end - start).saturating_sub(head) < offset_bits;
+        raw.push(is_raw);
+        if is_raw {
+            let split = (start + head).min(end);
+            classes.append_range(bits, start..split);
+            // A final group shorter than its class slots is zero-padded.
+            (split - start..head).for_each(|_| classes.push(false));
+            offsets.append_range(bits, split..end);
+            continue;
+        }
+        for blk in blocks {
+            let w = word(blk);
+            let c = w.count_ones() as usize;
+            classes.push_bits(c as u64, class_width);
+            offsets.push_bits(encode_block(plan, w, c), widths[c] as usize);
+        }
     }
-    (classes, offsets, ones)
+    (classes, offsets, raw)
 }
 
 impl RrrBitVec {
-    /// Compress `bits` with block size `b` (clamped to `1..=63`).
+    /// Compress `bits` with block size `b` (clamped to `1..=63`), every
+    /// group enumerative: the paper's RRR.
     pub fn new(bits: &BitBuf, b: usize) -> Self {
+        Self::encoded(bits, b, false)
+    }
+
+    /// Compress `bits` with block size `b` (clamped to `1..=63`), storing
+    /// a group raw wherever its raw bits are strictly fewer than its
+    /// classes plus offsets. Never larger than [`RrrBitVec::new`].
+    pub fn hybrid(bits: &BitBuf, b: usize) -> Self {
+        Self::encoded(bits, b, true)
+    }
+
+    fn encoded(bits: &BitBuf, b: usize, hybrid: bool) -> Self {
         let b = b.clamp(1, 63);
         let len = bits.len();
         let class_width = (64 - (b as u64).leading_zeros() as usize).max(1);
-        let (mut classes, mut offsets, ones) = encode_blocks(bits, b, class_width, binom());
+        let (mut classes, mut offsets, raw) = encode(bits, b, class_width, hybrid);
         classes.shrink_to_fit();
         offsets.shrink_to_fit();
-        let (dir, dir_ones, dir_ptr) = build_directory(b, len.div_ceil(b), &classes, class_width)
-            .expect("the encoder emits classes <= b");
-        debug_assert_eq!(ones, dir_ones);
+        let (dir, dir_ones, dir_ptr) =
+            build_directory(b, len, &raw, &classes, class_width, &offsets)
+                .expect("the encoder emits classes <= b");
+        debug_assert_eq!(bits.count_ones() as u64, dir_ones);
         debug_assert_eq!(offsets.len() as u64, dir_ptr);
         Self {
             b,
@@ -543,7 +687,7 @@ impl RrrBitVec {
             classes,
             offsets,
             dir,
-            ones: ones as usize,
+            ones: dir_ones as usize,
         }
     }
 
@@ -552,20 +696,29 @@ impl RrrBitVec {
         self.b
     }
 
-    /// Decompose into the persisted fields: `(b, len, classes, offsets,
-    /// ones)`. The rank directory is derived state and not part of the
-    /// persisted shape (it is rebuilt by [`RrrBitVec::from_raw_parts`]).
+    /// One flag per group of 32 blocks, set where the group is stored raw
+    /// (persisted beside [`RrrBitVec::raw_parts`]).
+    pub fn raw_groups(&self) -> BitBuf {
+        BitBuf::from_bools(self.dir.majors.iter().map(|m| m & RAW_FLAG != 0))
+    }
+
+    /// Decompose into the persisted streams: `(b, len, classes, offsets,
+    /// ones)`; [`RrrBitVec::raw_groups`] is the rest. The rank directory
+    /// is derived state and not part of the persisted shape (it is rebuilt
+    /// by [`RrrBitVec::from_raw_parts`]).
     pub fn raw_parts(&self) -> (usize, usize, &BitBuf, &BitBuf, usize) {
         (self.b, self.len, &self.classes, &self.offsets, self.ones)
     }
 
     /// Reassemble from raw fields; `None` on inconsistent shapes (including
-    /// a class above `b` and an `ones` count that disagrees with the
-    /// classes). Rebuilds the rank directory. Offset *values* are not
-    /// checked: one outside its class's range decodes to some answer.
+    /// a group flag count that is not one per group, a class above `b`, a
+    /// raw group past the offsets stream and an `ones` count that disagrees
+    /// with the streams). Rebuilds the rank directory. Offset *values* are
+    /// not checked: one outside its class's range decodes to some answer.
     pub fn from_raw_parts(
         b: usize,
         len: usize,
+        raw: BitBuf,
         classes: BitBuf,
         offsets: BitBuf,
         ones: usize,
@@ -575,11 +728,12 @@ impl RrrBitVec {
         }
         let class_width = (64 - (b as u64).leading_zeros() as usize).max(1);
         let n_blocks = len.div_ceil(b);
-        if classes.len() != n_blocks * class_width {
+        if classes.len() != n_blocks * class_width || raw.len() != n_blocks.div_ceil(SAMPLE_RATE) {
             return None;
         }
-        let (dir, dir_ones, dir_ptr) = build_directory(b, n_blocks, &classes, class_width)?;
-        // The classes imply exact totals; a payload that disagrees (e.g. a
+        let (dir, dir_ones, dir_ptr) =
+            build_directory(b, len, &raw, &classes, class_width, &offsets)?;
+        // The streams imply exact totals; a payload that disagrees (e.g. a
         // truncated offsets stream) is corrupt.
         if dir_ones != ones as u64 || dir_ptr != offsets.len() as u64 {
             return None;
@@ -595,31 +749,43 @@ impl RrrBitVec {
         })
     }
 
-    /// Directory seek to block `target_blk`: super + major + minor lookups,
-    /// then one register-chunked scan of at most `MINOR_RATE − 1` classes
-    /// against the caller-provided width row (`offset_width_table()[b]`).
-    /// Returns `(ones_before_block, offset_ptr_of_block, class_of_block)`.
+    /// Directory seek to block `blk`: super + major + minor lookups, then
+    /// for an enumerative group one register-chunked scan of at most
+    /// `MINOR_RATE − 1` classes and the block's offset fetch.
     #[inline]
-    fn seek(&self, target_blk: usize, widths: &[u8; 64]) -> (u64, u64, usize) {
-        let major = self.dir.majors[target_blk / SAMPLE_RATE];
-        let mut ones = self.dir.super_ranks[target_blk / SUPER_RATE] + (major & 0xFFFF) as u64;
-        let mut ptr = self.dir.super_ptrs[target_blk / SUPER_RATE] + (major >> 16) as u64;
-        let within = (target_blk % SAMPLE_RATE) / MINOR_RATE;
+    fn site(&self, blk: usize) -> Site {
+        let g = blk / SAMPLE_RATE;
+        let major = self.dir.majors[g];
+        let mut ones = self.dir.super_ranks[blk / SUPER_RATE] + (major & (RAW_FLAG - 1)) as u64;
+        let mut ptr = self.dir.super_ptrs[blk / SUPER_RATE] + (major >> 16) as u64;
+        let within = (blk % SAMPLE_RATE) / MINOR_RATE;
         if within > 0 {
             // Boundaries at major samples are implicitly zero, so entry
             // `within - 1` of this group holds the cumulative.
-            let entry = self
-                .dir
-                .minors
-                .get(target_blk / SAMPLE_RATE * MINORS_PER_SAMPLE + within - 1);
+            let entry = self.dir.minors.get(g * MINORS_PER_SAMPLE + within - 1);
             ones += entry & low_mask(self.dir.minor_ones_bits);
             ptr += entry >> self.dir.minor_ones_bits;
         }
-        // ≤ 7 residual classes + the target's own, ≤ 8 × 6 bits: one
-        // ≤ 48-bit fetch covers the whole scan and the returned class.
-        let first = target_blk / MINOR_RATE * MINOR_RATE;
-        let count = target_blk - first;
+        let first = blk / MINOR_RATE * MINOR_RATE;
         let cw = self.class_width;
+        if major & RAW_FLAG != 0 {
+            let n_in = if g + 1 < self.dir.majors.len() {
+                SAMPLE_RATE
+            } else {
+                self.len.div_ceil(self.b) - g * SAMPLE_RATE
+            };
+            let group = RawGroup {
+                start: g * SAMPLE_RATE * self.b,
+                cls: g * SAMPLE_RATE * cw,
+                head: n_in * cw,
+                ptr: ptr as usize,
+            };
+            return Site::Raw(group, first * self.b, ones as usize);
+        }
+        // ≤ 7 residual classes + the target's own, ≤ 8 × 6 bits: one
+        // ≤ 48-bit fetch covers the whole scan and the block's class.
+        let widths = &offset_width_table()[self.b];
+        let count = blk - first;
         let mut chunk = self.classes.get_bits(first * cw, (count + 1) * cw);
         let cmask = low_mask(cw);
         for _ in 0..count {
@@ -628,27 +794,26 @@ impl RrrBitVec {
             ptr += widths[c & 63] as u64;
             chunk >>= cw;
         }
-        (ones, ptr, (chunk & cmask) as usize)
-    }
-
-    /// Seek block `blk` and fetch its offset: `(ones_before_block, class,
-    /// offset)`, the input of [`decode_leaf`].
-    #[inline]
-    fn block(&self, blk: usize) -> (usize, usize, u64) {
-        let widths = &offset_width_table()[self.b];
-        let (ones, ptr, c) = self.seek(blk, widths);
+        let c = (chunk & cmask) as usize;
         let off = self.offsets.get_bits(ptr as usize, widths[c & 63] as usize);
-        (ones as usize, c, off)
+        Site::Block(ones as usize, c, off)
     }
 
-    /// `(get(i), rank1(i))` from one directory seek and one block decode:
-    /// the wavelet-tree access descent's primitive.
+    /// `(get(i), rank1(i))` from one directory seek and one block decode
+    /// or popcount: the wavelet-tree access descent's primitive.
     pub fn get_and_rank1(&self, i: usize) -> (bool, usize) {
         debug_assert!(i < self.len);
-        let (ones, c, off) = self.block(i / self.b);
-        let p = i % self.b;
-        let leaf = decode_leaf(plan(self.b), self.b, c, off, p);
-        (leaf.bit(p), ones + leaf.rank(p))
+        match self.site(i / self.b) {
+            Site::Block(ones, c, off) => {
+                let p = i % self.b;
+                let leaf = decode_leaf(plan(self.b), self.b, c, off, p);
+                (leaf.bit(p), ones + leaf.rank(p))
+            }
+            Site::Raw(group, from, ones) => (
+                group.bit(&self.classes, &self.offsets, i),
+                ones + group.ones(&self.classes, &self.offsets, from, i),
+            ),
+        }
     }
 
     /// `(rank1(i), rank1(j))`, answer-identical to two [`BitRank::rank1`]
@@ -660,16 +825,23 @@ impl RrrBitVec {
         if i == 0 || i == self.len || j == 0 || j == self.len || i / self.b != j / self.b {
             return (self.rank1(i), self.rank1(j));
         }
-        let (ones, c, off) = self.block(i / self.b);
-        let plan = plan(self.b);
-        let (p1, p2) = (i % self.b, j % self.b);
-        let leaf1 = decode_leaf(plan, self.b, c, off, p1);
-        let r2 = if (leaf1.start..=leaf1.end).contains(&p2) {
-            leaf1.rank(p2)
-        } else {
-            decode_leaf(plan, self.b, c, off, p2).rank(p2)
-        };
-        (ones + leaf1.rank(p1), ones + r2)
+        match self.site(i / self.b) {
+            Site::Block(ones, c, off) => {
+                let plan = plan(self.b);
+                let (p1, p2) = (i % self.b, j % self.b);
+                let leaf1 = decode_leaf(plan, self.b, c, off, p1);
+                let r2 = if (leaf1.start..=leaf1.end).contains(&p2) {
+                    leaf1.rank(p2)
+                } else {
+                    decode_leaf(plan, self.b, c, off, p2).rank(p2)
+                };
+                (ones + leaf1.rank(p1), ones + r2)
+            }
+            Site::Raw(group, from, ones) => {
+                let rank = |to| ones + group.ones(&self.classes, &self.offsets, from, to);
+                (rank(i), rank(j))
+            }
+        }
     }
 }
 
@@ -681,9 +853,13 @@ impl BitRank for RrrBitVec {
     #[inline]
     fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
-        let (_, c, off) = self.block(i / self.b);
-        let p = i % self.b;
-        decode_leaf(plan(self.b), self.b, c, off, p).bit(p)
+        match self.site(i / self.b) {
+            Site::Block(_, c, off) => {
+                let p = i % self.b;
+                decode_leaf(plan(self.b), self.b, c, off, p).bit(p)
+            }
+            Site::Raw(group, _, _) => group.bit(&self.classes, &self.offsets, i),
+        }
     }
 
     #[inline]
@@ -695,9 +871,15 @@ impl BitRank for RrrBitVec {
         if i == self.len {
             return self.ones;
         }
-        let (ones, c, off) = self.block(i / self.b);
-        let p = i % self.b;
-        ones + decode_leaf(plan(self.b), self.b, c, off, p).rank(p)
+        match self.site(i / self.b) {
+            Site::Block(ones, c, off) => {
+                let p = i % self.b;
+                ones + decode_leaf(plan(self.b), self.b, c, off, p).rank(p)
+            }
+            Site::Raw(group, from, ones) => {
+                ones + group.ones(&self.classes, &self.offsets, from, i)
+            }
+        }
     }
 
     fn count_ones(&self) -> usize {
@@ -753,33 +935,63 @@ mod tests {
         b
     }
 
-    fn check(bits: &BitBuf, b: usize) {
-        let rrr = RrrBitVec::new(bits, b);
-        assert_eq!(rrr.len(), bits.len());
-        let mut ones = 0usize;
-        for i in 0..=bits.len() {
-            assert_eq!(rrr.rank1(i), ones, "rank1({i}) b={b}");
-            if i < bits.len() {
+    /// Every entry point of `rrr` against a naive count over `bits`, with
+    /// `rank1_pair` over same-block, same-group and distant pairs.
+    fn check_against_naive(rrr: &RrrBitVec, bits: &BitBuf) {
+        let (n, b) = (bits.len(), rrr.block_size());
+        assert_eq!(rrr.len(), n);
+        let mut naive = Vec::with_capacity(n + 1);
+        naive.push(0usize);
+        for i in 0..n {
+            naive.push(naive[i] + bits.get(i) as usize);
+        }
+        for i in 0..=n {
+            assert_eq!(rrr.rank1(i), naive[i], "rank1({i}) b={b}");
+            if i < n {
                 assert_eq!(rrr.get(i), bits.get(i), "get({i}) b={b}");
-                let (bit, rank) = rrr.get_and_rank1(i);
-                assert_eq!((bit, rank), (bits.get(i), ones), "get_and_rank1({i})");
-                ones += bits.get(i) as usize;
+                let want = (bits.get(i), naive[i]);
+                assert_eq!(rrr.get_and_rank1(i), want, "get_and_rank1({i}) b={b}");
+            }
+            for step in [0, 1, b / 2, b - 1, b, MINOR_RATE * b, n] {
+                let j = (i + step).min(n);
+                assert_eq!(
+                    rrr.rank1_pair(i, j),
+                    (naive[i], naive[j]),
+                    "pair({i},{j}) b={b}"
+                );
+                assert_eq!(
+                    rrr.rank1_pair(j, i),
+                    (naive[j], naive[i]),
+                    "pair({j},{i}) b={b}"
+                );
             }
         }
-        assert_eq!(rrr.count_ones(), ones);
-        // Paired ranks across the whole position spectrum, including
-        // same-block and cross-directory-stratum pairs.
-        let n = bits.len();
-        for (i, j) in [
-            (0, n),
-            (n / 3, (n / 3 + 1).min(n)),
-            (n / 2, (n / 2 + b / 2).min(n)),
-            (1.min(n), n.saturating_sub(1)),
-            (n / 4, 3 * n / 4),
-        ] {
-            let (a, bb) = rrr.rank1_pair(i, j);
-            assert_eq!((a, bb), (rrr.rank1(i), rrr.rank1(j)), "pair({i},{j}) b={b}");
+        assert_eq!(rrr.count_ones(), naive[n]);
+    }
+
+    /// Both constructors over `bits`; the hybrid is never the larger.
+    fn check(bits: &BitBuf, b: usize) {
+        let pure = RrrBitVec::new(bits, b);
+        assert_eq!(pure.raw_groups().count_ones(), 0);
+        check_against_naive(&pure, bits);
+        let hybrid = RrrBitVec::hybrid(bits, b);
+        check_against_naive(&hybrid, bits);
+        assert!(hybrid.size_in_bytes() <= pure.size_in_bytes(), "b={b}");
+    }
+
+    /// Groups of [`SAMPLE_RATE`] `b`-bit blocks, group `g` at density
+    /// `densities[g]` percent; the last group holds `last_len` bits.
+    fn grouped_bits(b: usize, densities: &[u64], last_len: usize) -> BitBuf {
+        let mut bits = BitBuf::new();
+        for (g, &density) in densities.iter().enumerate() {
+            let n = if g + 1 == densities.len() {
+                last_len
+            } else {
+                SAMPLE_RATE * b
+            };
+            bits.append(&pseudo_bits(n, density, (b * 100 + g) as u64 ^ density));
         }
+        bits
     }
 
     #[test]
@@ -826,22 +1038,138 @@ mod tests {
 
     #[test]
     fn raw_parts_roundtrip() {
-        let bits = pseudo_bits(10_000, 35, 3);
-        let rrr = RrrBitVec::new(&bits, 63);
+        let bits = grouped_bits(63, &[50, 3, 50, 3, 50], 5 * 63 + 7);
+        let rrr = RrrBitVec::hybrid(&bits, 63);
+        let raw = rrr.raw_groups();
+        assert_eq!(raw.iter().filter(|&r| r).count(), 3);
         let (b, len, classes, offsets, ones) = rrr.raw_parts();
-        let back =
-            RrrBitVec::from_raw_parts(b, len, classes.clone(), offsets.clone(), ones).unwrap();
+        let parts = |raw: &BitBuf, offsets: &BitBuf, ones| {
+            RrrBitVec::from_raw_parts(b, len, raw.clone(), classes.clone(), offsets.clone(), ones)
+        };
+        let back = parts(&raw, offsets, ones).unwrap();
         for i in (0..len).step_by(97) {
             assert_eq!(back.rank1(i), rrr.rank1(i), "rank1({i})");
             assert_eq!(back.get(i), rrr.get(i), "get({i})");
         }
+        assert_eq!(back.raw_groups(), raw);
         // A corrupted ones count is rejected (directory disagrees).
-        assert!(
-            RrrBitVec::from_raw_parts(b, len, classes.clone(), offsets.clone(), ones + 1).is_none()
-        );
+        assert!(parts(&raw, offsets, ones + 1).is_none());
         // ... and so is a truncated offsets stream.
         let truncated = BitBuf::from_bools(offsets.iter().take(offsets.len() - 1));
-        assert!(RrrBitVec::from_raw_parts(b, len, classes.clone(), truncated, ones).is_none());
+        assert!(parts(&raw, &truncated, ones).is_none());
+        // ... and a flag per group too few or too many.
+        let short = BitBuf::from_bools(raw.iter().skip(1));
+        assert!(parts(&short, offsets, ones).is_none());
+        let long = BitBuf::from_bools(raw.iter().chain([false]));
+        assert!(parts(&long, offsets, ones).is_none());
+        // ... and every single flipped flag (the streams then disagree).
+        for g in 0..raw.len() {
+            let mut flipped = raw.clone();
+            flipped.set(g, !raw.get(g));
+            assert!(parts(&flipped, offsets, ones).is_none(), "group {g}");
+        }
+    }
+
+    #[test]
+    fn hybrid_layouts_match_naive_counts() {
+        // (densities per group, last group's length in blocks and bits):
+        // 50 % groups go raw at every paper block size, 3 % ones stay
+        // enumerative.
+        let layouts: [(&[u64], usize, usize); 5] = [
+            (&[50, 50, 50, 50, 50], SAMPLE_RATE, 0),  // all raw
+            (&[3, 3, 3, 3, 3], SAMPLE_RATE, 0),       // all RRR
+            (&[50, 3, 50, 3, 50, 3], SAMPLE_RATE, 0), // alternating
+            (&[3, 3, 3, 3, 50], 5, 7),                // raw final partial group
+            (&[3, 100], 0, 3),                        // shorter than its class slots
+        ];
+        for b in [15usize, 31, 63] {
+            for (densities, blocks, bits_over) in layouts {
+                let bits = grouped_bits(b, densities, blocks * b + bits_over);
+                let rrr = RrrBitVec::hybrid(&bits, b);
+                let want: Vec<bool> = densities.iter().map(|&d| d >= 50).collect();
+                let got: Vec<bool> = rrr.raw_groups().iter().collect();
+                assert_eq!(got, want, "b={b} {densities:?}");
+                check_against_naive(&rrr, &bits);
+                let pure = RrrBitVec::new(&bits, b);
+                assert!(rrr.size_in_bytes() <= pure.size_in_bytes());
+                // Restored from its persisted parts, it answers the same.
+                let (_, len, classes, offsets, ones) = rrr.raw_parts();
+                let back = RrrBitVec::from_raw_parts(
+                    b,
+                    len,
+                    rrr.raw_groups(),
+                    classes.clone(),
+                    offsets.clone(),
+                    ones,
+                )
+                .expect("consistent parts");
+                check_against_naive(&back, &bits);
+            }
+        }
+    }
+
+    #[test]
+    fn group_choice_golden_table() {
+        // (density %, raw, offset-stream bits the group takes) per group of
+        // one fixed b = 63 bitmap, whose last group is 300 bits: pinned
+        // literally, so a change to the choice rule or to what a raw group
+        // stores fails here. A full raw group puts 32 · 63 − 32 · 6 = 1824
+        // bits beside its class slots.
+        const GOLDEN: [(u64, bool, usize); 9] = [
+            (50, true, 1824),
+            (2, false, 184),
+            (30, false, 1683),
+            (10, false, 795),
+            (47, true, 1824),
+            (45, true, 1824),
+            (40, false, 1821), // 1824 raw bits would not be strictly fewer
+            (20, false, 1369),
+            (50, true, 270),
+        ];
+        let densities = GOLDEN.map(|(d, _, _)| d);
+        let bits = grouped_bits(63, &densities, 300);
+        let rrr = RrrBitVec::hybrid(&bits, 63);
+        let pure = RrrBitVec::new(&bits, 63);
+        let n_blocks = bits.len().div_ceil(63);
+        for (g, (density, raw, offset_bits)) in GOLDEN.into_iter().enumerate() {
+            let blocks = group_blocks(g, n_blocks);
+            let group_offsets = |v: &RrrBitVec| {
+                let at = |blk: usize| {
+                    if blk == n_blocks {
+                        v.offsets.len()
+                    } else {
+                        v.dir.super_ptrs[blk / SUPER_RATE] as usize
+                            + (v.dir.majors[blk / SAMPLE_RATE] >> 16) as usize
+                    }
+                };
+                at(blocks.end) - at(blocks.start)
+            };
+            println!(
+                "DUMP ({density}, {}, {}), pure {}",
+                rrr.raw_groups().get(g),
+                group_offsets(&rrr),
+                group_offsets(&pure)
+            );
+            assert_eq!(
+                (rrr.raw_groups().get(g), group_offsets(&rrr)),
+                (raw, offset_bits),
+                "group {g} at {density} %"
+            );
+            // A raw group's offsets undercut the enumerative ones by at
+            // least its class slots; an enumerative group is unchanged.
+            let enumerative = group_offsets(&pure);
+            assert!(if raw {
+                offset_bits < enumerative
+            } else {
+                offset_bits == enumerative
+            });
+        }
+        assert_eq!((rrr.offsets.len(), pure.offsets.len()), (11_594, 11_808));
+        assert_eq!(
+            rrr.classes.len(),
+            pure.classes.len(),
+            "class slots are kept"
+        );
     }
 
     #[test]
@@ -1057,6 +1385,7 @@ mod tests {
         let bits = pseudo_bits(400, 50, 17);
         let rrr = RrrBitVec::new(&bits, b);
         let (_, len, classes, offsets, ones) = rrr.raw_parts();
+        let raw = rrr.raw_groups();
         let mut hostile = BitBuf::new();
         hostile.push_bits(11, 4);
         for blk in 1..len.div_ceil(b) {
@@ -1069,7 +1398,7 @@ mod tests {
         let skip = offset_width_table()[b][first] as usize;
         let tail = BitBuf::from_bools(offsets.iter().skip(skip));
         assert!(
-            RrrBitVec::from_raw_parts(b, len, hostile, tail, ones - first + 11).is_none(),
+            RrrBitVec::from_raw_parts(b, len, raw, hostile, tail, ones - first + 11).is_none(),
             "class 11 accepted at b = 10"
         );
     }
@@ -1077,49 +1406,66 @@ mod tests {
     #[test]
     fn out_of_range_offsets_decode_without_panic() {
         // An offset in [C(b, c), 2^width) is representable on disk and
-        // passes `from_raw_parts` (totals only): every entry point must
-        // still return *some* in-range answer.
+        // passes `from_raw_parts` (totals only), and so is a raw group's
+        // payload or flag forged to keep the totals: every entry point
+        // must still return *some* in-range answer.
         for &b in &[15usize, 31, 63] {
-            let bits = pseudo_bits(40_000, 45, b as u64);
-            let rrr = RrrBitVec::new(&bits, b);
-            let (_, len, classes, offsets, ones) = rrr.raw_parts();
-            let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ b as u64;
-            let mut next = move |bound: usize| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 11) as usize % bound
-            };
-            for round in 0..20 {
-                // Progressively noisier: 1, 2, 4, ... flipped bits, then
-                // every bit set (each offset at its width's maximum).
-                let mut mutated: Vec<bool> = offsets.iter().collect();
-                if round == 19 {
-                    mutated.iter_mut().for_each(|bit| *bit = true);
-                } else {
-                    for _ in 0..(1usize << round.min(12)) {
-                        let at = next(mutated.len());
-                        mutated[at] = !mutated[at];
+            let mixed = grouped_bits(b, &[45, 3, 50, 45, 3, 50, 10, 50], 9 * b + 5);
+            for rrr in [
+                RrrBitVec::new(&pseudo_bits(40_000, 45, b as u64), b),
+                RrrBitVec::hybrid(&mixed, b),
+            ] {
+                let (_, len, classes, offsets, ones) = rrr.raw_parts();
+                let raw = rrr.raw_groups();
+                let all_enumerative = raw.count_ones() == 0;
+                let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ b as u64;
+                let mut next = move |bound: usize| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x >> 11) as usize % bound
+                };
+                for round in 0..24 {
+                    // Progressively noisier: 1, 2, 4, ... flipped offset
+                    // bits, then every bit set (each offset at its width's
+                    // maximum), then flipped group flags.
+                    let mut mutated: Vec<bool> = offsets.iter().collect();
+                    let mut flags = raw.clone();
+                    if round == 19 {
+                        mutated.iter_mut().for_each(|bit| *bit = true);
+                    } else if round < 19 {
+                        for _ in 0..(1usize << round.min(12)) {
+                            let at = next(mutated.len());
+                            mutated[at] = !mutated[at];
+                        }
+                    } else {
+                        let at = next(flags.len());
+                        flags.set(at, !flags.get(at));
                     }
-                }
-                let hostile = RrrBitVec::from_raw_parts(
-                    b,
-                    len,
-                    classes.clone(),
-                    BitBuf::from_bools(mutated),
-                    ones,
-                )
-                .expect("totals unchanged");
-                for _ in 0..1000 {
-                    let (i, j) = (next(len), next(len + 1));
-                    assert!(hostile.rank1(j) <= len);
-                    let _ = hostile.get(i);
-                    let (_, rank) = hostile.get_and_rank1(i);
-                    assert!(rank <= len);
-                    let near = (i + next(b)).min(len);
-                    let (ri, rj) = hostile.rank1_pair(i, near);
-                    assert!(ri <= len && rj <= len);
-                    let _ = hostile.rank1_pair(i, j);
+                    let Some(hostile) = RrrBitVec::from_raw_parts(
+                        b,
+                        len,
+                        flags,
+                        classes.clone(),
+                        BitBuf::from_bools(mutated),
+                        ones,
+                    ) else {
+                        // Only a raw payload's popcount or a flag can move
+                        // the totals.
+                        assert!(!all_enumerative || round > 19, "b={b} round {round}");
+                        continue;
+                    };
+                    for _ in 0..1000 {
+                        let (i, j) = (next(len), next(len + 1));
+                        assert!(hostile.rank1(j) <= len);
+                        let _ = hostile.get(i);
+                        let (_, rank) = hostile.get_and_rank1(i);
+                        assert!(rank <= len);
+                        let near = (i + next(b)).min(len);
+                        let (ri, rj) = hostile.rank1_pair(i, near);
+                        assert!(ri <= len && rj <= len);
+                        let _ = hostile.rank1_pair(i, j);
+                    }
                 }
             }
         }

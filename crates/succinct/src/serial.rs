@@ -170,6 +170,7 @@ impl Persist for RrrBitVec {
         let (b, len, classes, offsets, ones) = self.raw_parts();
         write_usize(w, b)?;
         write_usize(w, len)?;
+        self.raw_groups().persist(w)?;
         classes.persist(w)?;
         offsets.persist(w)?;
         write_usize(w, ones)
@@ -178,10 +179,11 @@ impl Persist for RrrBitVec {
     fn restore(r: &mut dyn Read) -> io::Result<Self> {
         let b = read_usize(r)?;
         let len = read_usize(r)?;
+        let raw = BitBuf::restore(r)?;
         let classes = BitBuf::restore(r)?;
         let offsets = BitBuf::restore(r)?;
         let ones = read_usize(r)?;
-        RrrBitVec::from_raw_parts(b, len, classes, offsets, ones)
+        RrrBitVec::from_raw_parts(b, len, raw, classes, offsets, ones)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "RRR shape mismatch"))
     }
 }

@@ -1,9 +1,10 @@
 //! Huffman-shaped wavelet tree (HWT), generic over the bit-vector backend.
 //!
 //! The paper's CiNCT index stores the labeled BWT `φ(T_bwt)` in an HWT whose
-//! bit vectors are RRR-compressed (`HuffmanWaveletTree<RrrBitVec>`); the
-//! ICB-Huff baseline stores the *unlabeled* BWT in the same structure
-//! (§II-B2, Table II). Space is at most `n(1 + H0(S)) + o(n)` bits and
+//! bit vectors are RRR-compressed (`HuffmanWaveletTree<RrrBitVec>`; this
+//! repository's CiNCT stores a group raw where RRR saves nothing, see
+//! [`crate::RrrBitVec::hybrid`]); the ICB-Huff baseline stores the
+//! *unlabeled* BWT in the same structure (§II-B2, Table II). Space is at most `n(1 + H0(S)) + o(n)` bits and
 //! `rank_w(S, j)` costs one bit-level rank per code bit of `w` —
 //! `O(1 + H0(S))` on average (Theorem 1), which is why shrinking `H0`
 //! via RML makes CiNCT both smaller *and* faster.
@@ -47,6 +48,33 @@ impl NodeTable {
         } else {
             Child::Node((v >> 1) as u32)
         }
+    }
+
+    /// Whether the child links form a tree rooted at node 0, so every
+    /// descent ends at a leaf: at least the root, two links per node, every
+    /// link in range (internal nodes below the node count, leaves below
+    /// `alphabet_size`), the root never a child and every other internal
+    /// node a child exactly once.
+    fn is_tree(&self, alphabet_size: usize) -> bool {
+        let n_links = self.children.len();
+        if n_links == 0 || n_links % 2 != 0 {
+            return false;
+        }
+        let mut referenced = vec![false; n_links / 2];
+        for slot in 0..n_links {
+            let v = self.children.get(slot);
+            let target = (v >> 1) as usize;
+            if v & 1 == 1 {
+                if target >= alphabet_size {
+                    return false;
+                }
+            } else if target == 0 || target >= referenced.len() || referenced[target] {
+                return false;
+            } else {
+                referenced[target] = true;
+            }
+        }
+        referenced[1..].iter().all(|&r| r)
     }
 
     /// `(start, ones_before)` of `node`, one fetch when the pair fits a
@@ -132,6 +160,12 @@ impl<B: BitVecBuild> HuffmanWaveletTree<B> {
     /// Build from a sequence; `params` configures the backend bit vector
     /// (for RRR this is the block size `b`).
     pub fn with_params(seq: &[Symbol], params: B::Params) -> Self {
+        Self::with_backend(seq, |bits| B::build(bits, params))
+    }
+
+    /// Build from a sequence, handing the concatenated node bitmaps to
+    /// `build` for the backend (e.g. [`crate::RrrBitVec::hybrid`]).
+    pub fn with_backend(seq: &[Symbol], build: impl FnOnce(&BitBuf) -> B) -> Self {
         assert!(!seq.is_empty(), "wavelet tree over empty sequence");
         let alphabet_size = seq.iter().copied().max().unwrap() as usize + 1;
         let mut freqs = vec![0u64; alphabet_size];
@@ -227,7 +261,7 @@ impl<B: BitVecBuild> HuffmanWaveletTree<B> {
             global.append(nb);
             ones += nb.count_ones() as u64;
         }
-        let bits = B::build(&global, params);
+        let bits = build(&global);
 
         Self {
             bits,
@@ -373,15 +407,17 @@ impl<B: BitVecBuild + Persist> Persist for HuffmanWaveletTree<B> {
         let codes = CodeTable::restore(r)?;
         let len = read_usize(r)?;
         let alphabet_size = read_usize(r)?;
+        let bad = |msg| Err(std::io::Error::new(std::io::ErrorKind::InvalidData, msg));
         if meta.len() != children.len() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "wavelet-tree node tables disagree",
-            ));
+            return bad("wavelet-tree node tables disagree");
+        }
+        let nodes = NodeTable { meta, children };
+        if !nodes.is_tree(alphabet_size) {
+            return bad("wavelet-tree node links do not form a tree");
         }
         Ok(Self {
             bits,
-            nodes: NodeTable { meta, children },
+            nodes,
             codes,
             len,
             alphabet_size,
@@ -446,6 +482,42 @@ mod tests {
     fn rank_access_rrr_backend() {
         for &b in &[15usize, 31, 63] {
             check_backend::<RrrBitVec>(b);
+        }
+    }
+
+    #[test]
+    fn restore_refuses_links_that_are_not_a_tree() {
+        let seq = pseudo_seq(500, 12, 7);
+        let wt = HuffmanWaveletTree::<RrrBitVec>::with_backend(&seq, |b| RrrBitVec::hybrid(b, 31));
+        let links: Vec<u64> = wt.nodes.children.iter().collect();
+        let restore = |links: &[u64]| {
+            let mut forged = wt.clone();
+            forged.nodes.children = IntVec::from_slice(links);
+            let mut buf = Vec::new();
+            forged.persist(&mut buf).unwrap();
+            HuffmanWaveletTree::<RrrBitVec>::restore(&mut std::io::Cursor::new(buf))
+        };
+        let back = restore(&links).expect("a built tree restores");
+        assert_eq!(
+            (0..seq.len()).map(|i| back.access(i)).collect::<Vec<_>>(),
+            seq
+        );
+        let internal = links.iter().position(|&v| v != 0 && v & 1 == 0).unwrap();
+        let leaf = links.iter().position(|&v| v & 1 == 1).unwrap();
+        let mut forgeries = vec![vec![0; links.len()], links[..links.len() - 1].to_vec()];
+        for (slot, value) in [
+            (internal, 0),                             // a link back to the root
+            (leaf, links[internal]),                   // an internal node named twice
+            (internal, links[leaf]),                   // an internal node named never
+            (internal, (links.len() as u64 / 2) << 1), // past the last node
+            (leaf, (12 << 1) | 1),                     // a symbol past the alphabet
+        ] {
+            let mut forged = links.clone();
+            forged[slot] = value;
+            forgeries.push(forged);
+        }
+        for forged in forgeries {
+            assert!(restore(&forged).is_err(), "{forged:?}");
         }
     }
 

@@ -2,8 +2,8 @@
 //! a naive oracle on arbitrary inputs.
 
 use cinct_succinct::{
-    BitBuf, BitRank, HuffmanCode, HuffmanWaveletTree, IntVec, RankBitVec, RrrBitVec, SymbolSeq,
-    WaveletMatrix,
+    BitBuf, BitRank, HuffmanCode, HuffmanWaveletTree, IntVec, RankBitVec, RrrBitVec, SpaceUsage,
+    SymbolSeq, WaveletMatrix,
 };
 use proptest::prelude::*;
 
@@ -55,6 +55,23 @@ proptest! {
             ones += bit as usize;
         }
         prop_assert_eq!(rrr.count_ones(), ones);
+    }
+
+    #[test]
+    fn rrr_hybrid_equals_plain(bits in biased_bits_strategy(), b in 1usize..=63) {
+        // Raw and enumerative groups side by side, at every block size.
+        let buf = BitBuf::from_bools(bits.iter().copied());
+        let rrr = RrrBitVec::hybrid(&buf, b);
+        prop_assert!(rrr.size_in_bytes() <= RrrBitVec::new(&buf, b).size_in_bytes());
+        let mut naive = vec![0usize; bits.len() + 1];
+        for (i, &bit) in bits.iter().enumerate() {
+            prop_assert_eq!(rrr.get_and_rank1(i), (bit, naive[i]), "i={} b={}", i, b);
+            naive[i + 1] = naive[i] + bit as usize;
+        }
+        for i in 0..=bits.len() {
+            let j = (i + b / 2).min(bits.len());
+            prop_assert_eq!(rrr.rank1_pair(i, j), (naive[i], naive[j]), "pair({}) b={}", i, b);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! (`examples/`) and the cross-crate integration tests (`tests/`) have a
 //! single dependency. Library users should depend on the individual crates:
 //!
-//! * [`cinct`] — the CiNCT index itself (RML + PseudoRank over an HWT/RRR).
+//! * [`cinct`] — the CiNCT index itself (RML + PseudoRank over an HWT on hybrid RRR).
 //! * [`cinct_fmindex`] — the baseline FM-index family (UFMI, ICB-WM,
 //!   ICB-Huff, FM-GMR, FM-AP-HYB).
 //! * [`cinct_succinct`] — bit vectors, RRR, wavelet trees/matrices.

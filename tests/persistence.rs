@@ -2,7 +2,10 @@
 //! reload it, and verify every query path behaves identically — plus the
 //! typed-error contract for corrupt and truncated streams.
 
-use cinct::{CinctBuilder, CinctIndex, LabelingStrategy, Path, PathQuery, QueryError};
+use cinct::{CinctBuilder, CinctIndex, LabelingStrategy, Path, PathQuery, QueryError, Rml};
+use cinct_succinct::serial::{read_u64, Persist};
+use cinct_succinct::{BitBuf, HuffmanWaveletTree, IntVec, RrrBitVec};
+use std::io::Cursor;
 
 fn roundtrip(idx: &CinctIndex) -> CinctIndex {
     let mut buf = Vec::new();
@@ -83,19 +86,19 @@ fn rejects_garbage_with_corrupt_index() {
 
 #[test]
 fn v2_index_magic_is_a_typed_version_error() {
-    // Format 2 numbered RRR offsets by the lexicographic block code and
-    // format 3 still carried bigram counts and a labeling tag: neither is
-    // a payload this build can read, so both are refused at the header,
-    // not loaded and ranked wrongly.
+    // Format 2 numbered RRR offsets by the lexicographic block code,
+    // format 3 still carried bigram counts and a labeling tag, and format
+    // 4 had no raw-group flags: none is a payload this build can read, so
+    // each is refused at the header, not loaded and ranked wrongly.
     let idx = CinctIndex::build(&[vec![2u32, 3, 4], vec![3, 4, 5]], 8);
     let mut buf = Vec::new();
     idx.write_to(&mut buf).unwrap();
-    for version in [2u64, 3] {
+    for version in [2u64, 3, 4] {
         buf[..8].copy_from_slice(&(0x4349_4e43_5431_0000 | version).to_le_bytes());
         match CinctIndex::read_from(&mut std::io::Cursor::new(&buf)) {
             Err(QueryError::CorruptIndex(msg)) => assert_eq!(
                 msg,
-                format!("unsupported index version {version} (this build reads 4)")
+                format!("unsupported index version {version} (this build reads 5)")
             ),
             other => panic!("version {version}: expected CorruptIndex, got {other:?}"),
         }
@@ -189,6 +192,70 @@ fn truncated_stream_is_an_io_error() {
             }
             Err(QueryError::CorruptIndex(_)) => {} // structurally invalid prefix
             other => panic!("cut at {cut}: expected typed error, got {other:?}"),
+        }
+    }
+}
+
+/// Byte ranges of a serialized index's fields that bound a query's work:
+/// `(wavelet child-link words, first trajectory start, first SA-mark
+/// word)`, found by reading the stream field by field.
+fn work_bounding_fields(
+    buf: &[u8],
+) -> (
+    std::ops::Range<usize>,
+    std::ops::Range<usize>,
+    std::ops::Range<usize>,
+) {
+    let mut cur = Cursor::new(buf);
+    let at = |cur: &Cursor<&[u8]>| cur.position() as usize;
+    read_u64(&mut cur).unwrap(); // header
+    let _: Vec<u64> = Persist::restore(&mut cur).unwrap(); // C array
+    let wt_start = at(&cur);
+    RrrBitVec::restore(&mut cur).unwrap();
+    IntVec::restore(&mut cur).unwrap(); // node starts and ones
+    let children = IntVec::restore(&mut cur).unwrap();
+    let links_end = at(&cur);
+    let links = links_end - 8 * children.raw_bits().words().len()..links_end;
+    cur.set_position(wt_start as u64);
+    HuffmanWaveletTree::<RrrBitVec>::restore(&mut cur).unwrap();
+    Rml::restore(&mut cur).unwrap();
+    let starts = at(&cur) + 8..at(&cur) + 12; // past the length word
+    let _: Vec<u32> = Persist::restore(&mut cur).unwrap(); // traj_starts
+    let _: Vec<u32> = Persist::restore(&mut cur).unwrap(); // traj_rows
+    assert_eq!(read_u64(&mut cur).unwrap(), 1, "built with locate");
+    let marks = at(&cur) + 16..at(&cur) + 24; // past the length words
+    BitBuf::restore(&mut cur).unwrap();
+    (links, starts, marks)
+}
+
+#[test]
+fn forged_fields_that_bound_a_query_are_refused_on_open() {
+    // Each forgery used to open cleanly and then hang or over-allocate a
+    // query: links that all name the root loop the access descent, a
+    // zeroed mark word leaves a locate walk no sample to stop at, and a
+    // trajectory start past its successor underflows a length. Only the
+    // open runs here, so a regression fails instead of hanging.
+    let trajs = vec![vec![0u32, 1, 4, 5], vec![0, 1, 2], vec![1, 2], vec![0, 3]];
+    let mut buf = Vec::new();
+    CinctBuilder::new()
+        .locate_sampling(8)
+        .build(&trajs, 6)
+        .write_to(&mut buf)
+        .unwrap();
+    assert!(CinctIndex::read_from(&mut Cursor::new(&buf)).is_ok());
+    let (links, starts, marks) = work_bounding_fields(&buf);
+    for (what, range, value) in [
+        ("child links", links, 0u8),
+        ("SA marks", marks, 0),
+        ("trajectory starts", starts.start + 4..starts.end + 4, 100),
+    ] {
+        let mut forged = buf.clone();
+        forged[range.clone()].fill(0);
+        forged[range.start] = value;
+        assert_ne!(forged, buf, "{what}: the forgery changes nothing");
+        match CinctIndex::read_from(&mut Cursor::new(&forged)) {
+            Err(QueryError::CorruptIndex(_)) => {}
+            other => panic!("{what}: expected CorruptIndex, got {:?}", other.map(|_| ())),
         }
     }
 }

@@ -309,3 +309,54 @@ proptest! {
         }
     }
 }
+
+/// Raw groups in every shard's labeled tree.
+fn raw_groups(corpus: &cinct::ShardedCinct) -> Vec<usize> {
+    (0..corpus.num_shards())
+        .map(|s| {
+            let labeled = corpus.shard_index(s).labeled_bwt();
+            labeled.backend().raw_groups().count_ones()
+        })
+        .collect()
+}
+
+#[test]
+fn a_saved_corpus_is_hybrid_and_compacts_to_hybrid() {
+    // Singapore's labeled trees are near-uniform, so most RRR groups go
+    // raw. The paper's pure-RRR setting does not survive into a sharded
+    // corpus: what is built, saved, reopened and compacted is hybrid, and
+    // answers as the pure monolithic index does.
+    let ds = cinct_datasets::singapore(0.05);
+    let (trajs, n_edges) = (&ds.trajectories, ds.n_edges());
+    let pure = CinctBuilder::new()
+        .pure_rrr()
+        .locate_sampling(8)
+        .build(trajs, n_edges);
+    assert_eq!(pure.labeled_bwt().backend().raw_groups().count_ones(), 0);
+    let mut corpus = ShardedBuilder::new()
+        .shards(2)
+        .index_builder(CinctBuilder::new().pure_rrr().locate_sampling(8))
+        .build(trajs, n_edges);
+    let dir = std::env::temp_dir().join(format!("cinct-hybrid-{}", std::process::id()));
+    corpus.save_dir(&dir).expect("save");
+    let opened = cinct::ShardedCinct::open_dir(&dir).expect("open");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(raw_groups(&opened), raw_groups(&corpus));
+    corpus.compact(1).expect("compact");
+    for sharded in [&opened, &corpus] {
+        assert!(
+            raw_groups(sharded).iter().all(|&raw| raw > 0),
+            "{:?}",
+            raw_groups(sharded)
+        );
+        for (g, t) in trajs.iter().enumerate().step_by(37) {
+            assert_eq!(&sharded.trajectory(g), t, "trajectory {g}");
+            let path = Path::new(&t[..3.min(t.len())]);
+            assert_eq!(sharded.count(path), pure.count(path));
+            assert_eq!(
+                sharded.occurrences(path).unwrap().collect_sorted(),
+                pure.occurrences(path).unwrap().collect_sorted()
+            );
+        }
+    }
+}
