@@ -524,40 +524,41 @@ fn build_directory(
         let flag = if is_raw { RAW_FLAG } else { 0 };
         majors.push((((ptr - sup_ptr) as u32) << 16) | flag | (ones - sup_ones) as u32);
         let (maj_ones, maj_ptr) = (ones, ptr);
-        if is_raw {
-            let (start, end) = (blocks.start * b, (blocks.end * b).min(len));
-            let group = RawGroup {
-                start,
-                cls: blocks.start * class_width,
-                head: blocks.len() * class_width,
-                ptr: ptr as usize,
-            };
-            let tail = (end - start).saturating_sub(group.head);
-            if group.ptr.checked_add(tail)? > offsets.len() {
-                return None;
-            }
-            // One popcount pass: each minor stretch is counted once.
-            let (mut at, mut group_ones) = (start, 0);
-            for blk in blocks.step_by(MINOR_RATE).skip(1) {
-                group_ones += group.ones(classes, offsets, at, blk * b);
-                at = blk * b;
-                minors.push(group_ones as u64);
-            }
-            ones += (group_ones + group.ones(classes, offsets, at, end)) as u64;
-            ptr += tail as u64;
-            continue;
+        let (start, end) = (blocks.start * b, (blocks.end * b).min(len));
+        let raw_group = is_raw.then_some(RawGroup {
+            start,
+            cls: blocks.start * class_width,
+            head: blocks.len() * class_width,
+            ptr: ptr as usize,
+        });
+        let tail = raw_group.map_or(0, |group| (end - start).saturating_sub(group.head));
+        if (ptr as usize).checked_add(tail)? > offsets.len() {
+            return None;
         }
-        for blk in blocks {
-            if blk % MINOR_RATE == 0 && blk % SAMPLE_RATE != 0 {
+        // One pass per minor stretch: a popcount of a raw group's bits
+        // (its offset-stream position moves only past the whole group),
+        // or one fetch of at most eight packed classes.
+        for first in blocks.clone().step_by(MINOR_RATE) {
+            if first != blocks.start {
                 minors.push(((ptr - maj_ptr) << ones_bits) | (ones - maj_ones));
             }
-            let c = classes.get_bits(blk * class_width, class_width) as usize;
-            if c > b {
-                return None;
+            let last = (first + MINOR_RATE).min(blocks.end);
+            if let Some(group) = &raw_group {
+                ones += group.ones(classes, offsets, first * b, (last * b).min(len)) as u64;
+                continue;
             }
-            ones += c as u64;
-            ptr += widths[c] as u64;
+            let mut chunk = classes.get_bits(first * class_width, (last - first) * class_width);
+            for _ in first..last {
+                let c = (chunk & low_mask(class_width)) as usize;
+                if c > b {
+                    return None;
+                }
+                ones += c as u64;
+                ptr += widths[c] as u64;
+                chunk >>= class_width;
+            }
         }
+        ptr += tail as u64;
     }
     minors.shrink_to_fit();
     let dir = Directory {

@@ -53,25 +53,32 @@ pub fn write_u64s(w: &mut dyn Write, values: &[u64]) -> io::Result<()> {
     Ok(())
 }
 
-/// Up-front reservation cap of [`read_len_prefixed`]: a buffer past it
-/// grows only as bytes arrive.
+/// Up-front reservation cap of [`read_values`], in bytes: a vector past
+/// it grows only as bytes arrive.
 const RESERVE_MAX: usize = 1 << 20;
 
-/// Read a length word `n`, then `n × width` bytes. The buffer grows with
-/// the bytes actually present, so a forged length costs a short read
-/// (`UnexpectedEof`) or an overflow (`InvalidData`), never an allocation
-/// of the size it claims.
-fn read_len_prefixed(r: &mut dyn Read, width: usize) -> io::Result<Vec<u8>> {
+/// Read a length word `n`, then `n` little-endian values of `width` bytes,
+/// decoded through a stack buffer as the bytes arrive. A forged length
+/// costs a short read (`UnexpectedEof`) or an overflow (`InvalidData`),
+/// never an allocation of the size it claims.
+fn read_values<T>(
+    r: &mut dyn Read,
+    width: usize,
+    decode: impl Fn(&[u8]) -> T,
+) -> io::Result<Vec<T>> {
     let n = read_usize(r)?;
-    let len = n
+    let mut left = n
         .checked_mul(width)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "length overflow"))?;
-    let mut bytes = Vec::with_capacity(len.min(RESERVE_MAX));
-    Read::take(&mut *r, len as u64).read_to_end(&mut bytes)?;
-    if bytes.len() != len {
-        return Err(io::ErrorKind::UnexpectedEof.into());
+    let mut values = Vec::with_capacity(n.min(RESERVE_MAX / width));
+    let mut buf = [0u8; 8192];
+    while left > 0 {
+        let chunk = &mut buf[..left.min(8192)];
+        r.read_exact(chunk)?;
+        values.extend(chunk.chunks_exact(width).map(&decode));
+        left -= chunk.len();
     }
-    Ok(bytes)
+    Ok(values)
 }
 
 impl Persist for Vec<u64> {
@@ -80,11 +87,9 @@ impl Persist for Vec<u64> {
     }
 
     fn restore(r: &mut dyn Read) -> io::Result<Self> {
-        let bytes = read_len_prefixed(r, 8)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect())
+        read_values(r, 8, |c| {
+            u64::from_le_bytes(c.try_into().expect("8-byte chunk"))
+        })
     }
 }
 
@@ -98,11 +103,9 @@ impl Persist for Vec<u32> {
     }
 
     fn restore(r: &mut dyn Read) -> io::Result<Self> {
-        let bytes = read_len_prefixed(r, 4)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect())
+        read_values(r, 4, |c| {
+            u32::from_le_bytes(c.try_into().expect("4-byte chunk"))
+        })
     }
 }
 
@@ -113,7 +116,7 @@ impl Persist for Vec<u8> {
     }
 
     fn restore(r: &mut dyn Read) -> io::Result<Self> {
-        read_len_prefixed(r, 1)
+        read_values(r, 1, |c| c[0])
     }
 }
 
@@ -261,6 +264,37 @@ mod tests {
             assert_eq!(back.len(), rrr.len());
             for i in (0..=rrr.len()).step_by(61) {
                 assert_eq!(back.rank1(i), rrr.rank1(i), "b={b} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn hybrid_rrr_roundtrips_and_refuses_hostile_length_words() {
+        // Raw and enumerative groups, and a partial last group.
+        let bits = BitBuf::from_bools((0..5000).map(|i| {
+            let x = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+            if (i / 2016) % 2 == 0 {
+                x % 2 == 0
+            } else {
+                x % 50 == 0
+            }
+        }));
+        let rrr = RrrBitVec::hybrid(&bits, 63);
+        assert!(rrr.raw_groups().count_ones() > 0);
+        let back = roundtrip(&rrr);
+        assert_eq!(back.raw_groups(), rrr.raw_groups());
+        for i in (0..=rrr.len()).step_by(7) {
+            assert_eq!(back.rank1(i), rrr.rank1(i), "i={i}");
+        }
+        // Every length word and flag word overwritten with a huge value:
+        // a typed error or some vector, never a panic or a huge allocation.
+        let mut buf = Vec::new();
+        rrr.persist(&mut buf).unwrap();
+        for at in (0..=buf.len() - 8).step_by(8) {
+            for value in [1u64 << 32, 1 << 61, u64::MAX] {
+                let mut bad = buf.clone();
+                bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                let _ = RrrBitVec::restore(&mut io::Cursor::new(bad));
             }
         }
     }
