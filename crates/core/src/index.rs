@@ -199,23 +199,22 @@ impl CinctIndex {
     ///
     /// # Panics
     ///
-    /// If no sampled row is met within `rate` LF steps, which a correct
-    /// index always meets: forged RRR offsets in an opened index can
-    /// still bend LF, and a walk past the bound would never end.
+    /// If no sampled row is met within `rate` LF steps (or one pass over
+    /// every row), which a correct index always meets: forged RRR offsets
+    /// in an opened index can still bend LF, and a walk past the bound
+    /// would never end.
     pub fn locate(&self, j: usize) -> Option<usize> {
         let samples = self.samples.as_ref()?;
+        let bound = samples.rate.min(self.labeled.len());
         let mut j = j;
-        for steps in 0..=samples.rate {
+        for steps in 0..=bound {
             if samples.marked.get(j) {
                 let k = samples.marked.rank1(j);
                 return Some(samples.values.get(k) as usize + steps);
             }
             j = self.lf_step(j).1;
         }
-        panic!(
-            "corrupt index: locate met no SA sample in {} LF steps",
-            samples.rate
-        );
+        panic!("corrupt index: locate met no SA sample in {bound} LF steps");
     }
 
     /// Size of the queryable index as the paper accounts it: labeled
@@ -310,15 +309,21 @@ impl CinctIndex {
         let last_start = text_len
             .checked_sub(2)
             .ok_or_else(|| bad("text too short"))?;
-        if traj_starts.first().is_some_and(|&s| s != 0)
-            || traj_starts.windows(2).any(|w| w[0] >= w[1])
+        // Folds, not short-circuits, so the scans vectorize.
+        let next = traj_starts.get(1..).unwrap_or(&[]);
+        let increasing = traj_starts
+            .iter()
+            .zip(next)
+            .fold(true, |ok, (a, b)| ok & (a < b));
+        if !increasing
+            || traj_starts.first().is_some_and(|&s| s != 0)
             || traj_starts.last().is_some_and(|&s| s as usize > last_start)
         {
             return Err(bad(
                 "trajectory starts are not increasing from 0 inside the text",
             ));
         }
-        if traj_rows.iter().any(|&row| row as usize >= text_len) {
+        if traj_rows.iter().fold(0, |max, &row| max.max(row)) as usize >= text_len {
             return Err(bad("trajectory row outside the BWT"));
         }
         let samples = match read_u64(r)? {
@@ -495,6 +500,18 @@ mod tests {
         for j in 0..ts.len() {
             assert_eq!(idx.locate(j), Some(sa[j] as usize), "row {j}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt index: locate met no SA sample in 8 LF steps")]
+    fn locate_walk_is_bounded_on_a_corrupt_index() {
+        // Marks that no walk can reach: the walk stops at its bound.
+        let mut idx = CinctBuilder::new()
+            .locate_sampling(8)
+            .build(&paper_trajs(), 6);
+        let samples = idx.samples.as_mut().expect("locate enabled");
+        samples.marked = RankBitVec::new(cinct_succinct::BitBuf::zeros(samples.marked.len()));
+        let _ = idx.locate(3);
     }
 
     #[test]
