@@ -511,41 +511,23 @@ mod tests {
     /// Format 4 dropped the ET-graph's bigram counts and the labeling tag
     /// (8·|E_T| − 24 bytes off format 3), and the digests moved once more
     /// when `checksum64` replaced FNV-1a.
-    const GOLDEN: [(Corpus, usize, Option<usize>, usize, usize, u64); 12] = [
-        (Corpus::Paper, 15, None, 519, 519, 0x18d8cc696e2e1e7b),
-        (Corpus::Paper, 15, Some(8), 591, 591, 0x9c3db35d4b486aab),
-        (Corpus::Paper, 31, None, 519, 519, 0xa982aec2054bed87),
-        (Corpus::Paper, 31, Some(8), 591, 591, 0xae57440049bddac1),
-        (Corpus::Paper, 63, None, 519, 519, 0x35ffcd5cc7918855),
-        (Corpus::Paper, 63, Some(8), 591, 591, 0x0c0037af33e0ad40),
-        (Corpus::Synthetic, 15, None, 9429, 9173, 0x7dd0e234b9d8f151),
-        (
-            Corpus::Synthetic,
-            15,
-            Some(8),
-            12645,
-            12389,
-            0x1d29b0832f40b496,
-        ),
-        (Corpus::Synthetic, 31, None, 9317, 9165, 0x33843e45965facf3),
-        (
-            Corpus::Synthetic,
-            31,
-            Some(8),
-            12533,
-            12381,
-            0x9d37a83b3a18ab06,
-        ),
-        (Corpus::Synthetic, 63, None, 9237, 9157, 0x02f7c2c8c27dab14),
-        (
-            Corpus::Synthetic,
-            63,
-            Some(8),
-            12453,
-            12373,
-            0xda2a30ec6ada3352,
-        ),
-    ];
+    const GOLDEN: [(Corpus, usize, Option<usize>, usize, usize, u64); 12] = {
+        use Corpus::{Paper, Synthetic};
+        [
+            (Paper, 15, None, 519, 519, 0x18d8cc696e2e1e7b),
+            (Paper, 15, Some(8), 591, 591, 0x9c3db35d4b486aab),
+            (Paper, 31, None, 519, 519, 0xa982aec2054bed87),
+            (Paper, 31, Some(8), 591, 591, 0xae57440049bddac1),
+            (Paper, 63, None, 519, 519, 0x35ffcd5cc7918855),
+            (Paper, 63, Some(8), 591, 591, 0x0c0037af33e0ad40),
+            (Synthetic, 15, None, 9429, 9173, 0x7dd0e234b9d8f151),
+            (Synthetic, 15, Some(8), 12645, 12389, 0x1d29b0832f40b496),
+            (Synthetic, 31, None, 9317, 9165, 0x33843e45965facf3),
+            (Synthetic, 31, Some(8), 12533, 12381, 0x9d37a83b3a18ab06),
+            (Synthetic, 63, None, 9237, 9157, 0x02f7c2c8c27dab14),
+            (Synthetic, 63, Some(8), 12453, 12373, 0xda2a30ec6ada3352),
+        ]
+    };
 
     #[test]
     fn serialized_index_matches_golden_digests() {
