@@ -388,7 +388,7 @@ fn label_and_z_in_place(rml: &mut Rml, tbwt: &mut [u32], c: &CArray) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cinct_bwt::bwt::bwt;
 
@@ -396,8 +396,9 @@ mod tests {
         vec![vec![0, 1, 4, 5], vec![0, 1, 2], vec![1, 2], vec![0, 3]]
     }
 
-    /// A mid-size pseudo-random corpus for pipeline-equivalence tests.
-    fn synthetic_trajs(n_trajs: usize, n_edges: u32, seed: u64) -> Vec<Vec<u32>> {
+    /// A mid-size walk-shaped pseudo-random corpus, shared by the index,
+    /// shard and pipeline-equivalence tests.
+    pub(crate) fn synthetic_trajs(n_trajs: usize, n_edges: u32, seed: u64) -> Vec<Vec<u32>> {
         let mut x = seed | 1;
         (0..n_trajs)
             .map(|_| {

@@ -688,6 +688,84 @@ mod tests {
         assert!(idx.directory_size_in_bytes() > 0);
     }
 
+    /// `idx`, built over `trajs`, against repeated single `lf_step` calls:
+    /// every `trajectory`, an `ExtractIter` walk of `walk` symbols from
+    /// every row, and every `locate`, which must also give the naive
+    /// suffix array's answer.
+    fn check_walks(idx: &CinctIndex, trajs: &[Vec<u32>], n_edges: usize, walk: usize) {
+        let n = idx.text_len();
+        let single: Vec<(Symbol, usize)> = (0..n).map(|j| idx.lf_step(j)).collect();
+        let single_steps = |mut j: usize, l: usize| -> Vec<Symbol> {
+            (0..l)
+                .map(|_| {
+                    let (w, next) = single[j];
+                    j = next;
+                    w
+                })
+                .collect()
+        };
+        for (g, t) in trajs.iter().enumerate() {
+            let steps = single_steps(idx.traj_rows[g] as usize, t.len());
+            let want: Vec<u32> = steps.iter().map(|s| s - cinct_bwt::SYMBOL_OFFSET).collect();
+            assert_eq!(&want, t, "trajectory {g} by single steps");
+            assert_eq!(idx.trajectory(g), want, "trajectory {g}");
+        }
+        let ts = TrajectoryString::build(trajs, n_edges);
+        let sa = cinct_bwt::sais::naive_suffix_array(ts.text());
+        let samples = idx.samples.as_ref().expect("locate enabled");
+        for j in 0..n {
+            let got: Vec<Symbol> = idx.extract_iter(j, walk.min(n)).collect();
+            assert_eq!(got, single_steps(j, walk.min(n)), "walk from row {j}");
+            let (mut row, mut steps) = (j, 0);
+            while !samples.marked.get(row) {
+                row = single[row].1;
+                steps += 1;
+            }
+            let want = samples.values.get(samples.marked.rank1(row)) as usize + steps;
+            assert_eq!(want, sa[j] as usize, "row {j} by single steps");
+            assert_eq!(idx.locate(j), Some(want), "locate({j})");
+        }
+    }
+
+    #[test]
+    fn walks_agree_with_single_steps() {
+        let random = crate::builder::tests::synthetic_trajs(2_000, 300, 39);
+        for (trajs, n_edges, walk) in [(paper_trajs(), 6, 16), (random, 300, 8)] {
+            for rate in [1, 4, 32] {
+                let idx = CinctBuilder::new()
+                    .locate_sampling(rate)
+                    .build(&trajs, n_edges);
+                check_walks(&idx, &trajs, n_edges, walk);
+                let sharded = crate::ShardedBuilder::new()
+                    .shards(3)
+                    .locate_sampling(rate)
+                    .build(&trajs, n_edges);
+                for s in 0..sharded.num_shards() {
+                    let local: Vec<Vec<u32>> = sharded
+                        .shard_globals(s)
+                        .iter()
+                        .map(|&g| trajs[g as usize].clone())
+                        .collect();
+                    check_walks(sharded.shard_index(s), &local, n_edges, walk);
+                }
+                // Walks in the sharded corpus's global row space, which
+                // forwards each step to the shard checked above.
+                for j in (0..sharded.text_len()).step_by(7) {
+                    let mut row = j;
+                    let want: Vec<Symbol> = (0..walk)
+                        .map(|_| {
+                            let (w, next) = PathQuery::lf_step(&sharded, row);
+                            row = next;
+                            w
+                        })
+                        .collect();
+                    let got: Vec<Symbol> = sharded.extract_iter(j, walk).collect();
+                    assert_eq!(got, want, "rate {rate}, global row {j}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn empty_pattern() {
         let idx = CinctIndex::build(&paper_trajs(), 6);

@@ -847,34 +847,11 @@ impl PathQuery for ShardedCinct {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::tests::synthetic_trajs;
     use crate::engine::{Query, QueryEngine, QueryValue};
 
     fn paper_trajs() -> Vec<Vec<u32>> {
         vec![vec![0, 1, 4, 5], vec![0, 1, 2], vec![1, 2], vec![0, 3]]
-    }
-
-    /// Walk-shaped pseudo-random corpus (same generator family as the
-    /// builder tests).
-    fn synthetic_trajs(n_trajs: usize, n_edges: u32, seed: u64) -> Vec<Vec<u32>> {
-        let mut x = seed | 1;
-        (0..n_trajs)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let len = 3 + ((x >> 33) % 40) as usize;
-                let mut cur = ((x >> 20) as u32) % n_edges;
-                (0..len)
-                    .map(|_| {
-                        x = x
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        cur = (cur * 4 + 1 + ((x >> 33) as u32) % 4) % n_edges;
-                        cur
-                    })
-                    .collect()
-            })
-            .collect()
     }
 
     #[test]

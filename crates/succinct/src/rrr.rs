@@ -1071,11 +1071,38 @@ mod tests {
         }
     }
 
+    /// The raw-or-enumerative choice of every group of `bits`, recomputed
+    /// bit by bit: raw exactly where the bits beyond the group's class
+    /// slots are strictly fewer than its offsets' widths.
+    fn naive_raw_choice(bits: &BitBuf, b: usize) -> Vec<bool> {
+        let len = bits.len();
+        let n_blocks = len.div_ceil(b);
+        let class_width = (64 - (b as u64).leading_zeros() as usize).max(1);
+        (0..n_blocks.div_ceil(SAMPLE_RATE))
+            .map(|g| {
+                let blocks = group_blocks(g, n_blocks);
+                let offset_bits: usize = blocks
+                    .clone()
+                    .map(|blk| {
+                        let ones = (blk * b..((blk + 1) * b).min(len))
+                            .filter(|&i| bits.get(i))
+                            .count();
+                        offset_width(b, ones, binom())
+                    })
+                    .sum();
+                let group_bits = (blocks.end * b).min(len) - blocks.start * b;
+                group_bits.saturating_sub(blocks.len() * class_width) < offset_bits
+            })
+            .collect()
+    }
+
     #[test]
     fn hybrid_layouts_match_naive_counts() {
         // (densities per group, last group's length in blocks and bits):
         // 50 % groups go raw at every paper block size, 3 % ones stay
-        // enumerative.
+        // enumerative. Every block size runs: a minor stretch starts inside
+        // a raw group's class slots only where 8 · b < 32 · ⌈log₂(b + 1)⌉,
+        // i.e. for b ≤ 19.
         let layouts: [(&[u64], usize, usize); 5] = [
             (&[50, 50, 50, 50, 50], SAMPLE_RATE, 0),  // all raw
             (&[3, 3, 3, 3, 3], SAMPLE_RATE, 0),       // all RRR
@@ -1083,13 +1110,21 @@ mod tests {
             (&[3, 3, 3, 3, 50], 5, 7),                // raw final partial group
             (&[3, 100], 0, 3),                        // shorter than its class slots
         ];
-        for b in [15usize, 31, 63] {
+        for b in 1..=63usize {
             for (densities, blocks, bits_over) in layouts {
                 let bits = grouped_bits(b, densities, blocks * b + bits_over);
                 let rrr = RrrBitVec::hybrid(&bits, b);
-                let want: Vec<bool> = densities.iter().map(|&d| d >= 50).collect();
                 let got: Vec<bool> = rrr.raw_groups().iter().collect();
-                assert_eq!(got, want, "b={b} {densities:?}");
+                assert_eq!(got, naive_raw_choice(&bits, b), "b={b} {densities:?}");
+                if [15, 31, 63].contains(&b) {
+                    let want: Vec<bool> = densities.iter().map(|&d| d >= 50).collect();
+                    assert_eq!(got, want, "b={b} {densities:?}");
+                }
+                // A 1-bit block has no offset to undercut; every wider one
+                // stores a half-dense group raw.
+                if densities[0] == 50 {
+                    assert_eq!(got[0], b > 1, "b={b} {densities:?}");
+                }
                 check_against_naive(&rrr, &bits);
                 let pure = RrrBitVec::new(&bits, b);
                 assert!(rrr.size_in_bytes() <= pure.size_in_bytes());
@@ -1104,7 +1139,10 @@ mod tests {
                     ones,
                 )
                 .expect("consistent parts");
-                check_against_naive(&back, &bits);
+                for i in 0..len {
+                    assert_eq!(back.get_and_rank1(i), rrr.get_and_rank1(i), "b={b} {i}");
+                }
+                assert_eq!(back.rank1(len), rrr.rank1(len));
             }
         }
     }
