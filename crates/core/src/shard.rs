@@ -650,41 +650,42 @@ impl ShardedCinct {
     /// are outcome-identical; skipped-vs-visited counts land in the
     /// `cinct_obs` shard catalog.
     pub fn shard_ranges(&self, path: &Path) -> Vec<Option<Range<usize>>> {
+        let mut slots = vec![None; self.shards.len()];
+        self.for_each_shard_range(path, |s, rows| slots[s] = Some(rows));
+        slots
+    }
+
+    /// The fan-out behind [`ShardedCinct::shard_ranges`] and the sharded
+    /// count: `found(s, rows)` for every shard `s` whose backward search
+    /// matches, in shard order, without collecting anything.
+    fn for_each_shard_range(&self, path: &Path, mut found: impl FnMut(usize, Range<usize>)) {
         let m = crate::metrics::shard();
         m.fanout_queries.inc();
-        let k = self.shards.len();
+        let k = self.shards.len() as u64;
         if self.prune_enabled && path.edges().iter().any(|&e| !self.prune_union.contains(e)) {
             // Corpus-level instant miss: some pattern edge occurs in no
             // shard at all, so every per-shard search would return None.
             m.fanout_union_rejects.inc();
-            m.fanout_shards_pruned.add(k as u64);
-            return vec![None; k];
+            m.fanout_shards_pruned.add(k);
+            return;
         }
-        // Once-per-query prune plan: which shards must actually search.
-        let visit: Vec<bool> = if self.prune_enabled {
-            self.shards
-                .iter()
-                .map(|s| s.pruning.rules_out(path).is_none())
-                .collect()
-        } else {
-            vec![true; k]
-        };
-        let n_visit = visit.iter().filter(|&&v| v).count();
-        let slots: Vec<Option<Range<usize>>> = self
-            .shards
-            .iter()
-            .zip(&visit)
-            .map(|(s, &v)| if v { s.index.range(path) } else { None })
-            .collect();
+        let (mut visited, mut matched) = (0u64, 0u64);
+        for (s, shard) in self.shards.iter().enumerate() {
+            if self.prune_enabled && shard.pruning.rules_out(path).is_some() {
+                continue;
+            }
+            visited += 1;
+            if let Some(rows) = shard.index.range(path) {
+                matched += 1;
+                found(s, rows);
+            }
+        }
         // Per-fan-out accounting: a few relaxed adds amortized over the
         // whole shard sweep, off the per-shard search loop.
-        let matched = slots.iter().filter(|r| r.is_some()).count() as u64;
-        m.fanout_shards_visited.add(n_visit as u64);
-        m.fanout_shards_pruned.add((k - n_visit) as u64);
+        m.fanout_shards_visited.add(visited);
+        m.fanout_shards_pruned.add(k - visited);
         m.fanout_shards_matched.add(matched);
-        m.fanout_shards_short_circuited
-            .add(n_visit as u64 - matched);
-        slots
+        m.fanout_shards_short_circuited.add(visited - matched);
     }
 
     /// Seal `batch` into a **new shard** — no existing shard is rebuilt
@@ -807,16 +808,9 @@ impl PathQuery for ShardedCinct {
     /// `Count`, `try_range`) outcome-identical to a monolithic index.
     /// The endpoints are **not** rows of the global row space.
     fn range(&self, path: &Path) -> Option<Range<usize>> {
-        let total: usize = self
-            .shard_ranges(path)
-            .into_iter()
-            .map(|r| r.map_or(0, |r| r.len()))
-            .sum();
-        if total == 0 {
-            None
-        } else {
-            Some(0..total)
-        }
+        let mut total = 0;
+        self.for_each_shard_range(path, |_, rows| total += rows.len());
+        (total > 0).then_some(0..total)
     }
 
     /// One LF step in the **global row space** (see the module docs): the
