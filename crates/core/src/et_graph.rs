@@ -125,38 +125,50 @@ impl EtGraph {
         let hi = self.offsets[w_prime as usize + 1] as usize;
         for k in lo..hi {
             if self.targets.get(k) as u32 == w {
-                let z = if self.z_terms.is_empty() {
-                    0
-                } else {
-                    let enc = self.z_terms.get(k);
-                    ((enc >> 1) as i64) ^ -((enc & 1) as i64)
-                };
-                return Some(((k - lo) as u32 + 1, z));
+                return Some(((k - lo) as u32 + 1, self.z_at(k)));
             }
         }
         None
+    }
+
+    /// First CSR slot of `w′`'s out-list: the edge labelled `ℓ` sits at
+    /// slot `row(w′) + ℓ − 1`. An LF step reads it ahead of the wavelet
+    /// descent that yields the label.
+    #[inline]
+    pub fn row(&self, w_prime: u32) -> usize {
+        self.offsets[w_prime as usize] as usize
+    }
+
+    /// `(w, Z_{w′w})` of the edge labelled `label` in the out-list starting
+    /// at slot `row` ([`EtGraph::row`]): one slot lookup for both.
+    #[inline]
+    pub fn edge(&self, row: usize, label: u32) -> (u32, i64) {
+        let slot = row + (label - 1) as usize;
+        (self.targets.get(slot) as u32, self.z_at(slot))
     }
 
     /// Decode: the symbol `w` with `φ(w|w′) = label`. Inverse of
     /// [`EtGraph::label`].
     #[inline]
     pub fn decode(&self, label: u32, w_prime: u32) -> u32 {
-        let lo = self.offsets[w_prime as usize] as usize;
-        self.targets.get(lo + (label - 1) as usize) as u32
+        self.edge(self.row(w_prime), label).0
     }
 
     /// The correction term `Z_{w′w}` stored on edge `(w′, w)` identified by
-    /// its label. `Z` may be negative (Eq. (7) subtracts two unrelated
-    /// ranks); it is stored zigzag-encoded. Zero until the index builder
-    /// attaches the computed terms.
+    /// its label. Zero until the index builder attaches the computed terms.
     #[inline]
     pub fn z_term(&self, label: u32, w_prime: u32) -> i64 {
+        self.edge(self.row(w_prime), label).1
+    }
+
+    /// The correction term at edge slot `slot`. `Z` may be negative (Eq.
+    /// (7) subtracts two unrelated ranks); it is stored zigzag-encoded.
+    #[inline]
+    fn z_at(&self, slot: usize) -> i64 {
         if self.z_terms.is_empty() {
             return 0;
         }
-        let lo = self.offsets[w_prime as usize] as usize;
-        let enc = self.z_terms.get(lo + (label - 1) as usize);
-        // Zigzag decode.
+        let enc = self.z_terms.get(slot);
         ((enc >> 1) as i64) ^ -((enc & 1) as i64)
     }
 

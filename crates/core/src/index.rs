@@ -149,18 +149,29 @@ impl CinctIndex {
         self.count(Path::new(path))
     }
 
-    /// One LF-mapping step simulated with PseudoRank (the loop body of
-    /// Algorithm 4): returns `(T_bwt[j] decoded, LF(j))`. The context is
-    /// an `O(1)` boundary-rank lookup and the label + its rank come from
-    /// one fused wavelet descent ([`SymbolSeq::access_and_rank`]).
+    /// One LF-mapping step from a row on its own: [`CinctIndex::step`]
+    /// after an `O(1)` boundary-rank lookup of the row's context.
     #[inline]
     pub fn lf_step(&self, j: usize) -> (Symbol, usize) {
-        let w_prime = self.c.symbol_at(j);
+        self.step(j, self.c.symbol_at(j))
+    }
+
+    /// The LF step kernel, simulated with PseudoRank (the loop body of
+    /// Algorithm 4): `(T_bwt[j] decoded, LF(j))` from row `j` in context
+    /// `w′ = F[j]`. Row `LF(j)` begins with `T_bwt[j]` (the FM-index
+    /// property), so a walk passes each decoded symbol on as its next
+    /// step's context and only its first step looks one up. The context's
+    /// ET-graph row is read before the one fused wavelet descent
+    /// ([`SymbolSeq::access_and_rank`]) that yields the label and its
+    /// rank.
+    #[inline]
+    fn step(&self, j: usize, w_prime: Symbol) -> (Symbol, usize) {
+        debug_assert_eq!(w_prime, self.c.symbol_at(j), "context of row {j}");
+        let graph = self.rml.graph();
+        let row = graph.row(w_prime);
         let (label, rank) = self.labeled.access_and_rank(j);
-        let w = self.rml.decode(label, w_prime);
-        let z = self.rml.graph().z_term(label, w_prime);
-        let next = (self.c.get(w) as i64 + rank as i64 - z) as usize;
-        (w, next)
+        let (w, z) = graph.edge(row, label);
+        (w, (self.c.get(w) as i64 + rank as i64 - z) as usize)
     }
 
     /// Sub-path extraction (paper Algorithm 4): the `l` text symbols
@@ -174,12 +185,16 @@ impl CinctIndex {
     /// compressed index alone.
     pub fn trajectory(&self, id: usize) -> Vec<u32> {
         let len = self.trajectory_len(id);
-        let row = self.traj_rows[id] as usize;
-        // Row `row` is the rotation starting at the `$` that terminates the
-        // reversed trajectory: extracting `len` symbols yields `T_k^r`,
-        // which `extract_iter` streams in forward edge order.
-        self.extract_iter(row, len)
-            .map(|s| s - cinct_bwt::SYMBOL_OFFSET)
+        // Row `traj_rows[id]` is the rotation starting at the `$` that
+        // terminates the reversed trajectory, so `$` is the first step's
+        // context. Walking `len` steps back from it yields `T_k^r`
+        // backwards, i.e. the trajectory in forward edge order.
+        let (mut row, mut w_prime) = (self.traj_rows[id] as usize, cinct_bwt::SEPARATOR);
+        (0..len)
+            .map(|_| {
+                (w_prime, row) = self.step(row, w_prime);
+                w_prime - cinct_bwt::SYMBOL_OFFSET
+            })
             .collect()
     }
 
@@ -206,13 +221,14 @@ impl CinctIndex {
     pub fn locate(&self, j: usize) -> Option<usize> {
         let samples = self.samples.as_ref()?;
         let bound = samples.rate.min(self.labeled.len());
-        let mut j = j;
+        let (mut j, mut w_prime) = (j, None);
         for steps in 0..=bound {
             if samples.marked.get(j) {
                 let k = samples.marked.rank1(j);
                 return Some(samples.values.get(k) as usize + steps);
             }
-            j = self.lf_step(j).1;
+            let (w, next) = self.step(j, w_prime.unwrap_or_else(|| self.c.symbol_at(j)));
+            (j, w_prime) = (next, Some(w));
         }
         panic!("corrupt index: locate met no SA sample in {bound} LF steps");
     }
@@ -386,6 +402,10 @@ impl PathQuery for CinctIndex {
 
     fn lf_step(&self, j: usize) -> (Symbol, usize) {
         CinctIndex::lf_step(self, j)
+    }
+
+    fn lf_step_after(&self, j: usize, prev: Option<Symbol>) -> (Symbol, usize) {
+        self.step(j, prev.unwrap_or_else(|| self.c.symbol_at(j)))
     }
 
     fn occurrences(&self, path: &Path) -> Result<cinct_fmindex::OccurIter<'_>, QueryError> {

@@ -817,8 +817,14 @@ impl PathQuery for ShardedCinct {
     /// row is delegated to its owning shard and the successor re-offset,
     /// so extraction walks behave exactly as on a monolithic index.
     fn lf_step(&self, j: usize) -> (Symbol, usize) {
+        self.lf_step_after(j, None)
+    }
+
+    /// An LF step never leaves its shard, so a walk's previous symbol is
+    /// the context in the shard's own row space too.
+    fn lf_step_after(&self, j: usize, prev: Option<Symbol>) -> (Symbol, usize) {
         let (s, local) = self.locate_row(j);
-        let (symbol, next) = self.shards[s].index.lf_step(local);
+        let (symbol, next) = self.shards[s].index.lf_step_after(local, prev);
         (symbol, self.bases[s] + next)
     }
 

@@ -259,6 +259,10 @@ impl PathQuery for TemporalCinct {
         self.index.lf_step(j)
     }
 
+    fn lf_step_after(&self, j: usize, prev: Option<Symbol>) -> (Symbol, usize) {
+        self.index.lf_step_after(j, prev)
+    }
+
     fn occurrences(&self, path: &Path) -> Result<OccurIter<'_>, QueryError> {
         self.index.occurrences(path)
     }

@@ -131,6 +131,17 @@ pub trait PathQuery: Send + Sync {
     /// One LF-mapping step from BWT row `j`: `(T_bwt[j], LF(j))`.
     fn lf_step(&self, j: usize) -> (Symbol, usize);
 
+    /// [`PathQuery::lf_step`] from a row `j` that the previous step of the
+    /// same walk reached by decoding `prev` (`None` on a walk's first
+    /// step). Row `LF(j′)` begins with `T_bwt[j′]`, so `prev` is the first
+    /// symbol of row `j`: an index that needs a row's context may take it
+    /// from here instead of looking it up. The default ignores it.
+    /// [`ExtractIter`] steps through this.
+    fn lf_step_after(&self, j: usize, prev: Option<Symbol>) -> (Symbol, usize) {
+        let _ = prev;
+        self.lf_step(j)
+    }
+
     /// Number of occurrences of the path across all trajectories.
     fn count(&self, path: &Path) -> usize {
         self.range(path).map_or(0, |r| r.len())
@@ -208,6 +219,8 @@ pub struct ExtractIter<'a> {
     index: &'a dyn PathQuery,
     row: usize,
     remaining: usize,
+    /// The symbol the previous step decoded: the context of `row`.
+    prev: Option<Symbol>,
 }
 
 impl<'a> ExtractIter<'a> {
@@ -217,6 +230,7 @@ impl<'a> ExtractIter<'a> {
             index,
             row: j,
             remaining: l,
+            prev: None,
         }
     }
 
@@ -242,8 +256,8 @@ impl Iterator for ExtractIter<'_> {
             return None;
         }
         self.remaining -= 1;
-        let (symbol, next_row) = self.index.lf_step(self.row);
-        self.row = next_row;
+        let (symbol, next_row) = self.index.lf_step_after(self.row, self.prev);
+        (self.row, self.prev) = (next_row, Some(symbol));
         Some(symbol)
     }
 

@@ -160,6 +160,20 @@ impl BitBuf {
         (head.count_ones() + middle + tail.count_ones()) as usize
     }
 
+    /// `(bit to, ones in bits from .. to)` for `from <= to < len`: every
+    /// word from `from`'s through `to`'s popcounted once, the ones of
+    /// `from`'s word below it taken back off, no branch but the loop's.
+    #[inline]
+    pub fn bit_and_ones_before(&self, from: usize, to: usize) -> (bool, usize) {
+        debug_assert!(from <= to && to < self.len);
+        let (first, last) = (from / 64, to / 64);
+        let word = self.words[last];
+        let below = |word: u64, p: usize| (word & ((1u64 << p) - 1)).count_ones();
+        let middle: u32 = self.words[first..last].iter().map(|w| w.count_ones()).sum();
+        let ones = middle + below(word, to % 64) - below(self.words[first], from % 64);
+        ((word >> (to % 64)) & 1 == 1, ones as usize)
+    }
+
     /// Iterator over all bits.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))

@@ -413,42 +413,68 @@ fn group_blocks(g: usize, n_blocks: usize) -> Range<usize> {
 
 /// Where a raw group's bits are stored: its first `head` bits in the
 /// group's class slots (from bit `cls` of the class stream), the rest in
-/// the offsets stream from bit `ptr`. `start` is the group's first bit in
-/// the vector.
+/// the offsets stream from bit `ptr`. Its methods take bit positions
+/// relative to the group's first bit.
 #[derive(Clone, Copy, Debug)]
 struct RawGroup {
-    start: usize,
     cls: usize,
     head: usize,
     ptr: usize,
 }
 
 impl RawGroup {
-    /// Ones among vector bits `from .. to`, both inside the group: at most
-    /// two word-wise popcounts, one per stream.
+    /// `(bit v, ones among bits from .. v)` of the group: one popcount of
+    /// the offsets stream where `from` lies past the class slots, of the
+    /// slots alone where `v` does not, and of both otherwise.
     #[inline]
-    fn ones(&self, classes: &BitBuf, offsets: &BitBuf, from: usize, to: usize) -> usize {
-        let (from, to) = (from - self.start, to - self.start);
-        let mut ones = 0;
+    fn bit_and_ones(
+        &self,
+        classes: &BitBuf,
+        offsets: &BitBuf,
+        from: usize,
+        v: usize,
+    ) -> (bool, usize) {
+        let (mut from, mut ones) = (from, 0);
         if from < self.head {
-            ones += classes.count_ones_in(self.cls + from..self.cls + to.min(self.head));
+            if v < self.head {
+                return classes.bit_and_ones_before(self.cls + from, self.cls + v);
+            }
+            ones = classes.count_ones_in(self.cls + from..self.cls + self.head);
+            from = self.head;
         }
-        if to > self.head {
-            let from = from.max(self.head) - self.head;
-            ones += offsets.count_ones_in(self.ptr + from..self.ptr + to - self.head);
-        }
-        ones
+        let (bit, rest) =
+            offsets.bit_and_ones_before(self.ptr + from - self.head, self.ptr + v - self.head);
+        (bit, ones + rest)
+    }
+}
+
+/// Longest vector, in bits: [`Reciprocal`] divides every position below
+/// it exactly. [`RrrBitVec::from_raw_parts`] refuses longer ones.
+const MAX_LEN: u64 = 1 << 57;
+
+/// Division by the block size `b ∈ 1..=63` as a multiply-high (Granlund &
+/// Montgomery, PLDI 1994): with `m = ⌈2⁶³ / b⌉`, `⌊n · m / 2⁶³⌋ = ⌊n / b⌋`
+/// for every `n < MAX_LEN`, since `n · (m · b − 2⁶³) < 2⁵⁷ · b ≤ 2⁶³`.
+/// Derived from `b` on build and open, never persisted.
+#[derive(Clone, Copy, Debug)]
+struct Reciprocal {
+    b: usize,
+    m: u64,
+}
+
+impl Reciprocal {
+    fn new(b: usize) -> Self {
+        debug_assert!((1..=63).contains(&b));
+        let m = (1u128 << 63).div_ceil(b as u128) as u64;
+        Self { b, m }
     }
 
-    /// Vector bit `i`, inside the group.
+    /// `(n / b, n % b)` for `n < MAX_LEN`.
     #[inline]
-    fn bit(&self, classes: &BitBuf, offsets: &BitBuf, i: usize) -> bool {
-        let v = i - self.start;
-        if v < self.head {
-            classes.get(self.cls + v)
-        } else {
-            offsets.get(self.ptr + v - self.head)
-        }
+    fn div_rem(self, n: usize) -> (usize, usize) {
+        debug_assert!((n as u64) < MAX_LEN);
+        let q = ((n as u128 * self.m as u128) >> 63) as usize;
+        (q, n - q * self.b)
     }
 }
 
@@ -526,7 +552,6 @@ fn build_directory(
         let (maj_ones, maj_ptr) = (ones, ptr);
         let (start, end) = (blocks.start * b, (blocks.end * b).min(len));
         let raw_group = is_raw.then_some(RawGroup {
-            start,
             cls: blocks.start * class_width,
             head: blocks.len() * class_width,
             ptr: ptr as usize,
@@ -544,7 +569,9 @@ fn build_directory(
             }
             let last = (first + MINOR_RATE).min(blocks.end);
             if let Some(group) = &raw_group {
-                ones += group.ones(classes, offsets, first * b, (last * b).min(len)) as u64;
+                let end = (last * b).min(len) - start - 1;
+                let (bit, before) = group.bit_and_ones(classes, offsets, first * b - start, end);
+                ones += (before + bit as usize) as u64;
                 continue;
             }
             let mut chunk = classes.get_bits(first * class_width, (last - first) * class_width);
@@ -587,10 +614,14 @@ impl SpaceUsage for Directory {
 pub struct RrrBitVec {
     /// Block size in bits.
     b: usize,
+    /// Division by `b` (derived).
+    recip: Reciprocal,
     /// Bits needed to store a class value: ceil(log2(b+1)).
     class_width: usize,
     /// Total bits represented.
     len: usize,
+    /// Blocks, `⌈len / b⌉` (derived).
+    n_blocks: usize,
     /// Packed classes, `class_width` bits each; a raw group's slots hold
     /// its first bits instead.
     classes: BitBuf,
@@ -600,16 +631,6 @@ pub struct RrrBitVec {
     /// Derived rank directory (see [`Directory`]).
     dir: Directory,
     ones: usize,
-}
-
-/// Where a bit is stored, as one directory seek finds it.
-enum Site {
-    /// An enumerative block: `(ones before it, class, offset)`, the input
-    /// of [`decode_leaf`].
-    Block(usize, usize, u64),
-    /// A raw group, the first bit of the minor group holding the bit and
-    /// the ones before that.
-    Raw(RawGroup, usize, usize),
 }
 
 /// Encode `bits` group by group into packed classes, offsets and one raw
@@ -672,6 +693,10 @@ impl RrrBitVec {
     fn encoded(bits: &BitBuf, b: usize, hybrid: bool) -> Self {
         let b = b.clamp(1, 63);
         let len = bits.len();
+        assert!(
+            len as u64 <= MAX_LEN,
+            "{len} bits exceed the RRR length limit"
+        );
         let class_width = (64 - (b as u64).leading_zeros() as usize).max(1);
         let (mut classes, mut offsets, raw) = encode(bits, b, class_width, hybrid);
         classes.shrink_to_fit();
@@ -683,8 +708,10 @@ impl RrrBitVec {
         debug_assert_eq!(offsets.len() as u64, dir_ptr);
         Self {
             b,
+            recip: Reciprocal::new(b),
             class_width,
             len,
+            n_blocks: len.div_ceil(b),
             classes,
             offsets,
             dir,
@@ -712,10 +739,11 @@ impl RrrBitVec {
     }
 
     /// Reassemble from raw fields; `None` on inconsistent shapes (including
-    /// a group flag count that is not one per group, a class above `b`, a
-    /// raw group past the offsets stream and an `ones` count that disagrees
-    /// with the streams). Rebuilds the rank directory. Offset *values* are
-    /// not checked: one outside its class's range decodes to some answer.
+    /// a length above 2⁵⁷ bits, a group flag count that is not one per
+    /// group, a class above `b`, a raw group past the offsets stream and an
+    /// `ones` count that disagrees with the streams). Rebuilds the rank
+    /// directory. Offset *values* are not checked: one outside its class's
+    /// range decodes to some answer.
     pub fn from_raw_parts(
         b: usize,
         len: usize,
@@ -724,7 +752,7 @@ impl RrrBitVec {
         offsets: BitBuf,
         ones: usize,
     ) -> Option<Self> {
-        if !(1..=63).contains(&b) || ones > len {
+        if !(1..=63).contains(&b) || ones > len || len as u64 > MAX_LEN {
             return None;
         }
         let class_width = (64 - (b as u64).leading_zeros() as usize).max(1);
@@ -741,8 +769,10 @@ impl RrrBitVec {
         }
         Some(Self {
             b,
+            recip: Reciprocal::new(b),
             class_width,
             len,
+            n_blocks,
             classes,
             offsets,
             dir,
@@ -750,11 +780,12 @@ impl RrrBitVec {
         })
     }
 
-    /// Directory seek to block `blk`: super + major + minor lookups, then
-    /// for an enumerative group one register-chunked scan of at most
-    /// `MINOR_RATE − 1` classes and the block's offset fetch.
+    /// Directory seek to the minor stretch holding block `blk`: super,
+    /// major and minor lookups. Returns the major entry, whose
+    /// [`RAW_FLAG`] tells the group's coding, and the ones and
+    /// offset-stream position before the stretch's first block.
     #[inline]
-    fn site(&self, blk: usize) -> Site {
+    fn seek(&self, blk: usize) -> (u32, usize, usize) {
         let g = blk / SAMPLE_RATE;
         let major = self.dir.majors[g];
         let mut ones = self.dir.super_ranks[blk / SUPER_RATE] + (major & (RAW_FLAG - 1)) as u64;
@@ -767,82 +798,103 @@ impl RrrBitVec {
             ones += entry & low_mask(self.dir.minor_ones_bits);
             ptr += entry >> self.dir.minor_ones_bits;
         }
-        let first = blk / MINOR_RATE * MINOR_RATE;
-        let cw = self.class_width;
-        if major & RAW_FLAG != 0 {
-            let n_in = if g + 1 < self.dir.majors.len() {
-                SAMPLE_RATE
-            } else {
-                self.len.div_ceil(self.b) - g * SAMPLE_RATE
-            };
-            let group = RawGroup {
-                start: g * SAMPLE_RATE * self.b,
-                cls: g * SAMPLE_RATE * cw,
-                head: n_in * cw,
-                ptr: ptr as usize,
-            };
-            return Site::Raw(group, first * self.b, ones as usize);
-        }
+        (major, ones as usize, ptr as usize)
+    }
+
+    /// Bit `p` of enumerative block `blk` and the ones before its
+    /// positions `p` and `q`, from the seek of its stretch: one
+    /// register-chunked scan of at most `MINOR_RATE − 1` classes, the
+    /// block's offset fetch and one decode, a second only where `q` lies
+    /// outside `p`'s leaf.
+    #[inline]
+    fn enumerative(
+        &self,
+        blk: usize,
+        mut ones: usize,
+        mut ptr: usize,
+        p: usize,
+        q: usize,
+    ) -> (bool, usize, usize) {
         // ≤ 7 residual classes + the target's own, ≤ 8 × 6 bits: one
         // ≤ 48-bit fetch covers the whole scan and the block's class.
+        let first = blk / MINOR_RATE * MINOR_RATE;
+        let cw = self.class_width;
         let widths = &offset_width_table()[self.b];
         let count = blk - first;
         let mut chunk = self.classes.get_bits(first * cw, (count + 1) * cw);
         let cmask = low_mask(cw);
         for _ in 0..count {
             let c = (chunk & cmask) as usize;
-            ones += c as u64;
-            ptr += widths[c & 63] as u64;
+            ones += c;
+            ptr += widths[c & 63] as usize;
             chunk >>= cw;
         }
         let c = (chunk & cmask) as usize;
-        let off = self.offsets.get_bits(ptr as usize, widths[c & 63] as usize);
-        Site::Block(ones as usize, c, off)
+        let off = self.offsets.get_bits(ptr, widths[c & 63] as usize);
+        let plan = plan(self.b);
+        let leaf = decode_leaf(plan, self.b, c, off, p);
+        let rank_q = if (leaf.start..=leaf.end).contains(&q) {
+            leaf.rank(q)
+        } else {
+            decode_leaf(plan, self.b, c, off, q).rank(q)
+        };
+        (leaf.bit(p), ones + leaf.rank(p), ones + rank_q)
+    }
+
+    /// Bit `i` of a raw group and the ones before it, from the seek of its
+    /// block `blk`: a popcount from the first bit of the block's minor
+    /// stretch, over the offsets stream alone unless the stretch starts
+    /// inside the group's class slots (its first stretch, and every one
+    /// for `b ≤ 19`). The raw routine behind every entry point.
+    #[inline]
+    fn raw(&self, blk: usize, ones: usize, ptr: usize, i: usize) -> (bool, usize) {
+        let first = blk / SAMPLE_RATE * SAMPLE_RATE;
+        let group = RawGroup {
+            cls: first * self.class_width,
+            head: (self.n_blocks - first).min(SAMPLE_RATE) * self.class_width,
+            ptr,
+        };
+        let from = (blk - first) / MINOR_RATE * MINOR_RATE * self.b;
+        let v = i - first * self.b;
+        let (bit, before) = group.bit_and_ones(&self.classes, &self.offsets, from, v);
+        (bit, ones + before)
     }
 
     /// `(get(i), rank1(i))` from one directory seek and one block decode
-    /// or popcount: the wavelet-tree access descent's primitive.
+    /// or popcount: the wavelet-tree access descent's primitive, and
+    /// behind [`BitRank::get`] and [`BitRank::rank1`] too.
+    #[inline]
     pub fn get_and_rank1(&self, i: usize) -> (bool, usize) {
         debug_assert!(i < self.len);
-        match self.site(i / self.b) {
-            Site::Block(ones, c, off) => {
-                let p = i % self.b;
-                let leaf = decode_leaf(plan(self.b), self.b, c, off, p);
-                (leaf.bit(p), ones + leaf.rank(p))
-            }
-            Site::Raw(group, from, ones) => (
-                group.bit(&self.classes, &self.offsets, i),
-                ones + group.ones(&self.classes, &self.offsets, from, i),
-            ),
+        let (blk, p) = self.recip.div_rem(i);
+        let (major, ones, ptr) = self.seek(blk);
+        if major & RAW_FLAG != 0 {
+            return self.raw(blk, ones, ptr, i);
         }
+        let (bit, rank, _) = self.enumerative(blk, ones, ptr, p, p);
+        (bit, rank)
     }
 
     /// `(rank1(i), rank1(j))`, answer-identical to two [`BitRank::rank1`]
     /// calls. Backward-search callers rank `sp` and `ep` together through
     /// this: narrowed ranges usually land both in one block (one seek), and
     /// often in one leaf (one decode + two popcounts).
+    #[inline]
     pub fn rank1_pair(&self, i: usize, j: usize) -> (usize, usize) {
         debug_assert!(i <= self.len && j <= self.len);
-        if i == 0 || i == self.len || j == 0 || j == self.len || i / self.b != j / self.b {
+        if i == self.len || j == self.len {
             return (self.rank1(i), self.rank1(j));
         }
-        match self.site(i / self.b) {
-            Site::Block(ones, c, off) => {
-                let plan = plan(self.b);
-                let (p1, p2) = (i % self.b, j % self.b);
-                let leaf1 = decode_leaf(plan, self.b, c, off, p1);
-                let r2 = if (leaf1.start..=leaf1.end).contains(&p2) {
-                    leaf1.rank(p2)
-                } else {
-                    decode_leaf(plan, self.b, c, off, p2).rank(p2)
-                };
-                (ones + leaf1.rank(p1), ones + r2)
-            }
-            Site::Raw(group, from, ones) => {
-                let rank = |to| ones + group.ones(&self.classes, &self.offsets, from, to);
-                (rank(i), rank(j))
-            }
+        let ((blk, p1), (blk_j, p2)) = (self.recip.div_rem(i), self.recip.div_rem(j));
+        if blk != blk_j {
+            return (self.get_and_rank1(i).1, self.get_and_rank1(j).1);
         }
+        let (major, ones, ptr) = self.seek(blk);
+        if major & RAW_FLAG != 0 {
+            return (self.raw(blk, ones, ptr, i).1, self.raw(blk, ones, ptr, j).1);
+        }
+        let (_, r1, r2) = self.enumerative(blk, ones, ptr, p1, p2);
+        (r1, r2)
     }
 }
 
@@ -853,34 +905,16 @@ impl BitRank for RrrBitVec {
 
     #[inline]
     fn get(&self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        match self.site(i / self.b) {
-            Site::Block(_, c, off) => {
-                let p = i % self.b;
-                decode_leaf(plan(self.b), self.b, c, off, p).bit(p)
-            }
-            Site::Raw(group, _, _) => group.bit(&self.classes, &self.offsets, i),
-        }
+        self.get_and_rank1(i).0
     }
 
     #[inline]
     fn rank1(&self, i: usize) -> usize {
         debug_assert!(i <= self.len);
-        if i == 0 {
-            return 0;
-        }
         if i == self.len {
             return self.ones;
         }
-        match self.site(i / self.b) {
-            Site::Block(ones, c, off) => {
-                let p = i % self.b;
-                ones + decode_leaf(plan(self.b), self.b, c, off, p).rank(p)
-            }
-            Site::Raw(group, from, ones) => {
-                ones + group.ones(&self.classes, &self.offsets, from, i)
-            }
-        }
+        self.get_and_rank1(i).1
     }
 
     fn count_ones(&self) -> usize {
@@ -1145,6 +1179,23 @@ mod tests {
                 assert_eq!(back.rank1(len), rrr.rank1(len));
             }
         }
+    }
+
+    #[test]
+    fn reciprocal_divides_exactly_below_the_length_limit() {
+        let top = MAX_LEN as usize;
+        for b in 1..=63usize {
+            let recip = Reciprocal::new(b);
+            let edges = (0..4096).chain(top - 4096..top);
+            for n in edges.chain((1..64).map(|k| top / 64 * k + b)) {
+                assert_eq!(recip.div_rem(n), (n / b, n % b), "n={n} b={b}");
+            }
+        }
+        // Past the limit it can fail: at b = 63, m · b − 2⁶³ = 55, so the
+        // position 62 past a multiple of 63 near 2⁵⁸ rounds up.
+        let n = (1usize << 58) / 63 * 63 + 62;
+        let q = ((n as u128 * Reciprocal::new(63).m as u128) >> 63) as usize;
+        assert_eq!(q, n / 63 + 1);
     }
 
     #[test]
