@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks for the succinct substrate: bit-level rank
 //! (plain vs RRR at the paper's block sizes), symbol rank (HWT vs WM),
 //! and PseudoRank vs true rank — the operations whose costs drive every
-//! figure in the paper — plus the store's integrity checksum, which every
-//! open, save, snapshot install and WAL record pays per byte, and the
-//! dataset generators, whose cost is most of every corpus set-up.
+//! figure in the paper — plus the LF walk behind every extraction and
+//! locate, the store's integrity checksum, which every open, save,
+//! snapshot install and WAL record pays per byte, and the dataset
+//! generators, whose cost is most of every corpus set-up.
 
-use cinct::{CinctBuilder, LabelingStrategy};
+use cinct::{CinctBuilder, LabelingStrategy, ShardedBuilder};
 use cinct_bwt::TrajectoryString;
 use cinct_succinct::{
     BitBuf, BitRank, HuffmanWaveletTree, RankBitVec, RrrBitVec, SymbolSeq, WaveletMatrix,
@@ -178,6 +179,76 @@ fn bench_pseudo_rank(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_lf_walk(c: &mut Criterion) {
+    // One quarter of the `direct_query` corpus: a `singapore(4.0)` shard,
+    // whose labelled tree stores nine in ten 32-block groups raw.
+    let ds = cinct_datasets::singapore(4.0);
+    let corpus = ShardedBuilder::new()
+        .shards(4)
+        .build(&ds.trajectories, ds.n_edges());
+    let idx = corpus.shard_index(0);
+    let n = idx.labeled_bwt().len();
+    let mut x = 11u64;
+    let mut next = |bound: usize| {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 33) as usize % bound
+    };
+    let ids: Vec<usize> = (0..200).map(|_| next(idx.num_trajectories())).collect();
+    // Single-step walks of the same lengths, from random rows.
+    let walks: Vec<(usize, usize)> = ids
+        .iter()
+        .map(|&g| (next(n), idx.trajectory_len(g)))
+        .collect();
+    let symbols: usize = walks.iter().map(|&(_, len)| len).sum();
+    let mut group = c.benchmark_group("lf_walk");
+    // The kernel carries each decoded symbol on as the next step's context.
+    group.bench_function(format!("trajectory_{symbols}_symbols"), |bch| {
+        bch.iter(|| {
+            ids.iter()
+                .map(|&g| idx.trajectory(black_box(g)).len())
+                .sum::<usize>()
+        })
+    });
+    // Every `lf_step` looks its row's context up.
+    group.bench_function(format!("single_lf_steps_{symbols}_symbols"), |bch| {
+        bch.iter(|| {
+            let mut acc = 0usize;
+            for &(start, len) in &walks {
+                let mut row = black_box(start);
+                for _ in 0..len {
+                    let (w, next) = idx.lf_step(row);
+                    acc += w as usize;
+                    row = next;
+                }
+            }
+            acc
+        })
+    });
+    // The same bits at the bottom of each step: a cache-resident 200 kbit
+    // prefix of the labelled tree, hybrid RRR against a plain bitvector.
+    let tree = idx.labeled_bwt().backend();
+    let prefix = BitBuf::from_bools((0..200_000.min(tree.len())).map(|i| tree.get(i)));
+    let hybrid = RrrBitVec::hybrid(&prefix, 63);
+    let plain = RankBitVec::new(prefix.clone());
+    let positions: Vec<usize> = (0..1024).map(|_| next(prefix.len())).collect();
+    fn get_and_rank1<B: BitRank>(bits: &B, positions: &[usize]) -> usize {
+        let mut acc = 0usize;
+        for &p in positions {
+            acc += bits.get_and_rank1(black_box(p)).1;
+        }
+        acc
+    }
+    group.bench_function("get_and_rank1_hybrid", |bch| {
+        bch.iter(|| get_and_rank1(&hybrid, &positions))
+    });
+    group.bench_function("get_and_rank1_plain", |bch| {
+        bch.iter(|| get_and_rank1(&plain, &positions))
+    });
+    group.finish();
+}
+
 fn bench_store_checksum(c: &mut Criterion) {
     // 1 MiB is a small shard file; 8 MiB is the `direct_query` corpus's
     // whole directory (7.4 MB over four shards).
@@ -218,7 +289,7 @@ fn bench_datasets(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_bit_rank, bench_symbol_rank, bench_pseudo_rank, bench_store_checksum,
-        bench_datasets
+    targets = bench_bit_rank, bench_symbol_rank, bench_pseudo_rank, bench_lf_walk,
+        bench_store_checksum, bench_datasets
 }
 criterion_main!(benches);
