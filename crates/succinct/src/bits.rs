@@ -107,17 +107,12 @@ impl BitBuf {
         if width == 0 {
             return 0;
         }
-        let word = i / 64;
-        let off = i % 64;
-        let mut v = self.words[word] >> off;
-        if off + width > 64 {
-            v |= self.words[word + 1] << (64 - off);
-        }
-        if width == 64 {
-            v
-        } else {
-            v & ((1u64 << width) - 1)
-        }
+        let (word, off) = (i / 64, i % 64);
+        // The next word's share, whether or not the field reaches it: no
+        // data-dependent branch (a field ends within two words).
+        let next = self.words.get(word + 1).map_or(0, |&w| (w << 1) << (63 - off));
+        let mask = u64::MAX >> (64 - width);
+        ((self.words[word] >> off) | next) & mask
     }
 
     /// The underlying words (the last word's high bits beyond `len` are zero).
