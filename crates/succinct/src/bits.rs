@@ -110,7 +110,10 @@ impl BitBuf {
         let (word, off) = (i / 64, i % 64);
         // The next word's share, whether or not the field reaches it: no
         // data-dependent branch (a field ends within two words).
-        let next = self.words.get(word + 1).map_or(0, |&w| (w << 1) << (63 - off));
+        let next = self
+            .words
+            .get(word + 1)
+            .map_or(0, |&w| (w << 1) << (63 - off));
         let mask = u64::MAX >> (64 - width);
         ((self.words[word] >> off) | next) & mask
     }
