@@ -135,14 +135,14 @@ impl EtGraph {
     /// slot `row(w′) + ℓ − 1`. An LF step reads it ahead of the wavelet
     /// descent that yields the label.
     #[inline]
-    pub fn row(&self, w_prime: u32) -> usize {
+    pub(crate) fn row(&self, w_prime: u32) -> usize {
         self.offsets[w_prime as usize] as usize
     }
 
     /// `(w, Z_{w′w})` of the edge labelled `label` in the out-list starting
     /// at slot `row` ([`EtGraph::row`]): one slot lookup for both.
     #[inline]
-    pub fn edge(&self, row: usize, label: u32) -> (u32, i64) {
+    pub(crate) fn edge(&self, row: usize, label: u32) -> (u32, i64) {
         let slot = row + (label - 1) as usize;
         (self.targets.get(slot) as u32, self.z_at(slot))
     }

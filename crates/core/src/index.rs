@@ -227,7 +227,7 @@ impl CinctIndex {
                 let k = samples.marked.rank1(j);
                 return Some(samples.values.get(k) as usize + steps);
             }
-            let (w, next) = self.step(j, w_prime.unwrap_or_else(|| self.c.symbol_at(j)));
+            let (w, next) = self.lf_step_after(j, w_prime);
             (j, w_prime) = (next, Some(w));
         }
         panic!("corrupt index: locate met no SA sample in {bound} LF steps");

@@ -162,7 +162,7 @@ impl BitBuf {
     /// word from `from`'s through `to`'s popcounted once, the ones of
     /// `from`'s word below it taken back off, no branch but the loop's.
     #[inline]
-    pub fn bit_and_ones_before(&self, from: usize, to: usize) -> (bool, usize) {
+    pub(crate) fn bit_and_ones_before(&self, from: usize, to: usize) -> (bool, usize) {
         debug_assert!(from <= to && to < self.len);
         let (first, last) = (from / 64, to / 64);
         let word = self.words[last];
