@@ -475,7 +475,7 @@ struct Reciprocal {
 impl Reciprocal {
     fn new(b: usize) -> Self {
         debug_assert!((1..=63).contains(&b));
-        let m = (1u128 << 63).div_ceil(b as u128) as u64;
+        let m = (1u64 << 63).div_ceil(b as u64);
         Self { b, m }
     }
 
