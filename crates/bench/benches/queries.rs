@@ -6,7 +6,6 @@
 use cinct::Path;
 use cinct_bench::{build_variant, sample_patterns, Variant};
 use cinct_bwt::TrajectoryString;
-use cinct_fmindex::ExtractIter;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_suffix_range(c: &mut Criterion) {
@@ -47,10 +46,7 @@ fn bench_extract(c: &mut Criterion) {
     ] {
         let built = build_variant(v, &ts, ds.n_edges());
         group.bench_function(built.name.clone(), |bch| {
-            bch.iter(|| {
-                ExtractIter::new(built.index.as_ref(), black_box(0), black_box(5_000))
-                    .collect_forward()
-            })
+            bch.iter(|| built.index.extract(black_box(0), black_box(5_000)))
         });
     }
     group.finish();

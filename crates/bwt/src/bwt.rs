@@ -5,55 +5,18 @@
 //! read directly off the suffix array: `T_bwt[i] = T[(SA[i] + n − 1) mod n]`.
 
 use crate::sais::suffix_array;
-use cinct_succinct::{BitBuf, BitRank, IntVec, RankBitVec, SpaceUsage};
 
 /// Cumulative symbol counts: `C[w]` = number of symbols in `T` smaller than
 /// `w`. `[C[w], C[w+1])` is the suffix range `R(w)` of the single-symbol
 /// pattern `w`, and context blocks of the BWT align with these ranges.
 ///
-/// Besides the counts the struct can carry a rank-backed *boundary
-/// accelerator* (`O(1)` [`CArray::symbol_at`]): a bit vector marking the
-/// start position `C[w]` of every nonempty symbol range, plus the packed
-/// list of those symbols in order. `symbol_at` is the context lookup of
-/// every LF-mapping step (paper Algorithm 4 Line 1), so extract / locate /
-/// trajectory-recovery walks pay it once per step — the seed's per-step
-/// `O(log σ)` binary search was the dominant non-rank cost there. The
-/// accelerator is built lazily on the first `symbol_at` call (≈ 1.07 bits
-/// per indexed symbol), so consumers that never ask for contexts — the
-/// baseline FM-indexes, `inverse_bwt` — pay nothing for it.
+/// [`CArray::symbol_at`] inverts the ranges by binary search. A walk needs
+/// a row's context only on its first step: row `LF(j)` begins with
+/// `T_bwt[j]`, so every later step takes its context from the symbol the
+/// previous step decoded.
 #[derive(Clone, Debug)]
 pub struct CArray {
     counts: Vec<u64>,
-    /// Lazily built `symbol_at` accelerator.
-    accel: std::sync::OnceLock<SymbolAtAccel>,
-}
-
-/// The `O(1)` `symbol_at` support structure.
-#[derive(Clone, Debug)]
-struct SymbolAtAccel {
-    /// Bit `C[w]` set for every `w` with `count(w) > 0` (length `n`).
-    bounds: RankBitVec,
-    /// The `k`-th symbol with a nonempty range, packed.
-    live: IntVec,
-}
-
-/// Build the `symbol_at` accelerator from finished cumulative counts.
-fn build_bounds(counts: &[u64]) -> SymbolAtAccel {
-    let sigma = counts.len() - 1;
-    let n = counts[sigma] as usize;
-    let mut bits = BitBuf::zeros(n);
-    let mut live = IntVec::with_capacity(IntVec::width_for(sigma.max(1) as u64), sigma.min(n));
-    for w in 0..sigma {
-        if counts[w + 1] > counts[w] {
-            bits.set(counts[w] as usize, true);
-            live.push(w as u64);
-        }
-    }
-    live.shrink_to_fit();
-    SymbolAtAccel {
-        bounds: RankBitVec::new(bits),
-        live,
-    }
 }
 
 impl CArray {
@@ -66,10 +29,7 @@ impl CArray {
         for i in 1..=sigma {
             counts[i] += counts[i - 1];
         }
-        Self {
-            counts,
-            accel: std::sync::OnceLock::new(),
-        }
+        Self { counts }
     }
 
     /// `C[w]`: the number of symbols smaller than `w`. `w` may be `sigma`.
@@ -97,41 +57,17 @@ impl CArray {
 
     /// The symbol `w` whose range `[C[w], C[w+1])` contains BWT position `j`
     /// — i.e. the first symbol of the `j`-th sorted rotation (Algorithm 4
-    /// Line 1). `O(1)` after the first call: one directory rank on the
-    /// (lazily built) boundary bit vector plus one packed-array load.
+    /// Line 1). `O(log σ)`: a binary search over the cumulative counts.
     #[inline]
     pub fn symbol_at(&self, j: usize) -> u32 {
-        debug_assert!(j < *self.counts.last().unwrap() as usize);
-        let accel = self.accel.get_or_init(|| build_bounds(&self.counts));
-        accel.live.get(accel.bounds.rank1(j + 1) - 1) as u32
-    }
-
-    /// `symbol_at` by binary search over the cumulative counts,
-    /// `O(log σ)`. Kept as the reference implementation for property
-    /// tests.
-    #[inline]
-    pub fn symbol_at_binsearch(&self, j: usize) -> u32 {
         debug_assert!(j < *self.counts.last().unwrap() as usize);
         (self.counts.partition_point(|&c| c <= j as u64) - 1) as u32
     }
 
     /// Heap bytes of the counts — the paper's `C` array accounting
-    /// ((σ+1) machine words). The `symbol_at` accelerator is reported
-    /// separately by [`CArray::accel_size_in_bytes`].
+    /// ((σ+1) machine words).
     pub fn size_in_bytes(&self) -> usize {
         self.counts.capacity() * 8
-    }
-
-    /// Heap bytes of the `O(1)` `symbol_at` accelerator (boundary bit
-    /// vector + live-symbol list, ≈ 1.07 bits per indexed symbol; `0`
-    /// until the first `symbol_at` call builds it) — an engineering
-    /// addition beyond the paper's data structure, accounted like the
-    /// other API conveniences (trajectory directory, SA samples; see
-    /// `CinctIndex::directory_size_in_bytes`).
-    pub fn accel_size_in_bytes(&self) -> usize {
-        self.accel
-            .get()
-            .map_or(0, |a| a.bounds.size_in_bytes() + a.live.size_in_bytes())
     }
 
     /// The raw cumulative counts (persistence support).
@@ -139,16 +75,13 @@ impl CArray {
         &self.counts
     }
 
-    /// Reassemble from raw cumulative counts; `None` if not non-decreasing.
-    /// The `symbol_at` accelerator is derived state, rebuilt on demand.
+    /// Reassemble from raw cumulative counts; `None` unless they start at
+    /// `C[0] = 0` and never decrease.
     pub fn from_raw_counts(counts: Vec<u64>) -> Option<Self> {
-        if counts.is_empty() || counts.windows(2).any(|w| w[1] < w[0]) {
+        if counts.first() != Some(&0) || counts.windows(2).any(|w| w[1] < w[0]) {
             return None;
         }
-        Some(Self {
-            counts,
-            accel: std::sync::OnceLock::new(),
-        })
+        Some(Self { counts })
     }
 }
 
@@ -255,6 +188,13 @@ mod tests {
         assert_eq!(c.get(8), 16); // total length
     }
 
+    /// The symbol whose range holds `j`, by a linear scan of the counts.
+    fn symbol_at_by_scan(c: &CArray, j: usize) -> u32 {
+        (0..c.sigma() as u32)
+            .find(|&w| c.symbol_range(w).contains(&j))
+            .expect("j inside the text")
+    }
+
     #[test]
     fn symbol_at_inverts_ranges() {
         let text = paper_text();
@@ -262,7 +202,6 @@ mod tests {
         for w in 0..8u32 {
             for j in c.symbol_range(w) {
                 assert_eq!(c.symbol_at(j), w, "j={j}");
-                assert_eq!(c.symbol_at_binsearch(j), w, "binsearch j={j}");
             }
         }
     }
@@ -275,10 +214,9 @@ mod tests {
         let c = CArray::new(&text, 9);
         let n = *c.raw_counts().last().unwrap() as usize;
         for j in 0..n {
-            assert_eq!(c.symbol_at(j), c.symbol_at_binsearch(j), "j={j}");
+            assert_eq!(c.symbol_at(j), symbol_at_by_scan(&c, j), "j={j}");
         }
-        assert!(c.accel_size_in_bytes() > 0);
-        // Round-tripping through raw counts rebuilds the accelerator.
+        // Round-tripping through raw counts keeps every answer.
         let back = CArray::from_raw_counts(c.raw_counts().to_vec()).unwrap();
         for j in 0..n {
             assert_eq!(back.symbol_at(j), c.symbol_at(j), "j={j}");

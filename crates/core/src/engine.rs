@@ -184,9 +184,7 @@ fn evaluate(backend: &dyn PathQuery, query: &Query) -> QueryOutcome {
                     "extract row {row} out of range (text length {n})"
                 )))
             } else {
-                Ok(QueryValue::Extract(
-                    cinct_fmindex::ExtractIter::new(backend, *row, *len).collect_forward(),
-                ))
+                Ok(QueryValue::Extract(backend.extract(*row, *len)))
             }
         }
     };

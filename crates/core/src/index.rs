@@ -150,7 +150,7 @@ impl CinctIndex {
     }
 
     /// One LF-mapping step from a row on its own: [`CinctIndex::step`]
-    /// after an `O(1)` boundary-rank lookup of the row's context.
+    /// after a binary-search lookup of the row's context.
     #[inline]
     pub fn lf_step(&self, j: usize) -> (Symbol, usize) {
         self.step(j, self.c.symbol_at(j))
@@ -172,13 +172,6 @@ impl CinctIndex {
         let (label, rank) = self.labeled.access_and_rank(j);
         let (w, z) = graph.edge(row, label);
         (w, (self.c.get(w) as i64 + rank as i64 - z) as usize)
-    }
-
-    /// Sub-path extraction (paper Algorithm 4): the `l` text symbols
-    /// preceding position `SA[j]`, i.e. `T[SA[j]-l .. SA[j])`. Eager twin
-    /// of the streaming [`PathQuery::extract_iter`].
-    pub fn extract_encoded(&self, j: usize, l: usize) -> Vec<Symbol> {
-        PathQuery::extract(self, j, l)
     }
 
     /// Recover the `id`-th trajectory (forward edge order) from the
@@ -221,14 +214,13 @@ impl CinctIndex {
     pub fn locate(&self, j: usize) -> Option<usize> {
         let samples = self.samples.as_ref()?;
         let bound = samples.rate.min(self.labeled.len());
-        let (mut j, mut w_prime) = (j, None);
+        let (mut j, mut w_prime) = (j, self.c.symbol_at(j));
         for steps in 0..=bound {
             if samples.marked.get(j) {
                 let k = samples.marked.rank1(j);
                 return Some(samples.values.get(k) as usize + steps);
             }
-            let (w, next) = self.lf_step_after(j, w_prime);
-            (j, w_prime) = (next, Some(w));
+            (w_prime, j) = self.step(j, w_prime);
         }
         panic!("corrupt index: locate met no SA sample in {bound} LF steps");
     }
@@ -245,14 +237,12 @@ impl CinctIndex {
         self.labeled.size_in_bytes() + self.c.size_in_bytes()
     }
 
-    /// Bytes spent on the trajectory directory, optional SA samples and
-    /// the `C`-array's `symbol_at` accelerator — engineering conveniences
-    /// beyond the paper's data structure (which
+    /// Bytes spent on the trajectory directory and optional SA samples —
+    /// engineering conveniences beyond the paper's data structure (which
     /// [`CinctIndex::core_size_in_bytes`] accounts).
     pub fn directory_size_in_bytes(&self) -> usize {
         self.traj_starts.capacity() * 4
             + self.traj_rows.capacity() * 4
-            + self.c.accel_size_in_bytes()
             + self
                 .samples
                 .as_ref()
@@ -404,8 +394,19 @@ impl PathQuery for CinctIndex {
         CinctIndex::lf_step(self, j)
     }
 
-    fn lf_step_after(&self, j: usize, prev: Option<Symbol>) -> (Symbol, usize) {
-        self.step(j, prev.unwrap_or_else(|| self.c.symbol_at(j)))
+    /// Looks up row `j`'s context once, then walks as
+    /// [`CinctIndex::trajectory`] does: each decoded symbol is the next
+    /// step's context.
+    fn extract(&self, j: usize, l: usize) -> Vec<Symbol> {
+        let (mut row, mut w_prime) = (j, self.c.symbol_at(j));
+        let mut out: Vec<Symbol> = (0..l)
+            .map(|_| {
+                (w_prime, row) = self.step(row, w_prime);
+                w_prime
+            })
+            .collect();
+        out.reverse();
+        out
     }
 
     fn occurrences(&self, path: &Path) -> Result<cinct_fmindex::OccurIter<'_>, QueryError> {
@@ -502,11 +503,7 @@ mod tests {
         let n = ts.len();
         for j in 0..n {
             for l in [1usize, 2, 4] {
-                assert_eq!(
-                    idx.extract_encoded(j, l),
-                    reference.extract(j, l),
-                    "j={j} l={l}"
-                );
+                assert_eq!(idx.extract(j, l), reference.extract(j, l), "j={j} l={l}");
             }
         }
     }
@@ -532,6 +529,25 @@ mod tests {
         let samples = idx.samples.as_mut().expect("locate enabled");
         samples.marked = RankBitVec::new(cinct_succinct::BitBuf::zeros(samples.marked.len()));
         let _ = idx.locate(3);
+    }
+
+    #[test]
+    fn a_forged_first_count_is_refused_on_open() {
+        // `C[0]` counts the symbols smaller than 0, so it is 0. Set to 1,
+        // it would make every context lookup of row 0 underflow.
+        let idx = CinctBuilder::new()
+            .locate_sampling(4)
+            .build(&paper_trajs(), 6);
+        let mut bytes = Vec::new();
+        idx.write_to(&mut bytes).unwrap();
+        // Header word, count of `C` words (σ + 1), then `C[0]`.
+        let word = |k: usize| u64::from_le_bytes(bytes[8 * k..8 * k + 8].try_into().unwrap());
+        assert_eq!((word(1), word(2)), (idx.sigma() as u64 + 1, 0));
+        bytes[16] = 1;
+        assert!(matches!(
+            CinctIndex::read_from(&mut &bytes[..]),
+            Err(QueryError::CorruptIndex(_))
+        ));
     }
 
     #[test]
@@ -709,9 +725,9 @@ mod tests {
     }
 
     /// `idx`, built over `trajs`, against repeated single `lf_step` calls:
-    /// every `trajectory`, an `ExtractIter` walk of `walk` symbols from
-    /// every row, and every `locate`, which must also give the naive
-    /// suffix array's answer.
+    /// every `trajectory`, an `extract` of `walk` symbols from every row
+    /// (reversed into walk order), and every `locate`, which must also
+    /// give the naive suffix array's answer.
     fn check_walks(idx: &CinctIndex, trajs: &[Vec<u32>], n_edges: usize, walk: usize) {
         let n = idx.text_len();
         let single: Vec<(Symbol, usize)> = (0..n).map(|j| idx.lf_step(j)).collect();
@@ -734,7 +750,8 @@ mod tests {
         let sa = cinct_bwt::sais::naive_suffix_array(ts.text());
         let samples = idx.samples.as_ref().expect("locate enabled");
         for j in 0..n {
-            let got: Vec<Symbol> = idx.extract_iter(j, walk.min(n)).collect();
+            let mut got = idx.extract(j, walk.min(n));
+            got.reverse();
             assert_eq!(got, single_steps(j, walk.min(n)), "walk from row {j}");
             let (mut row, mut steps) = (j, 0);
             while !samples.marked.get(row) {
@@ -769,7 +786,7 @@ mod tests {
                     check_walks(sharded.shard_index(s), &local, n_edges, walk);
                 }
                 // Walks in the sharded corpus's global row space, which
-                // forwards each step to the shard checked above.
+                // hands each walk to the shard checked above.
                 for j in (0..sharded.text_len()).step_by(7) {
                     let mut row = j;
                     let want: Vec<Symbol> = (0..walk)
@@ -779,7 +796,8 @@ mod tests {
                             w
                         })
                         .collect();
-                    let got: Vec<Symbol> = sharded.extract_iter(j, walk).collect();
+                    let mut got = sharded.extract(j, walk);
+                    got.reverse();
                     assert_eq!(got, want, "rate {rate}, global row {j}");
                 }
             }

@@ -149,4 +149,4 @@ pub use wal::{Wal, WalRead, WalRecord, MAX_RECORD_BYTES};
 
 // The unified query surface lives in `cinct_fmindex` (below every backend
 // in the dependency graph); re-export it so `use cinct::PathQuery` works.
-pub use cinct_fmindex::{ExtractIter, OccurIter, OccurrenceSource, Path, PathQuery};
+pub use cinct_fmindex::{OccurIter, OccurrenceSource, Path, PathQuery};

@@ -35,9 +35,10 @@
 //!
 //! BWT row spaces are per-shard; `ShardedCinct` exposes them as one
 //! *concatenated* global row space (shard `s` owns rows
-//! `[bases[s], bases[s+1])`), in which [`PathQuery::lf_step`] and
-//! therefore extraction walks work unchanged — an LF step never leaves
-//! its shard. A path's suffix *range*, however, is one contiguous
+//! `[bases[s], bases[s+1])`). An LF step never leaves its shard, so
+//! [`PathQuery::lf_step`] delegates a row to its owning shard, and
+//! [`PathQuery::extract`] finds that shard once and hands it the whole
+//! walk. A path's suffix *range*, however, is one contiguous
 //! interval per shard and cannot be a single global interval; the sharded
 //! [`PathQuery::range`] therefore returns a **multiplicity-preserving
 //! virtual range** `Some(0..count)` (or `None` when the path is absent)
@@ -814,18 +815,18 @@ impl PathQuery for ShardedCinct {
     }
 
     /// One LF step in the **global row space** (see the module docs): the
-    /// row is delegated to its owning shard and the successor re-offset,
-    /// so extraction walks behave exactly as on a monolithic index.
+    /// row is delegated to its owning shard and the successor re-offset.
     fn lf_step(&self, j: usize) -> (Symbol, usize) {
-        self.lf_step_after(j, None)
+        let (s, local) = self.locate_row(j);
+        let (symbol, next) = self.shards[s].index.lf_step(local);
+        (symbol, self.bases[s] + next)
     }
 
-    /// An LF step never leaves its shard, so a walk's previous symbol is
-    /// the context in the shard's own row space too.
-    fn lf_step_after(&self, j: usize, prev: Option<Symbol>) -> (Symbol, usize) {
+    /// A walk never leaves its shard: the owning shard extracts it from
+    /// the row's local position, exactly as a monolithic index would.
+    fn extract(&self, j: usize, l: usize) -> Vec<Symbol> {
         let (s, local) = self.locate_row(j);
-        let (symbol, next) = self.shards[s].index.lf_step_after(local, prev);
-        (symbol, self.bases[s] + next)
+        self.shards[s].index.extract(local, l)
     }
 
     fn occurrences(&self, path: &Path) -> Result<OccurIter<'_>, QueryError> {

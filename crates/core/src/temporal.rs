@@ -19,7 +19,7 @@
 
 use crate::builder::CinctBuilder;
 use crate::index::CinctIndex;
-use cinct_fmindex::{OccurIter, OccurrenceSource, Path, PathQuery, QueryError};
+use cinct_fmindex::{OccurIter, Path, PathQuery, QueryError};
 use cinct_succinct::{IntVec, SpaceUsage, Symbol};
 use std::ops::Range;
 
@@ -259,18 +259,12 @@ impl PathQuery for TemporalCinct {
         self.index.lf_step(j)
     }
 
-    fn lf_step_after(&self, j: usize, prev: Option<Symbol>) -> (Symbol, usize) {
-        self.index.lf_step_after(j, prev)
+    fn extract(&self, j: usize, l: usize) -> Vec<Symbol> {
+        self.index.extract(j, l)
     }
 
     fn occurrences(&self, path: &Path) -> Result<OccurIter<'_>, QueryError> {
         self.index.occurrences(path)
-    }
-}
-
-impl OccurrenceSource for TemporalCinct {
-    fn resolve_row(&self, j: usize, path_len: usize) -> (usize, usize) {
-        self.index.resolve_row(j, path_len)
     }
 }
 

@@ -4,9 +4,8 @@
 //! search follows the paper's Algorithm 1 (`SearchFM`), and sub-path
 //! extraction follows the LF-mapping walk of Algorithm 4 (without the RML
 //! decoding steps, which belong to CiNCT). All query traffic goes through
-//! the unified [`PathQuery`] trait; the encoded-pattern primitives
-//! ([`FmIndex::suffix_range`], [`FmIndex::extract_encoded`]) stay public
-//! for reference-oracle tests.
+//! the unified [`PathQuery`] trait; the encoded-pattern primitive
+//! [`FmIndex::suffix_range`] stays public for reference-oracle tests.
 
 use crate::query::{Path, PathQuery};
 use cinct_bwt::{bwt_from_sa, suffix_array, CArray};
@@ -92,12 +91,6 @@ impl<S: SymbolSeq> FmIndex<S> {
     /// [`PathQuery::range`] over a forward [`Path`].
     pub fn suffix_range(&self, pattern: &[Symbol]) -> Option<Range<usize>> {
         self.backward_search(pattern.iter().rev().copied())
-    }
-
-    /// Eager extraction of the `l` text symbols ending at `SA[j]` — the
-    /// encoded-level twin of [`PathQuery::extract`].
-    pub fn extract_encoded(&self, j: usize, l: usize) -> Vec<Symbol> {
-        PathQuery::extract(self, j, l)
     }
 }
 
@@ -268,10 +261,6 @@ mod tests {
             for l in 1..=4usize.min(i) {
                 let got = idx.extract(j, l);
                 assert_eq!(&got[..], &ts.text()[i - l..i], "j={j} l={l}");
-                // The streaming iterator yields the same symbols in
-                // LF-walk (reverse text) order.
-                let streamed: Vec<u32> = idx.extract_iter(j, l).collect();
-                assert!(streamed.iter().rev().eq(got.iter()), "j={j} l={l}");
             }
         }
     }
@@ -284,14 +273,5 @@ mod tests {
         let n = ts.len();
         let got = idx.extract(0, n - 1);
         assert_eq!(&got[..], &ts.text()[..n - 1]);
-    }
-
-    #[test]
-    fn extract_iter_is_lazy_and_sized() {
-        let (_, idx) = paper_index();
-        let mut it = idx.extract_iter(0, 5);
-        assert_eq!(it.len(), 5);
-        it.next();
-        assert_eq!(it.len(), 4);
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! All of them — and `CinctIndex` / `TemporalCinct` in the `cinct` crate —
 //! answer queries through one trait, [`PathQuery`]: counting, suffix
-//! ranges, streaming occurrence listing, and streaming extraction, over
+//! ranges, streaming occurrence listing, and sub-path extraction, over
 //! forward [`Path`]s of edge IDs. Failures are typed ([`QueryError`]);
 //! "path not present" is a normal non-error result.
 //!
@@ -39,9 +39,8 @@
 //!     index.try_range(Path::new(&[99])),
 //!     Err(QueryError::UnknownEdge { edge: 99, n_edges: 6 })
 //! );
-//! // Streaming extraction: symbols of an LF walk, one per step.
-//! let walk: Vec<u32> = index.extract_iter(0, 4).collect();
-//! assert_eq!(walk.len(), 4);
+//! // Extraction: the 4 text symbols before row 0's suffix, by LF walk.
+//! assert_eq!(index.extract(0, 4), &ts.text()[ts.len() - 5..ts.len() - 1]);
 //! ```
 
 pub mod ap;
@@ -54,7 +53,7 @@ pub use ap::AlphabetPartitionSeq;
 pub use error::QueryError;
 pub use fm::{FmIndex, SymbolSeqFromBwt};
 pub use gmr::PositionListSeq;
-pub use query::{ExtractIter, OccurIter, OccurSegment, OccurrenceSource, Path, PathQuery};
+pub use query::{OccurIter, OccurSegment, OccurrenceSource, Path, PathQuery};
 
 use cinct_succinct::{HuffmanWaveletTree, RankBitVec, RrrBitVec, WaveletMatrix};
 

@@ -8,15 +8,13 @@
 //!
 //! * [`PathQuery`] — counting/range queries over a forward [`Path`] of
 //!   edge IDs, streaming occurrence listing ([`PathQuery::occurrences`]),
-//!   and streaming extraction ([`PathQuery::extract_iter`]). Implemented by
+//!   and sub-path extraction ([`PathQuery::extract`]). Implemented by
 //!   `CinctIndex`, the five Table-II baselines ([`crate::Ufmi`],
 //!   [`crate::IcbWm`], [`crate::IcbHuff`], [`crate::FmGmr`],
 //!   [`crate::FmApHyb`]), and `TemporalCinct`.
 //! * [`OccurIter`] — a lazy iterator over `(trajectory, offset)` matches,
 //!   driven row-by-row by sampled-suffix-array walks: no intermediate
 //!   `Vec` is ever materialized.
-//! * [`ExtractIter`] — a lazy iterator over the symbols of an LF-mapping
-//!   walk, one symbol per step.
 //!
 //! Error semantics: "path not present" is **not** an error (`None` /
 //! an empty iterator); see [`crate::error`] for what is.
@@ -107,7 +105,7 @@ impl AsRef<Path> for Vec<u32> {
 ///
 /// Required methods are the index primitives (text length, alphabet,
 /// suffix range, one LF step); everything else — counting, validation,
-/// streaming occurrence and extraction iterators — is provided on top.
+/// occurrence streaming and extraction — is provided on top.
 /// The trait is object-safe: the batch `QueryEngine` and the bench
 /// harness drive all backends through `&dyn PathQuery`.
 ///
@@ -130,17 +128,6 @@ pub trait PathQuery: Send + Sync {
 
     /// One LF-mapping step from BWT row `j`: `(T_bwt[j], LF(j))`.
     fn lf_step(&self, j: usize) -> (Symbol, usize);
-
-    /// [`PathQuery::lf_step`] from a row `j` that the previous step of the
-    /// same walk reached by decoding `prev` (`None` on a walk's first
-    /// step). Row `LF(j′)` begins with `T_bwt[j′]`, so `prev` is the first
-    /// symbol of row `j`: an index that needs a row's context may take it
-    /// from here instead of looking it up. The default ignores it.
-    /// [`ExtractIter`] steps through this.
-    fn lf_step_after(&self, j: usize, prev: Option<Symbol>) -> (Symbol, usize) {
-        let _ = prev;
-        self.lf_step(j)
-    }
 
     /// Number of occurrences of the path across all trajectories.
     fn count(&self, path: &Path) -> usize {
@@ -187,24 +174,21 @@ pub trait PathQuery: Send + Sync {
         Err(QueryError::LocateUnsupported)
     }
 
-    /// Stream the `l` text symbols preceding position `SA[j]`, one per
-    /// LF step — i.e. `T[SA[j]-l .. SA[j])` in **reverse text order** (the
-    /// walk moves backward through the text). [`PathQuery::extract`]
-    /// collects the forward order.
-    fn extract_iter(&self, j: usize, l: usize) -> ExtractIter<'_>
-    where
-        Self: Sized,
-    {
-        ExtractIter::new(self, j, l)
-    }
-
-    /// Eager extraction in forward text order: `T[SA[j]-l .. SA[j])`
-    /// (paper Algorithm 4).
-    fn extract(&self, j: usize, l: usize) -> Vec<Symbol>
-    where
-        Self: Sized,
-    {
-        self.extract_iter(j, l).collect_forward()
+    /// Sub-path extraction (paper Algorithm 4): the `l` text symbols
+    /// preceding position `SA[j]`, i.e. `T[SA[j]-l .. SA[j])` in forward
+    /// text order. The default walks `l` [`PathQuery::lf_step`]s backward
+    /// from row `j` and reverses what they decoded; an index whose step
+    /// needs the row's context overrides it to look that up once per walk.
+    fn extract(&self, j: usize, l: usize) -> Vec<Symbol> {
+        let mut out = Vec::with_capacity(l);
+        let mut row = j;
+        for _ in 0..l {
+            let (w, next) = self.lf_step(row);
+            out.push(w);
+            row = next;
+        }
+        out.reverse();
+        out
     }
 
     /// Index size in bits per indexed symbol (the y-axis of paper Fig. 10).
@@ -212,61 +196,6 @@ pub trait PathQuery: Send + Sync {
         self.size_in_bytes() as f64 * 8.0 / self.text_len() as f64
     }
 }
-
-/// Streaming sub-path extraction: yields one symbol per LF step, walking
-/// backward from `SA[j]`. Created by [`PathQuery::extract_iter`].
-pub struct ExtractIter<'a> {
-    index: &'a dyn PathQuery,
-    row: usize,
-    remaining: usize,
-    /// The symbol the previous step decoded: the context of `row`.
-    prev: Option<Symbol>,
-}
-
-impl<'a> ExtractIter<'a> {
-    /// Start an `l`-symbol walk at BWT row `j`.
-    pub fn new(index: &'a (dyn PathQuery + 'a), j: usize, l: usize) -> Self {
-        ExtractIter {
-            index,
-            row: j,
-            remaining: l,
-            prev: None,
-        }
-    }
-
-    /// The BWT row the next LF step will read (exposes the walk state for
-    /// callers that alternate extraction with other row-space queries).
-    pub fn row(&self) -> usize {
-        self.row
-    }
-
-    /// Drain the walk and return the symbols in forward text order.
-    pub fn collect_forward(self) -> Vec<Symbol> {
-        let mut out: Vec<Symbol> = self.collect();
-        out.reverse();
-        out
-    }
-}
-
-impl Iterator for ExtractIter<'_> {
-    type Item = Symbol;
-
-    fn next(&mut self) -> Option<Symbol> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let (symbol, next_row) = self.index.lf_step_after(self.row, self.prev);
-        (self.row, self.prev) = (next_row, Some(symbol));
-        Some(symbol)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for ExtractIter<'_> {}
 
 /// Row-to-occurrence resolution — the locate half of an index. Implemented
 /// by backends with SA samples and a trajectory directory (`CinctIndex`);

@@ -130,7 +130,7 @@ proptest! {
         let i = sa[j] as usize;
         let l = l.min(i);
         if l > 0 {
-            prop_assert_eq!(&idx.extract_encoded(j, l)[..], &ts.text()[i - l..i]);
+            prop_assert_eq!(&idx.extract(j, l)[..], &ts.text()[i - l..i]);
         }
     }
 

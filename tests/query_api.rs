@@ -6,7 +6,7 @@
 use cinct::engine::{Query, QueryEngine, QueryValue};
 use cinct::{CinctBuilder, CinctIndex, Path, PathQuery, QueryError};
 use cinct_bwt::TrajectoryString;
-use cinct_fmindex::{ExtractIter, FmApHyb, FmGmr, IcbHuff, IcbWm, Ufmi};
+use cinct_fmindex::{FmApHyb, FmGmr, IcbHuff, IcbWm, Ufmi};
 
 fn corpus() -> (Vec<Vec<u32>>, usize) {
     // Deterministic pseudo-random trajectories over a sparse ET-graph.
@@ -89,17 +89,13 @@ fn six_backends_one_trait() {
             assert_eq!(b.range(p), ref_range, "{name} range, path {path:?}");
         }
     }
-    // Extraction agrees across backends at arbitrary rows/lengths, via the
-    // streaming iterator over `&dyn PathQuery`.
+    // Extraction agrees across backends at arbitrary rows/lengths, through
+    // `&dyn PathQuery`.
     let n = reference.text_len();
     for j in (0..n).step_by(97) {
-        let expected = ExtractIter::new(reference.as_ref(), j, 6).collect_forward();
+        let expected = reference.extract(j, 6);
         for (name, b) in &backends[1..] {
-            assert_eq!(
-                ExtractIter::new(b.as_ref(), j, 6).collect_forward(),
-                expected,
-                "{name} extract at row {j}"
-            );
+            assert_eq!(b.extract(j, 6), expected, "{name} extract at row {j}");
         }
     }
 }
@@ -211,6 +207,10 @@ fn temporal_index_is_a_backend_too() {
     for path in probe_paths(&trajs).into_iter().take(10) {
         let p = Path::new(&path);
         assert_eq!(temporal.count(p), spatial.count(p), "path {path:?}");
+    }
+    // The temporal walk is the spatial one.
+    for j in (0..spatial.text_len()).step_by(13) {
+        assert_eq!(temporal.extract(j, 6), spatial.extract(j, 6), "row {j}");
     }
     // And through the engine, occurrences included.
     let report = QueryEngine::new(&temporal).run(&[Query::occurrences(&trajs[0][..2])]);
