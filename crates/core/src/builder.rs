@@ -180,13 +180,7 @@ impl CinctBuilder {
         trajectories: &[Vec<u32>],
         n_edges: usize,
     ) -> (CinctIndex, ConstructionTimings) {
-        let t0 = Instant::now();
-        let ts = TrajectoryString::build(trajectories, n_edges);
-        let ingest = t0.elapsed();
-        crate::metrics::record_ingest(ingest);
-        let (index, mut timings) = self.build_from_trajectory_string(&ts, n_edges);
-        timings.ingest = ingest;
-        (index, timings)
+        self.build_streamed(trajectories, n_edges)
     }
 
     /// Build from a **stream** of trajectories: edge sequences are folded
@@ -317,7 +311,7 @@ impl CinctBuilder {
             n_network_edges: n_edges,
         };
         // Every build funnels through here (owned, streamed, per-shard).
-        // `ingest` is recorded by build_timed/build_streamed, which know it.
+        // `ingest` is recorded by build_streamed, which knows it.
         crate::metrics::record_build(&timings);
         (index, timings)
     }

@@ -183,6 +183,11 @@ fn evaluate(backend: &dyn PathQuery, query: &Query) -> QueryOutcome {
                 Err(QueryError::InvalidInput(format!(
                     "extract row {row} out of range (text length {n})"
                 )))
+            } else if *len > n {
+                // `extract` reserves `len` symbols up front.
+                Err(QueryError::InvalidInput(format!(
+                    "extract length {len} exceeds the text length {n}"
+                )))
             } else {
                 Ok(QueryValue::Extract(backend.extract(*row, *len)))
             }
@@ -335,12 +340,13 @@ mod tests {
         let engine = QueryEngine::new(&idx);
         let report = engine.run(&[
             Query::count(&[0, 1]),
-            Query::count(&[42]),               // unknown edge
-            Query::occurrences(&[0]),          // no locate support
-            Query::extract(idx.text_len(), 3), // row out of range
+            Query::count(&[42]),                   // unknown edge
+            Query::occurrences(&[0]),              // no locate support
+            Query::extract(idx.text_len(), 3),     // row out of range
+            Query::extract(0, idx.text_len() + 1), // length out of range
             Query::count(&[1, 2]),
         ]);
-        assert_eq!(report.errors(), 3);
+        assert_eq!(report.errors(), 4);
         assert_eq!(report.outcomes[0].value, Ok(QueryValue::Count(2)));
         assert_eq!(
             report.outcomes[1].value,
@@ -350,11 +356,10 @@ mod tests {
             })
         );
         assert_eq!(report.outcomes[2].value, Err(QueryError::LocateUnsupported));
-        assert!(matches!(
-            report.outcomes[3].value,
-            Err(QueryError::InvalidInput(_))
-        ));
-        assert_eq!(report.outcomes[4].value, Ok(QueryValue::Count(2)));
+        for bad in &report.outcomes[3..5] {
+            assert!(matches!(bad.value, Err(QueryError::InvalidInput(_))));
+        }
+        assert_eq!(report.outcomes[5].value, Ok(QueryValue::Count(2)));
     }
 
     #[test]

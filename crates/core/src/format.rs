@@ -25,14 +25,15 @@ pub(crate) struct Format {
 
 // Version history. Index: 5 added a raw-or-RRR flag per RRR group, 4
 // dropped the ET-graph's bigram counts and the labeling tag, 3 renumbered
-// RRR offsets by the split block code, 2 dropped the RRR sample arrays. Manifest: 5 records each shard file's
-// length and derives its name and trajectory count, 4 moved every
-// checksum to `checksum64`, 3 added pruning blocks, 2 the absorbed WAL
-// position. Snapshot: 3 is the manifest and the files it names, back to
-// back; 2 framed them itself. WAL: 3 moved record checksums to
-// `checksum64`, 2 made segments position-addressed.
+// RRR offsets by the split block code, 2 dropped the RRR sample arrays.
+// Manifest: 6 stores each pruning block as its bitset words alone, 5
+// records each shard file's length and derives its name and trajectory
+// count, 4 moved every checksum to `checksum64`, 3 added pruning blocks,
+// 2 the absorbed WAL position. Snapshot: 3 is the manifest and the files
+// it names, back to back; 2 framed them itself. WAL: 3 moved record
+// checksums to `checksum64`, 2 made segments position-addressed.
 pub(crate) const INDEX: Format = Format::new(0x4349_4e43_5431_0000, 5, "index");
-pub(crate) const MANIFEST: Format = Format::new(0x4349_4e43_5453_0000, 5, "shard manifest");
+pub(crate) const MANIFEST: Format = Format::new(0x4349_4e43_5453_0000, 6, "shard manifest");
 pub(crate) const SNAPSHOT: Format = Format::new(0x4349_4e43_534e_0000, 3, "snapshot");
 pub(crate) const WAL: Format = Format::new(0x4349_4e43_574c_0000, 3, "WAL");
 

@@ -136,7 +136,7 @@ pub use engine::{BatchReport, Query, QueryEngine, QueryOutcome, QueryValue};
 pub use error::QueryError;
 pub use et_graph::EtGraph;
 pub use index::CinctIndex;
-pub use prune::{EdgeMembership, ShardPruning};
+pub use prune::ShardPruning;
 pub use rml::{LabelingStrategy, Rml};
 pub use shard::{PreparedBatch, QuarantinedShard, ShardPartition, ShardedBuilder, ShardedCinct};
 pub use stats::DatasetStats;

@@ -279,7 +279,7 @@ fn ns(d: Duration) -> u64 {
 ///
 /// Ingest is **not** recorded here: at the pipeline funnel
 /// (`build_from_trajectory_string`) it is still zero — the entry points
-/// that measure ingest (`build_timed`, `build_streamed`) sample
+/// that measure ingest (`build_streamed`, behind `build_timed`) sample
 /// [`BuildMetrics::ingest_ns`] themselves.
 pub fn record_build(t: &ConstructionTimings) {
     let m = build();

@@ -16,13 +16,12 @@
 //!   [`cinct_fmindex::OccurIter::fan_out`] with each shard's local IDs
 //!   remapped to the global namespace, so results are comparable
 //!   element-for-element with a monolithic index over the same corpus.
-//! * **Pruned fan-out** — every shard carries [`crate::prune`] metadata
-//!   (edge membership + owned global-ID span), derived at construction
-//!   and persisted in the manifest. Pattern labels are resolved **once
-//!   per query** against the corpus-level membership union, then shards
-//!   whose membership rules out any pattern edge are skipped without a
-//!   backward search — outcome-identical, just cheaper (see
-//!   [`ShardedCinct::shard_ranges`]).
+//! * **Pruned fan-out** — every shard carries an exact edge-membership
+//!   bitset ([`crate::prune`]), derived at construction and persisted in
+//!   the manifest. Pattern labels are resolved **once per query** against
+//!   the corpus-level membership union, then shards whose membership
+//!   rules out any pattern edge are skipped without a backward search —
+//!   outcome-identical, just cheaper (see [`ShardedCinct::shard_ranges`]).
 //! * **Incremental ingest** — [`ShardedCinct::append_batch`] seals a new
 //!   batch of trajectories into a fresh shard (no existing shard is
 //!   touched); [`ShardedCinct::compact`] re-balances back down to a
@@ -73,7 +72,7 @@
 
 use crate::builder::{validate_corpus, CinctBuilder};
 use crate::index::CinctIndex;
-use crate::prune::{EdgeMembership, ShardPruning};
+use crate::prune::ShardPruning;
 use crate::rml::LabelingStrategy;
 use cinct_bwt::SYMBOL_OFFSET;
 use cinct_fmindex::{OccurIter, OccurSegment, Path, PathQuery, QueryError};
@@ -119,9 +118,9 @@ pub(crate) struct Shard {
     pub(crate) index: CinctIndex,
     /// `globals[local_id] = global_id`.
     pub(crate) globals: Vec<u32>,
-    /// Pruning metadata: edge membership + owned global-ID span (see
-    /// [`crate::prune`]). Derived from the index at every construction
-    /// site, or restored from the manifest.
+    /// Which edges the shard contains (see [`crate::prune`]). Derived
+    /// from the index at every construction site, or restored from the
+    /// manifest.
     pub(crate) pruning: ShardPruning,
 }
 
@@ -321,7 +320,7 @@ fn build_shards(
         .zip(members)
         .map(|(idx, m)| {
             let index = idx.expect("every shard slot filled");
-            let pruning = ShardPruning::derive(&index, n_edges, m);
+            let pruning = ShardPruning::derive(&index, n_edges);
             Shard {
                 index,
                 globals: m.clone(),
@@ -377,9 +376,9 @@ pub struct ShardedCinct {
     /// instant-miss check: a pattern edge absent here is absent from
     /// every shard, so the whole fan-out short-circuits to `None`
     /// without touching a single shard.
-    prune_union: EdgeMembership,
-    /// Whether fan-outs consult pruning metadata (default on; benches
-    /// flip it off to measure the unpruned fan-out tax).
+    prune_union: ShardPruning,
+    /// Whether fan-outs consult pruning metadata (default on; the tests
+    /// flip it off for their reference fan-out).
     prune_enabled: bool,
     /// Shards a resilient open excluded (empty for a healthy corpus).
     /// Their global IDs are holes in `lookup`.
@@ -457,9 +456,11 @@ impl ShardedCinct {
         for shard in &shards {
             bases.push(bases.last().unwrap() + shard.index.text_len());
         }
-        let mut prune_union = EdgeMembership::for_alphabet(n_edges);
+        // Folded from the shards' own words, never sized from `n_edges`:
+        // an empty corpus has an empty union whatever its manifest claims.
+        let mut prune_union = ShardPruning::default();
         for shard in &shards {
-            prune_union.union_with(shard.pruning.membership());
+            prune_union.union_with(&shard.pruning);
         }
         Ok(ShardedCinct {
             shards,
@@ -584,9 +585,8 @@ impl ShardedCinct {
 
     /// Enable or disable shard pruning for fan-out queries (default:
     /// enabled). Pruning is outcome-identical either way — a pruned
-    /// shard's backward search would have returned `None` — so this is a
-    /// measurement knob: benches flip it off to record the unpruned
-    /// fan-out tax the metadata saves.
+    /// shard's backward search would have returned `None` — so the
+    /// unpruned fan-out is the tests' reference for the pruned one.
     pub fn set_pruning(&mut self, enabled: bool) {
         self.prune_enabled = enabled;
     }
@@ -596,20 +596,10 @@ impl ShardedCinct {
         self.prune_enabled
     }
 
-    /// The `s`-th shard's pruning metadata (edge membership + global-ID
-    /// span) — what the fan-out's skip decisions are made from.
+    /// The `s`-th shard's edge membership — what the fan-out's skip
+    /// decisions are made from.
     pub fn shard_pruning(&self, s: usize) -> &ShardPruning {
         &self.shards[s].pruning
-    }
-
-    /// The global trajectory-ID span `(first, last)` shard `s` owns —
-    /// the manifest-level routing hint for ID-constrained lookups.
-    /// (`lookup` already routes point lookups O(1); the span is what the
-    /// manifest persists so a future lazy open can route without loading
-    /// the column.)
-    pub fn shard_id_span(&self, s: usize) -> (u32, u32) {
-        let p = &self.shards[s].pruning;
-        (p.min_global(), p.max_global())
     }
 
     /// Why shard `s` would be skipped for `path`, if it would: the first
@@ -663,7 +653,7 @@ impl ShardedCinct {
         let m = crate::metrics::shard();
         m.fanout_queries.inc();
         let k = self.shards.len() as u64;
-        if self.prune_enabled && path.edges().iter().any(|&e| !self.prune_union.contains(e)) {
+        if self.prune_enabled && self.prune_union.rules_out(path).is_some() {
             // Corpus-level instant miss: some pattern edge occurs in no
             // shard at all, so every per-shard search would return None.
             m.fanout_union_rejects.inc();
@@ -736,8 +726,8 @@ impl ShardedCinct {
         self.lookup.extend((0..len).map(|l| (s, l as u32)));
         self.bases
             .push(self.bases.last().unwrap() + index.text_len());
-        let pruning = ShardPruning::derive(&index, self.n_edges, &globals);
-        self.prune_union.union_with(pruning.membership());
+        let pruning = ShardPruning::derive(&index, self.n_edges);
+        self.prune_union.union_with(&pruning);
         self.shards.push(Shard {
             index,
             globals,
@@ -1151,41 +1141,15 @@ mod tests {
         // Appends keep the metadata (and the union) current.
         sharded.append_batch(&[vec![2, 3]]).unwrap();
         assert_eq!(sharded.pruned_edge(2, Path::new(&[2, 3])), None);
-        assert_eq!(sharded.shard_id_span(2), (4, 4));
+        assert_eq!(sharded.pruned_edge(2, Path::new(&[0, 1])), Some(0));
         assert_eq!(sharded.count(Path::new(&[2, 3])), 1);
-        // Compaction re-derives spans and membership for the new layout.
+        // Compaction re-derives membership for the new layout.
         sharded.compact(2).unwrap();
         for s in 0..sharded.num_shards() {
-            let (lo, hi) = sharded.shard_id_span(s);
-            for &g in sharded.shard_globals(s) {
-                assert!(sharded.shard_pruning(s).may_own_id(g));
-                assert!(lo <= g && g <= hi);
-            }
+            let derived = ShardPruning::derive(sharded.shard_index(s), 6);
+            assert_eq!(sharded.shard_pruning(s), &derived, "shard {s}");
         }
         assert_eq!(sharded.count(Path::new(&[2, 3])), 1);
-    }
-
-    #[test]
-    fn shard_id_spans_cover_ownership() {
-        let trajs = synthetic_trajs(30, 15, 7);
-        for partition in [ShardPartition::RoundRobin, ShardPartition::SizeBalanced] {
-            let sharded = ShardedBuilder::new()
-                .shards(4)
-                .partition(partition)
-                .build(&trajs, 15);
-            for s in 0..sharded.num_shards() {
-                let (lo, hi) = sharded.shard_id_span(s);
-                let globals = sharded.shard_globals(s);
-                assert_eq!(lo, *globals.iter().min().unwrap());
-                assert_eq!(hi, *globals.iter().max().unwrap());
-            }
-            // The span routes every owned ID to (possibly) this shard and
-            // definitively rules out IDs outside it.
-            for g in 0..trajs.len() as u32 {
-                let (owner, _) = sharded.shard_of(g as usize);
-                assert!(sharded.shard_pruning(owner).may_own_id(g));
-            }
-        }
     }
 
     #[test]

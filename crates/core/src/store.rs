@@ -5,10 +5,11 @@
 //!
 //! ```text
 //! corpus.cinct/                    a sharded index is a directory
-//!   manifest.cinct                 format v5:
+//!   manifest.cinct                 format v6:
 //!     [header word][absorbed WAL position][network edges][6 config words]
 //!     [shard count], then per shard:
-//!     [file length][file checksum64][global-ID column][pruning block]
+//!     [file length][file checksum64][global-ID column]
+//!     [⌈network edges / 64⌉ edge-membership words]
 //!     [checksum64 of everything above]
 //!   shard-00000-<checksum>.cinct   CinctIndex (the format of write_to)
 //!   shard-00001-<checksum>.cinct
@@ -19,18 +20,18 @@
 //!
 //! The absorbed WAL position is [`ShardedCinct::save_dir_at`]'s stamp; the
 //! configuration lets [`ShardedCinct::append_batch`] after reopening build
-//! new shards identically; a pruning block is the edge-membership structure
-//! and owned global-ID span the fan-out skips shards with
-//! ([`crate::prune`]). The rest is derived: a shard's file name is
+//! new shards identically; the membership words are the exact bitset the
+//! fan-out skips shards with ([`crate::prune`]), and their count follows
+//! from the network size, so a block of the wrong length moves the seal.
+//! The rest is derived: a shard's file name is
 //! [`shard_file_name`]`(slot, checksum)`, its trajectory count the length
 //! of its ID column, the corpus's their sum. The trailing [`checksum64`]
 //! catches truncation or bit rot anywhere in the manifest before any field
 //! is trusted, and each shard file is checked against its recorded
 //! checksum before it is parsed; a snapshot has no field of its own, so
-//! every byte of it is covered the same way. A pruning block that
-//! disagrees with its shard's ID column is re-derived, exactly, from the
-//! shard's `C` array. The `format` module owns every header and seal; any
-//! other version is refused by number, so an older directory is rebuilt.
+//! every byte of it is covered the same way. The `format` module owns
+//! every header and seal; any other version is refused by number, so an
+//! older directory is rebuilt.
 //!
 //! # Failure taxonomy (no panics)
 //!
@@ -192,7 +193,7 @@ impl Manifest {
                 len: read_usize(r)?,
                 checksum: read_u64(r)?,
                 globals: Persist::restore(r)?,
-                pruning: ShardPruning::restore(r)?,
+                pruning: ShardPruning::restore(r, m.n_edges)?,
             });
         }
         Ok(m)
@@ -481,7 +482,7 @@ impl ShardedCinct {
         for (s, entry) in manifest.shards.into_iter().enumerate() {
             let file = shard_file_name(s, entry.checksum);
             let trajectories = entry.globals.len();
-            match load_shard(dir, s, &file, entry, n_edges, &mut seen) {
+            match load_shard(dir, s, &file, entry, &mut seen) {
                 Ok(shard) => shards.push(shard),
                 Err(e) if mode == OpenMode::Resilient => {
                     crate::metrics::store().quarantined.inc();
@@ -515,17 +516,11 @@ impl ShardedCinct {
 /// Load + fully validate one shard: namespace claims against `seen`,
 /// then its file `file` (checksum before parse). Marks `seen` only on
 /// success so a rejected shard leaves no namespace footprint.
-///
-/// The manifest's pruning block is trusted only after a shape + ID-span
-/// sanity check, and re-derived from the loaded index otherwise
-/// (derivation is exact, so a mismatched block costs O(σ) per shard,
-/// never correctness).
 fn load_shard(
     dir: &FsPath,
     s: usize,
     file: &str,
     entry: ManifestShard,
-    n_edges: usize,
     seen: &mut [bool],
 ) -> Result<Shard, QueryError> {
     let globals = entry.globals;
@@ -565,18 +560,11 @@ fn load_shard(
         CinctIndex::read_from(&mut Cursor::new(sbytes))
     })();
     match loaded {
-        Ok(index) => {
-            let pruning = if entry.pruning.matches(n_edges, &globals) {
-                entry.pruning
-            } else {
-                ShardPruning::derive(&index, n_edges, &globals)
-            };
-            Ok(Shard {
-                index,
-                globals,
-                pruning,
-            })
-        }
+        Ok(index) => Ok(Shard {
+            index,
+            globals,
+            pruning: entry.pruning,
+        }),
         Err(e) => {
             rollback(seen, globals.len());
             Err(e)
@@ -897,8 +885,15 @@ mod tests {
     }
 
     #[test]
+    fn v5_manifest_of_the_previous_build_is_rejected_typed() {
+        // v5 stored each pruning block's shape and its shard's global-ID
+        // span around the membership words; v6 stores the words alone.
+        assert_manifest_version_rejected("v5-rejected", 5);
+    }
+
+    #[test]
     fn future_manifest_version_is_rejected_typed() {
-        assert_manifest_version_rejected("v6-future", format::MANIFEST.version + 1);
+        assert_manifest_version_rejected("future", format::MANIFEST.version + 1);
     }
 
     #[test]
@@ -951,24 +946,55 @@ mod tests {
         sharded.save_dir(&dir).unwrap();
         let mpath = dir.join(MANIFEST_FILE);
         let good = std::fs::read(&mpath).unwrap();
-        // The shard count follows the header, the absorbed position, the
-        // network size and six configuration words; shard 0's ID count
-        // follows its file's length and checksum.
-        let (n_shards_at, ids_at) = (72, 96);
+        // The network size follows the header and the absorbed position;
+        // the shard count follows it and six configuration words; shard
+        // 0's ID count follows its file's length and checksum.
+        let (n_edges_at, n_shards_at, ids_at) = (16, 72, 96);
         let word = |at: usize| u64::from_le_bytes(good[at..at + 8].try_into().unwrap());
+        assert_eq!(word(n_edges_at), 6);
         assert_eq!(word(n_shards_at), sharded.num_shards() as u64);
         assert_eq!(word(ids_at), sharded.shard_globals(0).len() as u64);
+        let reseal = |body: &[u8], words: &[(usize, u64)]| {
+            let mut bytes = body.to_vec();
+            for &(at, value) in words {
+                bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            }
+            format::seal(bytes)
+        };
+        let body = &good[..good.len() - 8];
         for (at, count) in [(n_shards_at, 1u64 << 62), (ids_at, 1 << 40)] {
-            let mut bytes = good.clone();
-            bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
-            let body = bytes.len() - 8;
-            let digest = checksum64(&bytes[..body]);
-            bytes[body..].copy_from_slice(&digest.to_le_bytes());
-            std::fs::write(&mpath, &bytes).unwrap();
+            std::fs::write(&mpath, reseal(body, &[(at, count)])).unwrap();
             for mode in [OpenMode::Strict, OpenMode::Resilient] {
                 match ShardedCinct::open_dir_with(&dir, mode) {
                     Err(QueryError::CorruptIndex(_)) => {}
                     other => panic!("offset {at}, {mode:?}: expected CorruptIndex, got {other:?}"),
+                }
+            }
+        }
+        // A huge network size sizes nothing either: with zero shards the
+        // corpus is empty, with one its membership block runs out of
+        // bytes. Each is an empty corpus or CorruptIndex, never an abort.
+        let huge = 1u64 << 60;
+        let no_shards = reseal(
+            &good[..n_shards_at + 8],
+            &[(n_edges_at, huge), (n_shards_at, 0)],
+        );
+        let one_dir = scratch("hostile-one-shard");
+        ShardedBuilder::new()
+            .shards(1)
+            .build(&paper_trajs(), 6)
+            .save_dir(&one_dir)
+            .unwrap();
+        let one = std::fs::read(one_dir.join(MANIFEST_FILE)).unwrap();
+        std::fs::remove_dir_all(&one_dir).unwrap();
+        let one_shard = reseal(&one[..one.len() - 8], &[(n_edges_at, huge)]);
+        for (case, bytes) in [("zero shards", no_shards), ("one shard", one_shard)] {
+            std::fs::write(&mpath, bytes).unwrap();
+            for mode in [OpenMode::Strict, OpenMode::Resilient] {
+                match ShardedCinct::open_dir_with(&dir, mode) {
+                    Err(QueryError::CorruptIndex(_)) => {}
+                    Ok(c) if c.num_shards() == 0 && c.num_trajectories() == 0 => {}
+                    other => panic!("{case}, {mode:?}: expected CorruptIndex, got {other:?}"),
                 }
             }
         }
@@ -984,8 +1010,8 @@ mod tests {
         build_sharded().save_dir(&dir).unwrap();
         let mpath = dir.join(MANIFEST_FILE);
         let mut bytes = std::fs::read(&mpath).unwrap();
-        // The last shard's pruning block ends 16 bytes (ID span) before
-        // the 8-byte checksum tail; flip a bit inside the span fields.
+        // The last shard's one membership word (6 edges) sits right
+        // before the 8-byte checksum tail; flip a bit inside it.
         let idx = bytes.len() - 12;
         bytes[idx] ^= 0x20;
         std::fs::write(&mpath, &bytes).unwrap();
@@ -993,59 +1019,6 @@ mod tests {
             Err(QueryError::CorruptIndex(msg)) => assert!(msg.contains("checksum"), "{msg}"),
             other => panic!("expected CorruptIndex, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn mismatched_pruning_block_is_rederived_on_open() {
-        // A block that passes the checksum but disagrees with the shard's
-        // ID column is not trusted: the open re-derives it from the index,
-        // exactly, and the corpus prunes like the original.
-        let dir = scratch("prune-mismatch");
-        let sharded = build_sharded();
-        sharded.save_dir(&dir).unwrap();
-        let mpath = dir.join(MANIFEST_FILE);
-        let mut bytes = std::fs::read(&mpath).unwrap();
-        // The last shard's block ends with its ID span; damage the low
-        // byte of `max_global` and recompute the trailing checksum.
-        let body = bytes.len() - 8;
-        bytes[body - 8] ^= 0x20;
-        let digest = checksum64(&bytes[..body]);
-        bytes[body..].copy_from_slice(&digest.to_le_bytes());
-        std::fs::write(&mpath, &bytes).unwrap();
-        let back = ShardedCinct::open_dir(&dir).unwrap();
-        for s in 0..back.num_shards() {
-            assert_eq!(back.shard_pruning(s), sharded.shard_pruning(s), "shard {s}");
-        }
-        assert_eq!(back.count(Path::new(&[0, 1])), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn short_pruning_words_are_rederived_on_open() {
-        // A resealed block whose word vector is shorter than its declared
-        // domain is not trusted either: a query would index past its end.
-        let dir = scratch("prune-short-words");
-        let sharded = build_sharded();
-        sharded.save_dir(&dir).unwrap();
-        let mpath = dir.join(MANIFEST_FILE);
-        let mut bytes = std::fs::read(&mpath).unwrap();
-        // The last shard's block ends `words len, word, min, max`, then
-        // the manifest checksum: drop the one word and zero its length.
-        let body = bytes.len() - 8;
-        let word = body - 24;
-        assert_eq!(bytes[word - 8..word], 1u64.to_le_bytes());
-        bytes.drain(word..word + 8);
-        bytes[word - 8..word].copy_from_slice(&0u64.to_le_bytes());
-        let body = bytes.len() - 8;
-        let digest = checksum64(&bytes[..body]);
-        bytes[body..].copy_from_slice(&digest.to_le_bytes());
-        std::fs::write(&mpath, &bytes).unwrap();
-        let back = ShardedCinct::open_dir(&dir).unwrap();
-        for s in 0..back.num_shards() {
-            assert_eq!(back.shard_pruning(s), sharded.shard_pruning(s), "shard {s}");
-        }
-        assert_eq!(back.count(Path::new(&[0, 1])), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1063,7 +1036,9 @@ mod tests {
         let back = ShardedCinct::open_dir(&dir).unwrap();
         assert_eq!(back.pruned_edge(0, Path::new(&[0, 3])), Some(3));
         assert_eq!(back.pruned_edge(1, Path::new(&[0, 3])), None);
-        assert_eq!(back.shard_id_span(0), sharded.shard_id_span(0));
+        for s in 0..back.num_shards() {
+            assert_eq!(back.shard_pruning(s), sharded.shard_pruning(s), "shard {s}");
+        }
         assert_eq!(back.count(Path::new(&[0, 3])), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -405,6 +405,33 @@ fn error_taxonomy_maps_onto_statuses_over_the_wire() {
 }
 
 #[test]
+fn oversized_extract_is_a_400_and_the_server_keeps_serving() {
+    // An extraction longer than the text is refused before anything is
+    // reserved for it, so the request cannot take the process down.
+    let (handle, join) = start(corpus(), ServeConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let (status, resp) = client
+        .post("/v1/extract", r#"{"row":0,"len":1000000000000}"#)
+        .unwrap();
+    let kind = Json::parse(&resp)
+        .unwrap()
+        .get("error")
+        .unwrap()
+        .get("kind")
+        .cloned();
+    assert_eq!(
+        (status, kind),
+        (400, Some(Json::from("invalid_input"))),
+        "{resp}"
+    );
+    let (status, resp) = client.post_json("/v1/count", &count_req(&[0, 1])).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(resp.get("count").unwrap().as_usize(), Some(2));
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn zero_deadline_sheds_queries_with_503() {
     let (handle, join) = start(
         corpus(),

@@ -7,7 +7,10 @@
 //! `compact` re-balancing.
 
 use cinct::engine::{Query, QueryEngine};
-use cinct::{CinctBuilder, CinctIndex, Path, PathQuery, ShardPartition, ShardedBuilder};
+use cinct::{
+    CinctBuilder, CinctIndex, Path, PathQuery, ShardPartition, ShardPruning, ShardedBuilder,
+    ShardedCinct,
+};
 use proptest::prelude::*;
 
 /// Random corpora over a sparse transition structure (same family as
@@ -178,7 +181,7 @@ proptest! {
     }
 
     /// Shard pruning never changes answers: across K ∈ {1, 2, 8}, both
-    /// partition strategies, and the append/compact lifecycle, the
+    /// partition strategies, and the append/reopen/compact lifecycle, the
     /// pruned fan-out (default) matches a pruning-disabled clone AND
     /// the monolithic index on every probe — a pruned shard's backward
     /// search would have returned `None`, so skipping it is invisible.
@@ -210,7 +213,25 @@ proptest! {
                     sharded.append_batch(batch).expect("valid batch");
                 }
             }
-            for stage in ["appended", "compacted"] {
+            for stage in ["appended", "reopened", "compacted"] {
+                if stage == "reopened" {
+                    // The open trusts the manifest's membership words as
+                    // they are: they must be what the shard derives.
+                    let dir = std::env::temp_dir().join(format!(
+                        "cinct-prune-reopen-{}-{k}",
+                        std::process::id()
+                    ));
+                    sharded.save_dir(&dir).expect("save");
+                    sharded = ShardedCinct::open_dir(&dir).expect("open");
+                    std::fs::remove_dir_all(&dir).ok();
+                    for s in 0..sharded.num_shards() {
+                        prop_assert_eq!(
+                            sharded.shard_pruning(s),
+                            &ShardPruning::derive(sharded.shard_index(s), n_edges),
+                            "K={} reopened: shard {} membership", k, s
+                        );
+                    }
+                }
                 if stage == "compacted" {
                     sharded.compact(k).expect("compact");
                 }
