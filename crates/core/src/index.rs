@@ -347,7 +347,12 @@ impl CinctIndex {
                 return Err(bad("SA samples disagree with their marks"));
             }
         }
+        // The network size bounds every edge a query or an append may
+        // name, so it must be the one the alphabet was built over.
         let n_network_edges = read_usize(r)?;
+        if n_network_edges.checked_add(cinct_bwt::SYMBOL_OFFSET as usize) != Some(c.sigma()) {
+            return Err(bad("stored network size disagrees with the C array"));
+        }
         Ok(Self {
             c,
             labeled,
@@ -548,6 +553,27 @@ mod tests {
             CinctIndex::read_from(&mut &bytes[..]),
             Err(QueryError::CorruptIndex(_))
         ));
+    }
+
+    #[test]
+    fn a_forged_network_size_is_refused_on_open() {
+        // The network size is the stream's last word; σ = n + 2 ties it
+        // to the C array, so any other value is refused, huge or not.
+        let idx = CinctBuilder::new().build(&paper_trajs(), 6);
+        let mut bytes = Vec::new();
+        idx.write_to(&mut bytes).unwrap();
+        let at = bytes.len() - 8;
+        assert_eq!(bytes[at..], 6u64.to_le_bytes());
+        for forged in [5u64, 7, 1 << 60, u64::MAX] {
+            bytes[at..].copy_from_slice(&forged.to_le_bytes());
+            assert!(
+                matches!(
+                    CinctIndex::read_from(&mut &bytes[..]),
+                    Err(QueryError::CorruptIndex(_))
+                ),
+                "network size {forged}"
+            );
+        }
     }
 
     #[test]

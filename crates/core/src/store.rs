@@ -346,6 +346,12 @@ impl ShardedCinct {
                 self.quarantined().len()
             )));
         }
+        // The open refuses a manifest that lists no shard.
+        if self.num_shards() == 0 {
+            return Err(QueryError::InvalidInput(format!(
+                "refusing to {verb} a corpus with no shard"
+            )));
+        }
         let mut out = Vec::with_capacity(self.num_shards());
         for s in 0..self.num_shards() {
             let mut bytes = Vec::new();
@@ -472,6 +478,11 @@ impl ShardedCinct {
         if !rest.is_empty() {
             return Err(corrupt("shard manifest runs past its checksum"));
         }
+        // Every save writes at least one shard, and a shard is what
+        // vouches for the manifest's network size.
+        if manifest.shards.is_empty() {
+            return Err(corrupt("shard manifest lists no shard"));
+        }
         let (config, n_edges) = (manifest.builder()?, manifest.n_edges);
         // The corpus holds exactly the IDs its shards list, so `seen` is
         // sized by ID columns actually read, never by a stored count.
@@ -482,7 +493,7 @@ impl ShardedCinct {
         for (s, entry) in manifest.shards.into_iter().enumerate() {
             let file = shard_file_name(s, entry.checksum);
             let trajectories = entry.globals.len();
-            match load_shard(dir, s, &file, entry, &mut seen) {
+            match load_shard(dir, s, &file, entry, n_edges, &mut seen) {
                 Ok(shard) => shards.push(shard),
                 Err(e) if mode == OpenMode::Resilient => {
                     crate::metrics::store().quarantined.inc();
@@ -514,13 +525,15 @@ impl ShardedCinct {
 }
 
 /// Load + fully validate one shard: namespace claims against `seen`,
-/// then its file `file` (checksum before parse). Marks `seen` only on
-/// success so a rejected shard leaves no namespace footprint.
+/// then its file `file` (checksum before parse), then its network size
+/// against the manifest's `n_edges`. Marks `seen` only on success so a
+/// rejected shard leaves no namespace footprint.
 fn load_shard(
     dir: &FsPath,
     s: usize,
     file: &str,
     entry: ManifestShard,
+    n_edges: usize,
     seen: &mut [bool],
 ) -> Result<Shard, QueryError> {
     let globals = entry.globals;
@@ -557,7 +570,14 @@ fn load_shard(
             entry.checksum,
             format_args!("shard file {}", spath.display()),
         )?;
-        CinctIndex::read_from(&mut Cursor::new(sbytes))
+        let index = CinctIndex::read_from(&mut Cursor::new(sbytes))?;
+        if index.network_edges() != n_edges {
+            return Err(corrupt(format!(
+                "shard {s}: built over {} network edges, the manifest says {n_edges}",
+                index.network_edges()
+            )));
+        }
+        Ok(index)
     })();
     match loaded {
         Ok(index) => Ok(Shard {
@@ -971,9 +991,11 @@ mod tests {
                 }
             }
         }
-        // A huge network size sizes nothing either: with zero shards the
-        // corpus is empty, with one its membership block runs out of
-        // bytes. Each is an empty corpus or CorruptIndex, never an abort.
+        // A huge network size sizes nothing either: a manifest listing
+        // zero shards has no shard to vouch for it, and with one shard
+        // its membership block runs out of bytes. Both are CorruptIndex
+        // in either mode, never an empty corpus whose first append
+        // sizes a build by the forged count.
         let huge = 1u64 << 60;
         let no_shards = reseal(
             &good[..n_shards_at + 8],
@@ -993,12 +1015,39 @@ mod tests {
             for mode in [OpenMode::Strict, OpenMode::Resilient] {
                 match ShardedCinct::open_dir_with(&dir, mode) {
                     Err(QueryError::CorruptIndex(_)) => {}
-                    Ok(c) if c.num_shards() == 0 && c.num_trajectories() == 0 => {}
                     other => panic!("{case}, {mode:?}: expected CorruptIndex, got {other:?}"),
                 }
             }
         }
+        // A network size off by one keeps the manifest's word count (one
+        // membership word covers 5 edges as it does 6), so only the
+        // shard's own stored size catches it: a shard defect like any
+        // other, fatal when strict and quarantined when resilient.
+        std::fs::write(&mpath, reseal(body, &[(n_edges_at, 5)])).unwrap();
+        match ShardedCinct::open_dir(&dir) {
+            Err(QueryError::CorruptIndex(msg)) => assert!(msg.contains("network edges"), "{msg}"),
+            other => panic!("n_edges 5, strict: expected CorruptIndex, got {other:?}"),
+        }
+        let degraded = ShardedCinct::open_dir_with(&dir, OpenMode::Resilient).unwrap();
+        assert_eq!(degraded.num_shards(), 0);
+        assert_eq!(degraded.quarantined().len(), sharded.num_shards());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_corpus_with_no_shard_is_never_saved() {
+        // What the open refuses, no save may write: neither a directory
+        // nor a snapshot stream of a corpus with no shard.
+        let empty = ShardedCinct::assemble(Vec::new(), 6, ShardedBuilder::new()).unwrap();
+        assert!(!empty.is_degraded());
+        let dir = scratch("no-shard-save");
+        for refused in [empty.save_dir(&dir), empty.snapshot_to_vec(0).map(drop)] {
+            match refused {
+                Err(QueryError::InvalidInput(msg)) => assert!(msg.contains("no shard"), "{msg}"),
+                other => panic!("expected InvalidInput, got {other:?}"),
+            }
+        }
+        assert!(!dir.join(MANIFEST_FILE).exists());
     }
 
     #[test]

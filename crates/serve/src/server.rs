@@ -38,9 +38,9 @@
 
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use std::{io, thread};
 
@@ -68,10 +68,6 @@ const REPL_POLL_MAX: Duration = Duration::from_secs(10);
 /// Records per `/repl/wal` response. Bounds response memory on a badly
 /// lagged follower; the next pull continues from `next`.
 const REPL_BATCH_MAX: usize = 1024;
-
-/// Replication roles (the `role` field of [`ServerState`]).
-const ROLE_PRIMARY: u8 = 0;
-const ROLE_FOLLOWER: u8 = 1;
 
 /// Server knobs. `0` means "auto" on every thread-shaped knob, the
 /// workspace-wide convention.
@@ -151,12 +147,11 @@ struct ServerState {
     cfg: ResolvedConfig,
     addr: SocketAddr,
     draining: AtomicBool,
-    /// [`ROLE_PRIMARY`] (accepts writes) or [`ROLE_FOLLOWER`]
-    /// (read-only replica: appends answer 421).
-    role: AtomicU8,
-    /// Where writes should go while this node is a follower — returned
-    /// verbatim in 421 bodies so clients can re-route themselves.
-    primary_url: Mutex<Option<String>>,
+    /// The replication role: `Some(addr)` while this node is a
+    /// read-only follower of the primary at `addr` (appends answer 421
+    /// with `addr` verbatim, so clients can re-route themselves),
+    /// `None` while it is a primary that accepts writes.
+    primary: Mutex<Option<String>>,
 }
 
 impl ServerState {
@@ -164,19 +159,18 @@ impl ServerState {
         self.draining.load(Ordering::Acquire)
     }
 
-    fn is_follower(&self) -> bool {
-        self.role.load(Ordering::Acquire) == ROLE_FOLLOWER
+    fn primary(&self) -> MutexGuard<'_, Option<String>> {
+        self.primary.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Follower → primary. Idempotent; returns whether a flip happened.
     fn promote(&self) -> bool {
-        if self.role.swap(ROLE_PRIMARY, Ordering::AcqRel) != ROLE_FOLLOWER {
+        if self.primary().take().is_none() {
             return false;
         }
         let m = metrics::serve();
         m.repl_role.set(0);
         m.repl_promotions.inc();
-        *self.primary_url.lock().unwrap_or_else(|e| e.into_inner()) = None;
         true
     }
 
@@ -239,12 +233,7 @@ impl ServerHandle {
     /// body. Called by `cinct serve --replica-of` before traffic, and
     /// reversible with [`ServerHandle::promote`].
     pub fn set_replica_of(&self, primary: &str) {
-        *self
-            .state
-            .primary_url
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Some(primary.to_string());
-        self.state.role.store(ROLE_FOLLOWER, Ordering::Release);
+        *self.state.primary() = Some(primary.to_string());
         metrics::serve().repl_role.set(1);
     }
 
@@ -257,7 +246,7 @@ impl ServerHandle {
 
     /// Whether this server is currently a read-only follower.
     pub fn is_follower(&self) -> bool {
-        self.state.is_follower()
+        self.state.primary().is_some()
     }
 }
 
@@ -319,8 +308,7 @@ impl Server {
                 cfg: resolved,
                 addr,
                 draining: AtomicBool::new(false),
-                role: AtomicU8::new(ROLE_PRIMARY),
-                primary_url: Mutex::new(None),
+                primary: Mutex::new(None),
             }),
         })
     }
@@ -519,22 +507,14 @@ fn healthz_response(state: &ServerState) -> Response {
     } else {
         "ok"
     };
-    let role = if state.is_follower() {
-        "follower"
-    } else {
-        "primary"
-    };
+    let primary = state.primary().clone();
+    let role = role_name(primary.is_some());
     let s = state.service.stats();
     let m = metrics::serve();
     let mut repl = vec![
         ("followers", s.followers.into()),
         ("lag_records", m.repl_lag_records.get().into()),
     ];
-    let primary = state
-        .primary_url
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
     if let Some(p) = primary {
         repl.push(("primary", p.into()));
     }
@@ -655,15 +635,18 @@ fn wal_record_json(r: WalRecord) -> Json {
     ])
 }
 
+/// The `role` a node reports.
+fn role_name(follower: bool) -> &'static str {
+    if follower {
+        "follower"
+    } else {
+        "primary"
+    }
+}
+
 /// The follower's answer to a write: `421 Misdirected Request` with
 /// the primary's location in the body, so a client can re-route.
-fn misdirected(state: &ServerState) -> Response {
-    let primary = state
-        .primary_url
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
-        .unwrap_or_default();
+fn misdirected(primary: String) -> Response {
     Response::json(
         421,
         &obj(&[
@@ -737,14 +720,7 @@ fn stats_response(state: &ServerState) -> Response {
                 ("next_seq", s.wal_next_seq.into()),
             ]),
         ),
-        (
-            "role",
-            if state.is_follower() {
-                "follower".into()
-            } else {
-                "primary".into()
-            },
-        ),
+        ("role", role_name(state.primary().is_some()).into()),
         ("followers", s.followers.into()),
         ("workers", cfg.workers.into()),
         ("host_parallelism", cfg.host_parallelism.into()),
@@ -1015,8 +991,8 @@ fn handle_extract(state: &ServerState, body: &Json) -> Result<Response, QueryErr
 fn handle_append(state: &ServerState, req: &Request, body: &Json) -> Result<Response, QueryError> {
     // A follower is read-only: its corpus is a replica of the
     // primary's WAL, and a locally-applied write would fork it.
-    if state.is_follower() {
-        return Ok(misdirected(state));
+    if let Some(primary) = state.primary().clone() {
+        return Ok(misdirected(primary));
     }
     let Some(batch) = body.get("batch").and_then(Json::as_arr) else {
         return Ok(Response::error(

@@ -17,25 +17,34 @@
 //!   inserted if `e` is still current, so a racing append can never be
 //!   shadowed by a stale insert. The epoch is returned with the answers,
 //!   so every response names the one epoch all of its answers are of.
-//! * **Appends** run in two phases mirroring
-//!   [`ShardedCinct::prepare_batch`] / [`ShardedCinct::install_prepared`]:
-//!   the expensive index construction happens under the **read** lock
-//!   (queries keep flowing), then the write lock is taken only for the
-//!   O(K) install, and the cache epoch advances *inside* the write
-//!   section — readers under the read lock always observe a mutually
-//!   consistent (corpus, epoch) pair.
+//! * **Writes** (client appends and replicated records alike) run in
+//!   two phases mirroring [`ShardedCinct::prepare_batch`] /
+//!   [`ShardedCinct::install_prepared`]: the expensive index
+//!   construction happens under the corpus **read** lock (queries keep
+//!   flowing), that guard is dropped, and then the one **writer lock**
+//!   (the WAL, the idempotency keys and the follower floor) is taken
+//!   for one commit: journal, install, register the key. Under it the
+//!   corpus write lock is taken only for the O(K) install, and the
+//!   cache epoch advances *inside* that write section — readers under
+//!   the read lock always observe a mutually consistent (corpus, epoch)
+//!   pair. Because every write commits under the writer lock, WAL order
+//!   is install order, and a save, snapshot or follower registration
+//!   taken under it sees a cut no write straddles. The lock order is
+//!   writer → corpus; queries never take the writer lock.
+//! * The `/repl/wal` long-poll waits on one condvar paired with the
+//!   writer lock; every commit notifies it.
 //! * Lock poisoning is absorbed (`into_inner`): a panicking request
-//!   handler must not take the whole server down, and both phases of an
-//!   append leave the corpus structurally valid at every step.
+//!   handler must not take the whole server down, and both phases of a
+//!   write leave the corpus structurally valid at every step.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 use cinct::{
-    QuarantinedShard, Query, QueryEngine, QueryError, QueryValue, ShardedCinct, Wal, WalRead,
-    WalRecord,
+    PreparedBatch, QuarantinedShard, Query, QueryEngine, QueryError, QueryValue, ShardedCinct, Wal,
+    WalRead, WalRecord,
 };
 use cinct_fmindex::PathQuery;
 
@@ -116,11 +125,14 @@ impl IdemRegistry {
         })
     }
 
+    /// Remember `key`'s outcome; the empty key (an unkeyed write) is
+    /// never remembered.
     fn insert(&mut self, key: &str, outcome: &AppendOutcome) {
-        if self
-            .outcomes
-            .insert(key.to_owned(), outcome.clone())
-            .is_none()
+        if !key.is_empty()
+            && self
+                .outcomes
+                .insert(key.to_owned(), outcome.clone())
+                .is_none()
         {
             self.order.push_back(key.to_owned());
             while self.order.len() > IDEMPOTENCY_CAPACITY {
@@ -146,35 +158,63 @@ fn into_occurrences(value: CachedValue) -> OccurrenceList {
     }
 }
 
+/// Everything a write orders, behind the service's one writer lock.
+#[derive(Default)]
+struct Writer {
+    /// When present, every write is journaled (and fsynced, per the
+    /// WAL's [`cinct::Durability`]) before it is installed or acked;
+    /// its `next_seq` is the replication tip.
+    wal: Option<Wal>,
+    idem: IdemRegistry,
+    /// Followers registered on the replication stream: follower id →
+    /// the next sequence number it still needs. Sealed WAL segments
+    /// below the minimum of these are the only ones reclaim may drop.
+    followers: HashMap<String, u64>,
+}
+
+impl Writer {
+    /// The WAL, which every replication call needs.
+    fn wal(&mut self) -> Result<&mut Wal, QueryError> {
+        self.wal.as_mut().ok_or_else(|| {
+            QueryError::InvalidInput("replication requires a WAL (serve a saved directory)".into())
+        })
+    }
+
+    /// The replication-log tip: the WAL's `next_seq` (0 without one).
+    fn tip(&self) -> u64 {
+        self.wal.as_ref().map_or(0, Wal::next_seq)
+    }
+}
+
 /// See the module docs.
 pub struct CorpusService {
     corpus: RwLock<ShardedCinct>,
     cache: QueryCache,
-    /// When present, every append is journaled (and fsynced, per the
-    /// WAL's [`cinct::Durability`]) before it is installed or acked.
-    /// The mutex also serializes journal order with install order —
-    /// replay applies records in WAL order, so the two must agree.
-    wal: Option<Mutex<Wal>>,
-    idem: Mutex<IdemRegistry>,
+    writer: Mutex<Writer>,
+    /// Paired with `writer`: notified on every commit, so `/repl/wal`
+    /// long-polls wake when the tip moves.
+    committed: Condvar,
     /// Quarantine report snapshotted at construction. Quarantine only
     /// happens at open time, so the snapshot never goes stale.
     quarantined: Vec<QuarantinedShard>,
-    /// Replication-log tip (the WAL's `next_seq`), mirrored outside the
-    /// WAL mutex so `/repl/wal` long-polls can block on the condvar
-    /// without contending the append path.
-    tip: Mutex<u64>,
-    tip_cv: Condvar,
-    /// Followers registered on the replication stream: follower id →
-    /// the next sequence number it still needs. Sealed WAL segments
-    /// below the minimum of these are the only ones reclaim may drop.
-    followers: Mutex<HashMap<String, u64>>,
 }
 
 impl CorpusService {
     /// Wrap an assembled corpus. `cache_capacity == 0` disables the
     /// result cache; `cache_shards` is clamped to at least 1.
     pub fn new(corpus: ShardedCinct, cache_capacity: usize, cache_shards: usize) -> Self {
-        Self::build(corpus, cache_capacity, cache_shards, None)
+        let quarantined = corpus.quarantined().to_vec();
+        metrics::serve().epoch.set(0);
+        metrics::serve()
+            .degraded
+            .set(u64::from(!quarantined.is_empty()));
+        CorpusService {
+            corpus: RwLock::new(corpus),
+            cache: QueryCache::new(cache_capacity, cache_shards),
+            writer: Mutex::default(),
+            committed: Condvar::new(),
+            quarantined,
+        }
     }
 
     /// Wrap a corpus with a write-ahead log: `replay` (the records
@@ -189,54 +229,26 @@ impl CorpusService {
         wal: Wal,
         replay: Vec<WalRecord>,
     ) -> Result<Self, QueryError> {
-        let mut replayed: Vec<(String, AppendOutcome)> = Vec::new();
+        // Replay installs straight into the corpus, before the service
+        // (and its epoch) exists: the epoch after a restart is 0.
+        let mut idem = IdemRegistry::default();
         for rec in &replay {
             let assigned = corpus.append_batch(&rec.batch)?;
-            if !rec.key.is_empty() {
-                replayed.push((
-                    rec.key.clone(),
-                    AppendOutcome {
-                        assigned,
-                        shards: corpus.num_shards(),
-                        epoch: 0,
-                        deduplicated: false,
-                    },
-                ));
-            }
+            let outcome = AppendOutcome {
+                assigned,
+                shards: corpus.num_shards(),
+                epoch: 0,
+                deduplicated: false,
+            };
+            idem.insert(&rec.key, &outcome);
         }
-        let svc = Self::build(corpus, cache_capacity, cache_shards, Some(wal));
-        {
-            let mut idem = svc.idem.lock().unwrap_or_else(|e| e.into_inner());
-            for (key, outcome) in &replayed {
-                idem.insert(key, outcome);
-            }
-        }
+        let mut svc = Self::new(corpus, cache_capacity, cache_shards);
+        svc.writer = Mutex::new(Writer {
+            wal: Some(wal),
+            idem,
+            followers: HashMap::new(),
+        });
         Ok(svc)
-    }
-
-    fn build(
-        corpus: ShardedCinct,
-        cache_capacity: usize,
-        cache_shards: usize,
-        wal: Option<Wal>,
-    ) -> Self {
-        let quarantined = corpus.quarantined().to_vec();
-        let tip = wal.as_ref().map_or(0, |w| w.next_seq());
-        let svc = CorpusService {
-            corpus: RwLock::new(corpus),
-            cache: QueryCache::new(cache_capacity, cache_shards),
-            wal: wal.map(Mutex::new),
-            idem: Mutex::new(IdemRegistry::default()),
-            quarantined,
-            tip: Mutex::new(tip),
-            tip_cv: Condvar::new(),
-            followers: Mutex::new(HashMap::new()),
-        };
-        metrics::serve().epoch.set(0);
-        metrics::serve()
-            .degraded
-            .set(u64::from(!svc.quarantined.is_empty()));
-        svc
     }
 
     /// Whether the corpus was opened resiliently with shards lost to
@@ -250,13 +262,12 @@ impl CorpusService {
         &self.quarantined
     }
 
-    /// Whether appends are journaled to a WAL before acking.
-    pub fn wal_enabled(&self) -> bool {
-        self.wal.is_some()
-    }
-
     fn read(&self) -> std::sync::RwLockReadGuard<'_, ShardedCinct> {
         self.corpus.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn writer(&self) -> MutexGuard<'_, Writer> {
+        self.writer.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Run `f` against the live corpus under the read lock — the hook
@@ -482,10 +493,11 @@ impl CorpusService {
     /// key is journaled in the record, so deduplication also survives a
     /// crash-and-replay restart.
     ///
-    /// Ordering discipline when a WAL is present: journal (fsync per
-    /// the WAL's durability) **then** install, both under the WAL
-    /// mutex, so WAL order equals install order and replay reassigns
-    /// the same global IDs.
+    /// The write is one [`CorpusService::commit`] under the writer
+    /// lock, so WAL order equals install order and replay reassigns the
+    /// same global IDs. A key is checked before the build (a retry
+    /// costs no build) and again under the lock (a racing retry may
+    /// have committed it meanwhile).
     pub fn append_keyed(
         &self,
         batch: &[Vec<u32>],
@@ -493,54 +505,24 @@ impl CorpusService {
     ) -> Result<AppendOutcome, QueryError> {
         let m = metrics::serve();
         let t0 = Instant::now();
-        if let Some(key) = key {
-            let idem = self.idem.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(hit) = idem.get(key) {
+        let key = key.unwrap_or("");
+        let dedup = |writer: &Writer| {
+            let hit = writer.idem.get(key);
+            if hit.is_some() {
                 m.idem_hits.inc();
-                return Ok(hit);
             }
+            hit
+        };
+        if let Some(hit) = dedup(&self.writer()) {
+            return Ok(hit);
         }
         let prepared = self.read().prepare_batch(batch)?;
-        let outcome = match &self.wal {
-            Some(wal) => {
-                let mut wal = wal.lock().unwrap_or_else(|e| e.into_inner());
-                // Re-check under the serializing lock: a racing retry
-                // may have journaled + installed this key meanwhile.
-                if let Some(key) = key {
-                    let hit = {
-                        let idem = self.idem.lock().unwrap_or_else(|e| e.into_inner());
-                        idem.get(key)
-                    };
-                    if let Some(hit) = hit {
-                        m.idem_hits.inc();
-                        return Ok(hit);
-                    }
-                }
-                let seq = wal.append(key.unwrap_or(""), batch)?;
-                let outcome = self.install(prepared);
-                if let Some(key) = key {
-                    let mut idem = self.idem.lock().unwrap_or_else(|e| e.into_inner());
-                    idem.insert(key, &outcome);
-                }
-                self.note_tip(seq + 1);
-                outcome
-            }
-            None => match key {
-                Some(key) => {
-                    // No WAL: the idem lock itself serializes same-key
-                    // installs, closing the check/install race.
-                    let mut idem = self.idem.lock().unwrap_or_else(|e| e.into_inner());
-                    if let Some(hit) = idem.get(key) {
-                        m.idem_hits.inc();
-                        return Ok(hit);
-                    }
-                    let outcome = self.install(prepared);
-                    idem.insert(key, &outcome);
-                    outcome
-                }
-                None => self.install(prepared),
-            },
-        };
+        let mut writer = self.writer();
+        if let Some(hit) = dedup(&writer) {
+            return Ok(hit);
+        }
+        let outcome = self.commit(&mut writer, None, key, batch, prepared)?;
+        drop(writer);
         m.appends.inc();
         m.epoch.set(outcome.epoch);
         m.append_ns
@@ -548,33 +530,44 @@ impl CorpusService {
         Ok(outcome)
     }
 
-    fn install(&self, prepared: cinct::PreparedBatch) -> AppendOutcome {
-        let (assigned, shards, epoch);
-        {
+    /// The one write routine behind client appends and replicated
+    /// records, run under the writer lock: journal `batch` (at `seq`,
+    /// or at the log's next position; nothing without a WAL), install
+    /// `prepared` and advance the epoch, then register `key` and wake
+    /// the long-pollers.
+    fn commit(
+        &self,
+        writer: &mut Writer,
+        seq: Option<u64>,
+        key: &str,
+        batch: &[Vec<u32>],
+        prepared: PreparedBatch,
+    ) -> Result<AppendOutcome, QueryError> {
+        if let Some(wal) = writer.wal.as_mut() {
+            wal.append_at(seq.unwrap_or(wal.next_seq()), key, batch)?;
+        }
+        let outcome = {
             let mut corpus = self.corpus.write().unwrap_or_else(|e| e.into_inner());
-            assigned = corpus.install_prepared(prepared);
-            epoch = self.cache.advance_epoch();
-            shards = corpus.num_shards();
-        }
-        AppendOutcome {
-            assigned,
-            shards,
-            epoch,
-            deduplicated: false,
-        }
+            let assigned = corpus.install_prepared(prepared);
+            AppendOutcome {
+                assigned,
+                shards: corpus.num_shards(),
+                epoch: self.cache.advance_epoch(),
+                deduplicated: false,
+            }
+        };
+        writer.idem.insert(key, &outcome);
+        self.committed.notify_all();
+        Ok(outcome)
     }
 
     /// Snapshot for the stats endpoint.
     pub fn stats(&self) -> ServiceStats {
-        let (wal_pending, wal_next_seq) = self.wal.as_ref().map_or((0, 0), |w| {
-            let w = w.lock().unwrap_or_else(|e| e.into_inner());
-            (w.pending(), w.next_seq())
-        });
-        let followers = self
-            .followers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len();
+        let (wal_enabled, wal_pending, wal_next_seq, followers) = {
+            let w = self.writer();
+            let pending = w.wal.as_ref().map_or(0, Wal::pending);
+            (w.wal.is_some(), pending, w.tip(), w.followers.len())
+        };
         let corpus = self.read();
         ServiceStats {
             shards: corpus.num_shards(),
@@ -588,7 +581,7 @@ impl CorpusService {
             cache_capacity: self.cache.capacity(),
             degraded: self.degraded(),
             quarantined_shards: self.quarantined.len(),
-            wal_enabled: self.wal.is_some(),
+            wal_enabled,
             wal_pending,
             wal_next_seq,
             followers,
@@ -598,93 +591,62 @@ impl CorpusService {
     /// Persist the live corpus (graceful-shutdown durability for served
     /// appends), then **retire** the WAL's active segment: everything
     /// journaled is now in the manifest, so the segment is sealed (kept
-    /// on disk for lagging followers) and a fresh one started. The WAL
-    /// lock is held across both so no append can journal between the
-    /// save and the seal and be lost. Takes the corpus read lock:
-    /// concurrent queries proceed, appends wait out the save. Finally,
+    /// on disk for lagging followers) and a fresh one started. The
+    /// writer lock is held across both so no write can commit between
+    /// the save and the seal and be lost. Takes the corpus read lock:
+    /// concurrent queries proceed, writes wait out the save. Finally,
     /// sealed segments every registered follower has passed are
     /// reclaimed — a follower that never comes back would otherwise pin
     /// history forever, so callers can drop it from the registry with
     /// [`CorpusService::forget_follower`] first.
     pub fn save_dir(&self, dir: &std::path::Path) -> Result<(), QueryError> {
-        match &self.wal {
-            Some(wal) => {
-                let mut wal = wal.lock().unwrap_or_else(|e| e.into_inner());
-                // Stamp the absorbed WAL position into the manifest: the
-                // WAL lock is held, so the corpus holds exactly the
-                // records below `next_seq`. If we crash after the
-                // manifest rename but before the retire below, replay
-                // skips the absorbed records instead of applying them
-                // twice.
-                self.read()
-                    .save_dir_at(dir, cinct::Durability::Durable, wal.next_seq())?;
-                wal.retire()?;
-                let floor = {
-                    let followers = self.followers.lock().unwrap_or_else(|e| e.into_inner());
-                    followers.values().copied().min().unwrap_or(u64::MAX)
-                };
-                let reclaimed = wal.reclaim(floor)?;
-                if reclaimed > 0 {
-                    metrics::serve()
-                        .repl_segments_reclaimed
-                        .add(reclaimed as u64);
-                }
-                Ok(())
-            }
-            None => self.read().save_dir(dir),
+        let mut writer = self.writer();
+        let floor = writer.followers.values().copied().min().unwrap_or(u64::MAX);
+        let Some(wal) = writer.wal.as_mut() else {
+            return self.read().save_dir(dir);
+        };
+        // Stamp the absorbed WAL position into the manifest: the writer
+        // lock is held, so the corpus holds exactly the records below
+        // `next_seq`. If we crash after the manifest rename but before
+        // the retire below, replay skips the absorbed records instead of
+        // applying them twice.
+        self.read()
+            .save_dir_at(dir, cinct::Durability::Durable, wal.next_seq())?;
+        wal.retire()?;
+        let reclaimed = wal.reclaim(floor)?;
+        if reclaimed > 0 {
+            metrics::serve()
+                .repl_segments_reclaimed
+                .add(reclaimed as u64);
         }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
     // Replication: the primary-side stream and the follower-side apply.
     // ------------------------------------------------------------------
 
-    /// Mirror the WAL tip (its `next_seq`) for long-pollers and wake
-    /// them. Called after every successful journaled append.
-    fn note_tip(&self, next_seq: u64) {
-        let mut tip = self.tip.lock().unwrap_or_else(|e| e.into_inner());
-        if next_seq > *tip {
-            *tip = next_seq;
-            self.tip_cv.notify_all();
-        }
-    }
-
     /// Block until the replication log holds a record at-or-after
     /// `from` (i.e. the tip moves past it) or `timeout` elapses; returns
     /// the current tip either way. The long-poll half of `/repl/wal`.
     pub fn wait_for_tip(&self, from: u64, timeout: Duration) -> u64 {
-        let deadline = Instant::now() + timeout;
-        let mut tip = self.tip.lock().unwrap_or_else(|e| e.into_inner());
-        while *tip <= from {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            let (guard, _) = self
-                .tip_cv
-                .wait_timeout(tip, left)
-                .unwrap_or_else(|e| e.into_inner());
-            tip = guard;
-        }
-        *tip
+        let (writer, _) = self
+            .committed
+            .wait_timeout_while(self.writer(), timeout, |w| w.tip() <= from)
+            .unwrap_or_else(|e| e.into_inner());
+        writer.tip()
     }
 
     /// Sequence number the next journaled append will receive (`None`
     /// without a WAL — a memory-only corpus has no replication log).
     pub fn wal_next_seq(&self) -> Option<u64> {
-        self.wal
-            .as_ref()
-            .map(|w| w.lock().unwrap_or_else(|e| e.into_inner()).next_seq())
+        self.writer().wal.as_ref().map(Wal::next_seq)
     }
 
     /// Read the replication log at-or-after `from` — the record source
     /// behind `/repl/wal`. Errors without a WAL.
     pub fn wal_read_from(&self, from: u64) -> Result<WalRead, QueryError> {
-        let wal = self.wal.as_ref().ok_or_else(|| {
-            QueryError::InvalidInput("replication requires a WAL (serve a saved directory)".into())
-        })?;
-        let wal = wal.lock().unwrap_or_else(|e| e.into_inner());
-        wal.read_from(from)
+        self.writer().wal()?.read_from(from)
     }
 
     /// Record (or refresh) a follower's position: `from` is the next
@@ -692,28 +654,23 @@ impl CorpusService {
     /// floor below which [`CorpusService::save_dir`] may reclaim sealed
     /// WAL segments.
     pub fn register_follower(&self, id: &str, from: u64) {
-        let mut followers = self.followers.lock().unwrap_or_else(|e| e.into_inner());
-        followers.insert(id.to_owned(), from);
+        self.writer().followers.insert(id.to_owned(), from);
     }
 
     /// Drop a follower from the registry (it was decommissioned, or its
     /// lag is being traded for disk by forcing a snapshot bootstrap).
     pub fn forget_follower(&self, id: &str) {
-        let mut followers = self.followers.lock().unwrap_or_else(|e| e.into_inner());
-        followers.remove(id);
+        self.writer().followers.remove(id);
     }
 
     /// Serialize a consistent snapshot of the live corpus plus the WAL
     /// position it absorbs — the payload behind `/repl/snapshot`. The
-    /// WAL lock freezes the cut point: appends journal under that lock,
-    /// so no record can land between reading `next_seq` and serializing
-    /// the corpus state that includes it.
+    /// writer lock freezes the cut point: writes commit under it, so no
+    /// record can land between reading `next_seq` and serializing the
+    /// corpus state that includes it.
     pub fn snapshot_stream(&self) -> Result<Vec<u8>, QueryError> {
-        let wal = self.wal.as_ref().ok_or_else(|| {
-            QueryError::InvalidInput("replication requires a WAL (serve a saved directory)".into())
-        })?;
-        let wal = wal.lock().unwrap_or_else(|e| e.into_inner());
-        let absorbed = wal.next_seq();
+        let mut writer = self.writer();
+        let absorbed = writer.wal()?.next_seq();
         let stream = self.read().snapshot_to_vec(absorbed)?;
         metrics::serve().repl_snapshots_served.inc();
         Ok(stream)
@@ -733,46 +690,38 @@ impl CorpusService {
         dir: &std::path::Path,
         stream: &[u8],
     ) -> Result<u64, QueryError> {
-        let wal_mutex = self.wal.as_ref().ok_or_else(|| {
-            QueryError::InvalidInput("replication requires a WAL (serve a saved directory)".into())
-        })?;
-        let mut wal = wal_mutex.lock().unwrap_or_else(|e| e.into_inner());
-        let durability = wal.durability();
+        let mut writer = self.writer();
+        let durability = writer.wal()?.durability();
         let (corpus, absorbed) = ShardedCinct::install_snapshot(dir, stream, durability)?;
         {
             let mut live = self.corpus.write().unwrap_or_else(|e| e.into_inner());
             *live = corpus;
             self.cache.advance_epoch();
         }
-        *wal = Wal::create_at(dir, durability, absorbed)?;
-        {
-            let mut idem = self.idem.lock().unwrap_or_else(|e| e.into_inner());
-            *idem = IdemRegistry::default();
-        }
-        self.note_tip(absorbed);
+        writer.wal = Some(Wal::create_at(dir, durability, absorbed)?);
+        writer.idem = IdemRegistry::default();
+        self.committed.notify_all();
         metrics::serve().repl_bootstraps.inc();
         Ok(absorbed)
     }
 
-    /// Apply records pulled from a primary, in order: journal each under
+    /// Apply records pulled from a primary, in order: commit each under
     /// the **primary's** sequence number (so a restart resumes pulling
-    /// from the right position), install it, and register its
-    /// idempotency key — a client retrying a write against a promoted
-    /// follower deduplicates exactly as it would have on the old
-    /// primary. Records below the local tip are skips (already applied);
-    /// a record past it is a gap and fails — the puller must re-fetch.
-    /// Returns how many records were newly applied.
+    /// from the right position), registering its idempotency key — a
+    /// client retrying a write against a promoted follower deduplicates
+    /// exactly as it would have on the old primary. Records below the
+    /// local tip are skips (already applied); a record past it is a gap
+    /// and fails — the puller must re-fetch. Returns how many records
+    /// were newly applied.
     pub fn apply_replicated(&self, records: &[WalRecord]) -> Result<usize, QueryError> {
-        let Some(wal_mutex) = self.wal.as_ref() else {
-            return Err(QueryError::InvalidInput(
-                "replication requires a WAL (serve a saved directory)".into(),
-            ));
-        };
+        // Refused up front, even for no records: without a WAL the tip
+        // below would read 0 and records would install unjournaled.
+        self.writer().wal()?;
         let mut applied = 0usize;
         for rec in records {
             let prepared = self.read().prepare_batch(&rec.batch)?;
-            let mut wal = wal_mutex.lock().unwrap_or_else(|e| e.into_inner());
-            let next = wal.next_seq();
+            let mut writer = self.writer();
+            let next = writer.tip();
             if rec.seq < next {
                 continue; // replayed overlap from a re-fetch
             }
@@ -782,14 +731,8 @@ impl CorpusService {
                     rec.seq
                 )));
             }
-            wal.append_at(rec.seq, &rec.key, &rec.batch)?;
-            let outcome = self.install(prepared);
-            if !rec.key.is_empty() {
-                let mut idem = self.idem.lock().unwrap_or_else(|e| e.into_inner());
-                idem.insert(&rec.key, &outcome);
-            }
-            self.note_tip(rec.seq + 1);
-            drop(wal);
+            self.commit(&mut writer, Some(rec.seq), &rec.key, &rec.batch, prepared)?;
+            drop(writer);
             applied += 1;
             metrics::serve().repl_records_applied.inc();
         }

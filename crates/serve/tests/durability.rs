@@ -133,6 +133,34 @@ fn idempotency_key_applies_exactly_once() {
     assert_eq!(svc.stats().trajectories, 7, "one key, one install");
 }
 
+/// The same race through a WAL: the retries that lose see the key
+/// under the writer lock, so the log holds one record and the corpus
+/// one install — and a crash-and-replay restart installs it once too.
+#[test]
+fn racing_keyed_retries_journal_exactly_once() {
+    let dir = scratch("race-wal");
+    corpus().save_dir(&dir).unwrap();
+    let svc = durable_service(&dir);
+    let outcomes: Vec<_> = std::thread::scope(|s| {
+        let racers: Vec<_> = (0..8)
+            .map(|_| s.spawn(|| svc.append_keyed(&[vec![0, 1]], Some("race")).unwrap()))
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert_eq!(outcomes.iter().filter(|o| !o.deduplicated).count(), 1);
+    assert!(outcomes.iter().all(|o| o.assigned == (6..7)));
+    assert_eq!(svc.stats().trajectories, 7, "one key, one install");
+    assert_eq!(svc.wal_next_seq(), Some(1), "one key, one record");
+    drop(svc);
+
+    let svc = durable_service(&dir);
+    assert_eq!(svc.stats().trajectories, 7, "replay installs it once");
+    let retried = svc.append_keyed(&[vec![0, 1]], Some("race")).unwrap();
+    assert!(retried.deduplicated);
+    assert_eq!(retried.assigned, 6..7);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Serving a corpus does not rewrite its build configuration: the
 /// thread knob a directory was built with is the knob a save from a
 /// bound server persists, so a later `cinct compact` builds its shards

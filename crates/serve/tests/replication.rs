@@ -125,6 +125,45 @@ fn follower_converges_by_shipping_and_stays_caught_up() {
     assert!(out.deduplicated, "shipped key k0 was not remembered");
 }
 
+/// A `/repl/wal` long-poll blocked on the tip wakes on the commit that
+/// moves it — a client append on a primary, a replicated record on a
+/// follower — not at its timeout.
+#[test]
+fn concurrent_long_poll_wakes_on_every_commit() {
+    let (pdir, fdir) = (seed("wake-p"), seed("wake-f"));
+    let (primary, follower) = (durable_service(&pdir), durable_service(&fdir));
+    let wakes_on = |svc: &CorpusService, commit: &dyn Fn()| {
+        let next = svc.wal_next_seq().unwrap();
+        std::thread::scope(|s| {
+            let poll = s.spawn(|| {
+                let t0 = Instant::now();
+                (
+                    svc.wait_for_tip(next, Duration::from_secs(10)),
+                    t0.elapsed(),
+                )
+            });
+            // Let the poller block before the commit lands.
+            std::thread::sleep(Duration::from_millis(100));
+            commit();
+            let (tip, waited) = poll.join().unwrap();
+            assert_eq!(tip, next + 1);
+            assert!(waited < Duration::from_secs(5), "woke after {waited:?}");
+        });
+    };
+    wakes_on(&primary, &|| {
+        primary
+            .append_keyed(&[vec![1, 2, 5]], Some("wake"))
+            .unwrap();
+    });
+    let WalRead::Records(records) = primary.wal_read_from(0).unwrap() else {
+        panic!("nothing reclaimed yet");
+    };
+    wakes_on(&follower, &|| {
+        assert_eq!(follower.apply_replicated(&records).unwrap(), 1);
+    });
+    assert_eq!(fingerprint(&follower), fingerprint(&primary));
+}
+
 #[test]
 fn partition_heals_into_catch_up_not_bootstrap() {
     let (pdir, fdir) = (seed("part-p"), seed("part-f"));
